@@ -16,7 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
+from itertools import chain
 
 from hassett.autgroup import (
     NOT_COVERED_MESSAGE,
@@ -43,7 +44,9 @@ from hassett.strata import (
 from hassett.weights import (
     InvalidWeightDataError,
     WeightData,
-    chamber_signature,
+    _canonical_masks,
+    _mask_members,
+    _signature_masks,
     format_rational,
     require_valid,
     validate,
@@ -107,7 +110,9 @@ def _weights_from(args: argparse.Namespace) -> WeightData:
         raise _UsageError(str(exc)) from exc
 
 
-def _emit(args: argparse.Namespace, obj: object, lines: list[str]) -> None:
+def _emit(args: argparse.Namespace, obj: object, lines: Iterable[str]) -> None:
+    """Write ``obj`` as canonical JSON, or ``lines`` as text; verbs with
+    large outputs pass ``lines`` as a lazy iterable, unused in JSON mode."""
     if args.format == "json":
         sys.stdout.write(canonical_line(obj))
     else:
@@ -126,10 +131,6 @@ def _index_set(s) -> list[int]:
     return sorted(s)
 
 
-def _sorted_sets(sets) -> list[list[int]]:
-    return [sorted(s) for s in sorted(sets, key=lambda s: (len(s), sorted(s)))]
-
-
 # ---------------------------------------------------------------------------
 # Verb handlers
 # ---------------------------------------------------------------------------
@@ -137,15 +138,17 @@ def _sorted_sets(sets) -> list[list[int]]:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     report = validate(_weights_from(args))
-    walls = _sorted_sets(report.walls)
+    walls = [sorted(wall) for wall in report.walls]  # already in canonical order
     obj = {
         "ok": report.ok,
         "violations": list(report.violations),
         "walls": walls,
     }
-    lines = ["valid" if report.ok else "invalid"]
-    lines.extend(f"violation: {v}" for v in report.violations)
-    lines.extend("wall: " + " ".join(map(str, wall)) for wall in walls)
+    lines = chain(
+        ["valid" if report.ok else "invalid"],
+        (f"violation: {v}" for v in report.violations),
+        ("wall: " + " ".join(map(str, wall)) for wall in walls),
+    )
     _emit(args, obj, lines)
     return 0 if report.ok else 1
 
@@ -153,13 +156,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_signature(args: argparse.Namespace) -> int:
     w = _weights_from(args)
     require_valid(w)
-    sets = chamber_signature(w)
+    masks = _signature_masks(w)
     if args.mode == "coarse":
-        sets = frozenset(s for s in sets if len(s) >= 3)
-    ordered = _sorted_sets(sets)
+        masks = [m for m in masks if m.bit_count() >= 3]
+    ordered = [_mask_members(m) for m in _canonical_masks(masks, w.n)]
     obj = {"mode": args.mode, "sets": ordered}
-    lines = [f"{args.mode} signature: {len(ordered)} sets"]
-    lines.extend(" ".join(map(str, s)) for s in ordered)
+    lines = chain(
+        [f"{args.mode} signature: {len(ordered)} sets"],
+        (" ".join(map(str, s)) for s in ordered),
+    )
     _emit(args, obj, lines)
     return 0
 
@@ -167,27 +172,31 @@ def _cmd_signature(args: argparse.Namespace) -> int:
 def _cmd_divisors(args: argparse.Namespace) -> int:
     w = _weights_from(args)
     require_valid(w)
+    divisors = enumerate_boundary_divisors(w)
     items = []
-    lines = []
-    for d in enumerate_boundary_divisors(w):
+    for d in divisors:
         entry = d.to_json_dict()
         if args.trees:
             entry["tree"] = divisor_tree(w, d).to_json_dict()
         items.append(entry)
-        if d.kind == "nodal":
-            lines.append(
-                "nodal: side "
-                + " ".join(map(str, _index_set(d.side)))
-                + f" | genus split {d.genus_split[0]}+{d.genus_split[1]}"
-            )
-        elif d.kind == "irreducible":
-            lines.append("irreducible node")
-        else:
-            lines.append("coincidence: " + " ".join(map(str, _index_set(d.pair))))
     obj = {"divisors": items}
-    lines.insert(0, f"{len(items)} boundary divisors")
+    lines = chain(
+        [f"{len(items)} boundary divisors"], map(_divisor_line, divisors)
+    )
     _emit(args, obj, lines)
     return 0
+
+
+def _divisor_line(d) -> str:
+    if d.kind == "nodal":
+        return (
+            "nodal: side "
+            + " ".join(map(str, _index_set(d.side)))
+            + f" | genus split {d.genus_split[0]}+{d.genus_split[1]}"
+        )
+    if d.kind == "irreducible":
+        return "irreducible node"
+    return "coincidence: " + " ".join(map(str, _index_set(d.pair)))
 
 
 def _cmd_contract(args: argparse.Namespace) -> int:

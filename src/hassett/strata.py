@@ -15,6 +15,9 @@ from itertools import combinations
 
 from .weights import (
     WeightData,
+    _canonical_masks,
+    _mask_members,
+    _signature_masks,
     chamber_signature,
     reduction_exists,
     require_valid,
@@ -262,16 +265,6 @@ class BoundaryDivisor:
             if self.pair is None or len(self.pair) != 2:
                 raise ValueError("coincidence divisors need a marking pair")
 
-    @property
-    def sort_key(self) -> tuple:
-        if self.kind == "nodal":
-            assert self.side is not None and self.genus_split is not None
-            return (0, self.genus_split[0], len(self.side), tuple(sorted(self.side)))
-        if self.kind == "irreducible":
-            return (1,)
-        assert self.pair is not None
-        return (2, tuple(sorted(self.pair)))
-
     def to_json_dict(self) -> dict:
         if self.kind == "nodal":
             assert self.side is not None and self.genus_split is not None
@@ -286,16 +279,6 @@ class BoundaryDivisor:
         return {"kind": "coincidence", "pair": sorted(self.pair)}
 
 
-def _canonical_nodal(
-    g1: int, s: frozenset[int], g2: int, comp: frozenset[int]
-) -> BoundaryDivisor:
-    a = (g1, len(s), tuple(sorted(s)))
-    b = (g2, len(comp), tuple(sorted(comp)))
-    if b < a:
-        g1, s, g2, comp = g2, comp, g1, s
-    return BoundaryDivisor(kind="nodal", side=s, genus_split=(g1, g2))
-
-
 def _genus0_side_stable(
     sig: frozenset[frozenset[int]], side: frozenset[int]
 ) -> bool:
@@ -305,12 +288,11 @@ def _genus0_side_stable(
     return len(side) >= 2 and side not in sig
 
 
-def _side_stable(
-    sig: frozenset[frozenset[int]], g_side: int, side: frozenset[int]
-) -> bool:
-    if g_side >= 1:
-        return True
-    return _genus0_side_stable(sig, side)
+def _is_canonical_side(side: int, comp: int) -> bool:
+    """Of two complementary sides of equal genus: fewer markings first,
+    then lexicographic, which for complements means holding marking 1."""
+    a, b = side.bit_count(), comp.bit_count()
+    return a < b or (a == b and (side & 1 == 1 or side == comp))
 
 
 def enumerate_boundary_divisors(w: WeightData) -> list[BoundaryDivisor]:
@@ -321,25 +303,38 @@ def enumerate_boundary_divisors(w: WeightData) -> list[BoundaryDivisor]:
     irreducible divisor, then coincidence pairs lexicographically.
     """
     require_valid(w)
-    sig = chamber_signature(w)
-    full = frozenset(range(1, w.n + 1))
-    found: set[BoundaryDivisor] = set()
+    sig = set(_signature_masks(w))
+    full = (1 << w.n) - 1
 
+    def stable(g_side: int, side: int) -> bool:
+        # the rule of _genus0_side_stable, on masks (bit i - 1 is marking i)
+        return g_side >= 1 or (side.bit_count() >= 2 and side not in sig)
+
+    out: list[BoundaryDivisor] = []
     for g1 in range(0, w.genus // 2 + 1):
         g2 = w.genus - g1
-        for r in range(0, w.n + 1):
-            for combo in combinations(sorted(full), r):
-                s = frozenset(combo)
-                comp = full - s
-                if _side_stable(sig, g1, s) and _side_stable(sig, g2, comp):
-                    found.add(_canonical_nodal(g1, s, g2, comp))
-
-    out = sorted(found, key=lambda d: d.sort_key)
+        # each side is tried once; with equal genera a divisor is reached
+        # from both of its sides and kept under its canonical one
+        sides = [
+            s
+            for s in range(full + 1)
+            if stable(g1, s)
+            and stable(g2, full ^ s)
+            and (g1 < g2 or _is_canonical_side(s, full ^ s))
+        ]
+        out.extend(
+            BoundaryDivisor(
+                kind="nodal",
+                side=frozenset(_mask_members(s)),
+                genus_split=(g1, g2),
+            )
+            for s in _canonical_masks(sides, w.n)
+        )
     if w.genus >= 1:
         out.append(BoundaryDivisor(kind="irreducible"))
     for i, j in combinations(range(1, w.n + 1), 2):
         if w.weights[i - 1] > 0 and w.weights[j - 1] > 0:
-            if frozenset({i, j}) in sig:
+            if (1 << (i - 1) | 1 << (j - 1)) in sig:
                 out.append(
                     BoundaryDivisor(kind="coincidence", pair=frozenset({i, j}))
                 )

@@ -142,7 +142,10 @@ class ValidationReport:
     """Outcome of :func:`validate`: hard violations plus wall annotations.
 
     ``walls`` lists the index sets (size >= 2) whose weights sum to exactly
-    1; the datum sits on those chamber walls without violating anything.
+    1, by size and then lexicographically; the datum sits on those chamber
+    walls without violating anything. Zero-weight markings pad walls like
+    any other set: weights (1/2, 1/2, 0) have the walls {1, 2} and
+    {1, 2, 3}. Invalid data report no walls.
     """
 
     ok: bool
@@ -150,8 +153,8 @@ class ValidationReport:
     walls: tuple[frozenset[int], ...]
 
 
-def validate(w: WeightData) -> ValidationReport:
-    """Check the defining inequalities of a weight datum."""
+def _violations(w: WeightData) -> list[str]:
+    """The defining inequalities the datum breaks, in O(n)."""
     problems: list[str] = []
     if w.genus < 0:
         problems.append(f"genus must be nonnegative, got {w.genus}")
@@ -166,36 +169,92 @@ def validate(w: WeightData) -> ValidationReport:
             )
         if w.n == 0 and w.genus < 2:
             problems.append("a datum with no markings needs genus >= 2")
+    return problems
+
+
+def validate(w: WeightData) -> ValidationReport:
+    """Check the defining inequalities of a weight datum and list its walls.
+
+    This is the only function that computes walls: one subset pass over a
+    valid datum, keeping the signature sets of weight exactly 1. Callers
+    that only need validity use :func:`require_valid`.
+    """
+    problems = _violations(w)
     walls: tuple[frozenset[int], ...] = ()
     if not problems:
-        walls = _wall_subsets(w)
+        scaled, cap = w.scaled()
+        wall_masks = [
+            m
+            for m in _signature_masks(w)
+            if sum(scaled[i - 1] for i in _mask_members(m)) == cap
+        ]
+        walls = tuple(
+            frozenset(_mask_members(m)) for m in _canonical_masks(wall_masks, w.n)
+        )
     return ValidationReport(not problems, tuple(problems), walls)
 
 
 def require_valid(w: WeightData) -> None:
-    report = validate(w)
-    if not report.ok:
-        raise InvalidWeightDataError("; ".join(report.violations))
+    """Raise :class:`InvalidWeightDataError` unless the datum is valid.
+
+    Validity does not depend on walls, so this checks the O(n) defining
+    inequalities only and enumerates no subsets.
+    """
+    problems = _violations(w)
+    if problems:
+        raise InvalidWeightDataError("; ".join(problems))
 
 
-def _wall_subsets(w: WeightData) -> tuple[frozenset[int], ...]:
+def _mask_members(mask: int) -> list[int]:
+    """The sorted 1-based markings of a mask (bit i - 1 is marking i)."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return out
+
+
+def _canonical_masks(masks, n: int) -> list[int]:
+    """Masks over n markings ordered by size, then lexicographically.
+
+    One integer key per mask: its size, then its complement bit-reversed.
+    Of two sets of equal size, A comes first exactly when min(A ^ B) lies
+    in A; reversal puts that marking's bit on top, and taking complements
+    makes A's key the smaller one. Bit n of ``flip`` is a sentinel that
+    keeps ``bin`` at a fixed width.
+    """
+    flip = (1 << (n + 1)) - 1
+    return sorted(
+        masks,
+        key=lambda m: (m.bit_count() << (n + 1)) | int(bin(m ^ flip)[:1:-1], 2),
+    )
+
+
+def _signature_masks(w: WeightData) -> list[int]:
+    """The chamber signature as masks (bit i - 1 is marking i), unordered.
+
+    One kernel pass over the positive weights. A zero weight changes no
+    sum, so every small positive part, the empty set and every positive
+    singleton is padded by every set of zero-weight markings, keeping the
+    results of size >= 2. The caller has checked validity (so every
+    singleton weighs at most 1).
+    """
     if w.n < 2:
-        return ()
+        return []
     scaled, cap = w.scaled()
-    positives = [i for i, v in enumerate(scaled) if v > 0]
-    zeros = [i for i, v in enumerate(scaled) if v == 0]
-    masks = kernels.enumerate_small_subsets([scaled[i] for i in positives], cap)
-    walls = []
-    for mask in masks:
-        members = [positives[k] for k in range(len(positives)) if mask >> k & 1]
-        if sum(scaled[i] for i in members) == cap:
-            walls.append(frozenset(i + 1 for i in members))
-    # one positive weight equal to 1 is itself a wall once padded by a zero
-    if zeros:
-        for i in positives:
-            if scaled[i] == cap:
-                walls.append(frozenset([i + 1, zeros[0] + 1]))
-    return tuple(sorted(walls, key=lambda s: (len(s), sorted(s))))
+    positive_bits = [1 << i for i, v in enumerate(scaled) if v > 0]
+    masks = kernels.enumerate_small_subsets([v for v in scaled if v > 0], cap)
+    if len(positive_bits) == w.n:
+        return masks
+    # kernel masks index the positive weights; move them onto the markings
+    parts = [sum(positive_bits[k - 1] for k in _mask_members(m)) for m in masks]
+    parts += [0, *positive_bits]
+    zero_sets = [0]
+    for i, v in enumerate(scaled):
+        if v == 0:
+            zero_sets += [z | 1 << i for z in zero_sets]
+    return [p | z for p in parts for z in zero_sets if (p | z).bit_count() >= 2]
 
 
 def chamber_signature(w: WeightData) -> frozenset[frozenset[int]]:
@@ -205,35 +264,7 @@ def chamber_signature(w: WeightData) -> frozenset[frozenset[int]]:
     moduli problem. Data with fewer than two markings have empty signature.
     """
     require_valid(w)
-    if w.n < 2:
-        return frozenset()
-    scaled, cap = w.scaled()
-    positives = [i for i, v in enumerate(scaled) if v > 0]
-    zeros = [i for i, v in enumerate(scaled) if v == 0]
-    small: set[frozenset[int]] = set()
-
-    pos_masks = kernels.enumerate_small_subsets([scaled[i] for i in positives], cap)
-    pos_sets = [
-        frozenset(positives[k] + 1 for k in range(len(positives)) if mask >> k & 1)
-        for mask in pos_masks
-    ]
-    zero_set = [i + 1 for i in zeros]
-    if not zeros:
-        return frozenset(pos_sets)
-
-    # every augmentation of a small-or-singleton-or-empty positive part by
-    # zero-weight markings keeps the sum, so pad combinatorially
-    base_parts: list[frozenset[int]] = list(pos_sets)
-    base_parts.append(frozenset())
-    base_parts.extend(
-        frozenset([i + 1]) for i in positives if scaled[i] <= cap
-    )
-    for part in base_parts:
-        need = max(0, 2 - len(part))
-        for extra in range(need, len(zero_set) + 1):
-            for zs in combinations(zero_set, extra):
-                small.add(part | frozenset(zs))
-    return frozenset(s for s in small if len(s) >= 2)
+    return frozenset(frozenset(_mask_members(m)) for m in _signature_masks(w))
 
 
 def _check_comparable(w1: WeightData, w2: WeightData) -> None:
@@ -249,7 +280,9 @@ def _check_comparable(w1: WeightData, w2: WeightData) -> None:
 def fine_equivalent(w1: WeightData, w2: WeightData) -> bool:
     """Equal chamber signatures: the two data define the same moduli problem."""
     _check_comparable(w1, w2)
-    return chamber_signature(w1) == chamber_signature(w2)
+    require_valid(w1)
+    require_valid(w2)
+    return set(_signature_masks(w1)) == set(_signature_masks(w2))
 
 
 def coarse_equivalent_genus0(w1: WeightData, w2: WeightData) -> bool:
@@ -261,8 +294,10 @@ def coarse_equivalent_genus0(w1: WeightData, w2: WeightData) -> bool:
     if w1.genus != 0 or w2.genus != 0:
         raise ValueError("coarse equivalence is a genus-0 notion")
     _check_comparable(w1, w2)
-    big1 = {s for s in chamber_signature(w1) if len(s) >= 3}
-    big2 = {s for s in chamber_signature(w2) if len(s) >= 3}
+    require_valid(w1)
+    require_valid(w2)
+    big1 = {m for m in _signature_masks(w1) if m.bit_count() >= 3}
+    big2 = {m for m in _signature_masks(w2) if m.bit_count() >= 3}
     return big1 == big2
 
 

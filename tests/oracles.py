@@ -26,6 +26,18 @@ def brute_signature(weights: list[Fraction]) -> set[frozenset[int]]:
     return out
 
 
+def brute_walls(weights: list[Fraction]) -> list[frozenset[int]]:
+    """All 1-based index sets of size >= 2 with weight sum exactly 1, by
+    size and then lexicographically (the order combinations yield)."""
+    n = len(weights)
+    return [
+        frozenset(combo)
+        for r in range(2, n + 1)
+        for combo in combinations(range(1, n + 1), r)
+        if sum(weights[i - 1] for i in combo) == ONE
+    ]
+
+
 def witness_order(n: int, i: int, j: int, exclude_ij: bool):
     """Candidate index sets in canonical order: sets avoiding {i, j} first,
     then (unless excluded) sets touching them; size before lexicographic."""

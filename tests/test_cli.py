@@ -10,6 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
 import hassett.cli as cli
 from hassett.autgroup import NOT_COVERED_MESSAGE
@@ -23,6 +24,8 @@ from hassett.linear import evaluate
 from hassett.perms import generate_group
 from hassett.strata import StableTree
 from hassett.weights import WeightData, chamber_signature
+from tests.oracles import brute_nodal_divisors, brute_signature
+from tests.test_signature_props import weight_data
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:
@@ -90,6 +93,50 @@ class TestAutVerb:
         assert rc == 0 and obj["finite_order"] == 12
         rc, obj = run_json("aut", *weights, "--strict-atrans")
         assert rc == 0 and obj["finite_order"] == 36
+
+
+def _weight_argv(w: WeightData) -> list[str]:
+    text = ",".join(f"{q.numerator}/{q.denominator}" for q in w.weights)
+    return ["--genus", str(w.genus), "--weights", text]
+
+
+def _by_size_then_lex(sets) -> list[list[int]]:
+    return sorted((sorted(s) for s in sets), key=lambda s: (len(s), s))
+
+
+class TestEmittedOrder:
+    """Emitted set lists equal the oracles' sets in (size, lexicographic)
+    order, including zero weights and positive genus."""
+
+    @given(weight_data)
+    @settings(max_examples=150, deadline=None)
+    def test_signature_fine_and_coarse(self, w):
+        expected = _by_size_then_lex(brute_signature(list(w.weights)))
+        rc, obj = run_json("signature", *_weight_argv(w))
+        assert rc == 0 and obj["sets"] == expected
+        rc, obj = run_json("signature", "--mode", "coarse", *_weight_argv(w))
+        assert rc == 0 and obj["sets"] == [s for s in expected if len(s) >= 3]
+
+    @given(weight_data)
+    @settings(max_examples=100, deadline=None)
+    def test_divisors(self, w):
+        nodal = sorted(
+            brute_nodal_divisors(w.genus, list(w.weights)),
+            key=lambda d: (d[0], len(d[1]), sorted(d[1])),
+        )
+        expected = [
+            {"kind": "nodal", "side": sorted(side), "genus_split": [g, w.genus - g]}
+            for g, side in nodal
+        ]
+        if w.genus >= 1:
+            expected.append({"kind": "irreducible"})
+        expected += [
+            {"kind": "coincidence", "pair": pair}
+            for pair in _by_size_then_lex(brute_signature(list(w.weights)))
+            if len(pair) == 2 and all(w.weights[i - 1] > 0 for i in pair)
+        ]
+        rc, obj = run_json("divisors", *_weight_argv(w))
+        assert rc == 0 and obj["divisors"] == expected
 
 
 class TestValidateVerb:

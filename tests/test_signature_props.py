@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hassett.weights import WeightData, chamber_signature, fine_equivalent, validate
-from tests.oracles import brute_signature
+from tests.oracles import brute_signature, brute_walls
 
 small_fraction = st.builds(
     F, st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=6)
@@ -67,3 +67,10 @@ def test_fine_equivalence_is_reflexive_and_signature_based(w):
         assert fine_equivalent(w, classical) == (
             chamber_signature(w) == chamber_signature(classical)
         )
+
+
+@given(weight_data)
+@settings(max_examples=300, deadline=None)
+def test_walls_match_full_enumeration(w):
+    # every zero-weight marking pads walls, not only the first one
+    assert list(validate(w).walls) == brute_walls(list(w.weights))

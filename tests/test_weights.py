@@ -1,9 +1,13 @@
 """Weight data: parsing, validation, signatures, equivalences, reductions."""
 
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import hassett.weights as weights_module
+from hassett import kernels
+from hassett.families import classify_with_relabeling, kapranov_weights
 from hassett.weights import (
     InvalidWeightDataError,
     WeightData,
@@ -16,6 +20,7 @@ from hassett.weights import (
     parse_rational,
     reduction_exists,
     reduction_exists_up_to_equivalence,
+    require_valid,
     validate,
 )
 
@@ -44,6 +49,46 @@ class TestParsing:
 
 
 class TestValidation:
+    def test_require_valid_enumerates_no_subsets(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("require_valid enumerated subsets")
+
+        monkeypatch.setattr(kernels, "enumerate_small_subsets", boom)
+        # every set of up to twenty markings is small: 2^60 subsets in all
+        require_valid(WeightData(0, (F(1, 20),) * 60))
+        with pytest.raises(InvalidWeightDataError):
+            require_valid(WeightData(0, (F(1, 30),) * 60))
+
+    def test_classify_never_computes_walls(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("classify called validate")
+
+        original = weights_module.validate
+        for name, module in list(sys.modules.items()):
+            if name == "hassett" or name.startswith("hassett."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, boom)
+        hit = classify_with_relabeling(kapranov_weights(2, 3, 9))
+        assert hit is not None and hit[0].notation() == "kapranov:r=2,s=3,n=9"
+
+    def test_zero_weights_pad_walls(self):
+        assert validate(wd(1, "1/2", "1/2", 0)).walls == (
+            frozenset({1, 2}),
+            frozenset({1, 2, 3}),
+        )
+        assert validate(wd(1, 1, 0, 0)).walls == (
+            frozenset({1, 2}),
+            frozenset({1, 3}),
+            frozenset({1, 2, 3}),
+        )
+        # relabeling the zeros relabels the walls
+        assert validate(wd(1, 0, 0, 1)).walls == (
+            frozenset({1, 3}),
+            frozenset({2, 3}),
+            frozenset({1, 2, 3}),
+        )
+
     def test_classical_datum(self):
         assert validate(wd(0, 1, 1, 1, 1, 1)).ok
 
