@@ -115,14 +115,8 @@ class AutDescription:
         }
 
 
-def _window(a_i: Fraction, a_j: Fraction) -> tuple[Fraction, Fraction]:
-    """Half-open violation interval (lo, hi] for plain packet sums."""
-    small, big = min(a_i, a_j), max(a_i, a_j)
-    return ONE - big, ONE - small
-
-
 def _witness_candidates(n: int, i: int, j: int, exclude_ij: bool):
-    """Packets in canonical reporting order.
+    """Packets in canonical reporting order, as sorted index tuples.
 
     Packets drawn away from {i, j} come first, by size then
     lexicographically; under the default literal reading the packets
@@ -130,13 +124,13 @@ def _witness_candidates(n: int, i: int, j: int, exclude_ij: bool):
     """
     others = [x for x in range(1, n + 1) if x != i and x != j]
     for size in range(2, len(others) + 1):
-        yield from (frozenset(c) for c in combinations(others, size))
+        yield from combinations(others, size)
     if exclude_ij:
         return
     for size in range(2, n + 1):
         for combo in combinations(range(1, n + 1), size):
             if i in combo or j in combo:
-                yield frozenset(combo)
+                yield combo
 
 
 def is_admissible(
@@ -154,6 +148,10 @@ def is_admissible(
     violating packet in canonical order.  The decision runs through the
     subset-sum kernel; the witness comes from independent enumeration,
     and a disagreement between the two routes raises ``RuntimeError``.
+    Both routes work on the integers of :meth:`WeightData.scaled`: the
+    enumeration compares ``s_i + sum(T) <= cap`` with
+    ``s_j + sum(T) <= cap`` packet by packet, without the kernel's
+    windows.
     """
     n = w.n
     if not (1 <= i <= n and 1 <= j <= n):
@@ -167,29 +165,31 @@ def is_admissible(
         return True, None
 
     scaled, cap = w.scaled()
+    s_i, s_j = scaled[i - 1], scaled[j - 1]
     pool = [scaled[k - 1] for k in range(1, n + 1) if k != i and k != j]
-    lo, hi = _window(a_i, a_j)
-    windows = [(lo * cap, hi * cap, 2)]
+    # Half-open violation window (lo, hi] for plain packet sums.
+    lo, hi = cap - max(s_i, s_j), cap - min(s_i, s_j)
+    windows = [(lo, hi, 2)]
     if not exclude_ij:
         # Packets containing i, j, or both shift the compared sums by the
         # contained members; each case is one translated window over the
         # same pool, with the size floor reduced by the fixed members.
         for shift, floor in (
-            (a_i, 1),
-            (a_j, 1),
-            (a_i + a_j, 0),
+            (s_i, 1),
+            (s_j, 1),
+            (s_i + s_j, 0),
         ):
-            windows.append(((lo - shift) * cap, (hi - shift) * cap, floor))
+            windows.append((lo - shift, hi - shift, floor))
     violated = any(
-        kernels.find_subset_in_interval(pool, int(w_lo), int(w_hi), size) != -1
+        kernels.find_subset_in_interval(pool, w_lo, w_hi, size) != -1
         for w_lo, w_hi, size in windows
     )
     if not violated:
         return True, None
     for packet in _witness_candidates(n, i, j, exclude_ij):
-        total = sum(w.weights[k - 1] for k in packet)
-        if (a_i + total <= ONE) != (a_j + total <= ONE):
-            return False, packet
+        total = sum(scaled[k - 1] for k in packet)
+        if (s_i + total <= cap) != (s_j + total <= cap):
+            return False, frozenset(packet)
     raise RuntimeError(
         "subset-sum kernel reported a violation but enumeration found none"
     )

@@ -1,10 +1,15 @@
 """Finite permutation groups with exact order computation.
 
-Groups are given by generators in 0-based one-line image notation. Orders
-come from a deterministic stabilizer-chain construction (base and strong
-generating set with Schreier generators), which stays exact at sizes where
-explicit element listing is hopeless; explicit listings for small groups
-use the breadth-first closure kernel and are cross-checked in tests.
+Groups are given by generators in 0-based one-line image notation. When
+every generator is a transposition, the group is the product of the full
+symmetric groups on its orbits (a connected set of transpositions
+generates the symmetric group on its support), so the order is the
+product of the orbit sizes' factorials. Every other group gets its order
+from a deterministic stabilizer-chain construction (base and strong
+generating set with Schreier generators), which stays exact at sizes
+where explicit element listing is hopeless. Explicit listings by
+breadth-first closure are used only in tests, where they cross-check both
+routes.
 """
 
 from __future__ import annotations
@@ -163,16 +168,23 @@ def generate_group(gens: list[Perm] | tuple[Perm, ...], degree: int) -> PermGrou
             x = parent[x]
         return x
 
+    all_transpositions = True
     for g in generators:
+        moved = 0
         for x in range(degree):
             if g[x] != x:
+                moved += 1
                 parent[find(x)] = find(g[x])
+        all_transpositions = all_transpositions and moved == 2
     buckets: dict[int, list[int]] = {}
     for x in range(degree):
         buckets.setdefault(find(x), []).append(x)
     orbits = tuple(sorted(tuple(sorted(b)) for b in buckets.values()))
 
-    order = _stabilizer_chain_order(list(generators), degree)
+    if all_transpositions:
+        order = math.prod(math.factorial(len(orbit)) for orbit in orbits)
+    else:
+        order = _stabilizer_chain_order(list(generators), degree)
     if degree <= 20 and math.factorial(degree) % order != 0:
         raise RuntimeError("computed order does not divide degree! — chain bug")
     return PermGroup(

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hassett import perms
 from hassett.autgroup import (
     NOT_COVERED_MESSAGE,
     NotCoveredError,
@@ -257,6 +258,24 @@ class TestPinnedGroupOrders:
         assert d.torus_rank == 0
         assert d.finite_order == 4
         assert d.label == "S2 x S2"
+
+    def test_transposition_groups_build_no_stabilizer_chain(self, monkeypatch):
+        # Every group below is generated by transpositions, so its order is
+        # the product of its orbits' factorials and the chain never runs.
+        def no_chain(gens, degree):
+            raise AssertionError("stabilizer chain built for transpositions")
+
+        monkeypatch.setattr(perms, "_stabilizer_chain_order", no_chain)
+        three = (F(1, 10),) * 5 + (F(1, 7),) * 5 + (F(1, 4),) * 5
+        cases = [
+            (WeightData(2, three), 1_728_000, "S5 x S5 x S5"),
+            (WeightData(2, (F(1, 2),) * 20), factorial(20), "S20"),
+            (WeightData(0, (F(1),) * 20), factorial(20), "S20"),
+        ]
+        for w, order, label in cases:
+            d = aut_group(w)
+            assert (d.finite_order, d.label) == (order, label)
+        assert aut_group(kapranov_weights(1, 2, 11)).label == "torus x S9"
 
 
 class TestDispatchTable:

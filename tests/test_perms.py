@@ -1,10 +1,17 @@
-"""Permutation groups: stabilizer-chain orders against closure oracles."""
+"""Permutation groups: orders against closure oracles and the chain.
+
+Groups generated by transpositions take their order from their orbits;
+those orders are checked against naive closure at small degree and against
+the stabilizer chain at larger degree. Every other group goes through the
+chain, checked against naive closure.
+"""
 
 import math
 import random
 
 import pytest
 
+from hassett import perms
 from hassett.perms import PermGroup, generate_group, transposition
 from tests.oracles import naive_closure
 
@@ -13,6 +20,31 @@ def random_perm(rng, degree):
     p = list(range(degree))
     rng.shuffle(p)
     return tuple(p)
+
+
+def random_transpositions(rng, degree, count):
+    """count random transpositions, repeats and overlaps allowed."""
+    if degree < 2:
+        return []
+    return [transposition(*rng.sample(range(degree), 2), degree) for _ in range(count)]
+
+
+def closure_orbits(elements, degree):
+    return tuple(sorted({tuple(sorted({p[x] for p in elements})) for x in range(degree)}))
+
+
+@pytest.fixture
+def chain_calls(monkeypatch):
+    """Record every stabilizer-chain order computation."""
+    calls = []
+    chain = perms._stabilizer_chain_order
+
+    def spy(gens, degree):
+        calls.append(degree)
+        return chain(gens, degree)
+
+    monkeypatch.setattr(perms, "_stabilizer_chain_order", spy)
+    return calls
 
 
 class TestGenerateGroup:
@@ -77,6 +109,46 @@ class TestGenerateGroup:
             assert group.order == len(naive_closure(gens, degree))
             listed = group.elements()
             assert listed is not None and len(listed) == group.order
+
+    def test_transposition_orders_match_closure(self, chain_calls):
+        rng = random.Random(2024)
+        for _ in range(60):
+            degree = rng.randint(1, 6)
+            gens = random_transpositions(rng, degree, rng.randint(0, 6))
+            group = generate_group(gens, degree)
+            closure = naive_closure(gens, degree)
+            assert group.order == len(closure)
+            assert group.orbits == closure_orbits(closure, degree)
+        assert chain_calls == []
+
+    def test_transposition_orders_match_stabilizer_chain(self, chain_calls):
+        rng = random.Random(2025)
+        for _ in range(40):
+            degree = rng.randint(7, 12)
+            gens = random_transpositions(rng, degree, rng.randint(0, 14))
+            group = generate_group(gens, degree)
+            assert group.order == perms._stabilizer_chain_order(
+                list(group.generators), degree
+            )
+        # only the reference calls above ran the chain
+        assert len(chain_calls) == 40
+
+    def test_transpositions_with_one_longer_cycle_use_the_chain(self, chain_calls):
+        rng = random.Random(2026)
+        for trial in range(40):
+            length = 3 + trial % 2
+            degree = rng.randint(length, 6)
+            cycle = list(range(degree))
+            points = rng.sample(range(degree), length)
+            for a, b in zip(points, points[1:] + points[:1]):
+                cycle[a] = b
+            gens = random_transpositions(rng, degree, rng.randint(0, 4))
+            gens.insert(rng.randint(0, len(gens)), tuple(cycle))
+            group = generate_group(gens, degree)
+            closure = naive_closure(gens, degree)
+            assert group.order == len(closure)
+            assert group.orbits == closure_orbits(closure, degree)
+            assert len(chain_calls) == trial + 1
 
     def test_order_divides_factorial(self):
         rng = random.Random(77)
