@@ -37,6 +37,7 @@ from .linear import Constraint, LinearSystem, evaluate, solve_feasibility
 from .weights import (
     ONE,
     WeightData,
+    _blocked_feasibility,
     chamber_reduction_exists,
     chamber_signature,
     coarse_equivalent_genus0,
@@ -212,6 +213,41 @@ def _sum_gt_one(indices, n: int) -> Constraint:
     return Constraint(coeffs, "<", -ONE)
 
 
+def _threshold_rows(spec: FamilySpec):
+    """The symmetric and Keel condition rows as ``(support, big)`` pairs.
+
+    ``support`` is a sorted tuple of 1-based slots; the row reads
+    ``sum(support) > 1`` when ``big`` is set and ``sum(support) <= 1``
+    otherwise.  Kapranov members have equality rows instead, built by
+    :func:`family_conditions` alone.
+    """
+    n = spec.n
+    if spec.family == FAMILY_SYM:
+        k = spec.k
+        for i in range(1, n):
+            yield (i, n), True
+        for size in range(2, n - 1):
+            for subset in combinations(range(1, n), size):
+                yield subset, size >= n - k - 1
+        return
+    h = spec.h
+    lights = range(4, n + 1)
+    for pair in combinations((1, 2, 3), 2):
+        yield pair, True
+    if h <= n - 4:
+        # Heavy-anchored phase: thresholds on one heavy plus light packets.
+        for i in (1, 2, 3):
+            for size in range(2 if h == 0 else 1, n - 2):
+                for packet in combinations(lights, size):
+                    yield (i, *packet), size >= n - h - 2
+    else:
+        # Pure-light phase: thresholds on light packets alone.
+        cut = 2 * n - h - 7
+        for size in range(1, n - 2):
+            for packet in combinations(lights, size):
+                yield packet, size > cut
+
+
 @lru_cache(maxsize=None)
 def family_conditions(spec: FamilySpec) -> LinearSystem:
     """The construction's exact inequality system on the n weights.
@@ -221,48 +257,62 @@ def family_conditions(spec: FamilySpec) -> LinearSystem:
     separately by the feasibility search.
     """
     n = spec.n
-    cons: list[Constraint] = []
     if spec.family == FAMILY_KAPRANOV:
         rep = kapranov_weights(spec.r, spec.s, n)
+        cons = []
         for i, value in enumerate(rep.weights):
             unit = tuple(Fraction(1 if j == i else 0) for j in range(n))
             cons.append(Constraint(unit, "=", value))
         return LinearSystem(n, tuple(cons))
+    return LinearSystem(
+        n,
+        tuple(
+            _sum_gt_one(support, n) if big else _sum_le_one(support, n)
+            for support, big in _threshold_rows(spec)
+        ),
+    )
+
+
+def _meets_conditions(spec: FamilySpec, w: WeightData) -> bool:
+    """Whether w satisfies every row of :func:`family_conditions`.
+
+    Threshold rows are checked as integer sums of ``w.scaled()`` against
+    its cap, the Kapranov equality rows by exact substitution.
+    """
+    if spec.family == FAMILY_KAPRANOV:
+        return evaluate(family_conditions(spec), w.weights)
+    scaled, cap = w.scaled()
+    return all(
+        (sum(scaled[i - 1] for i in support) > cap) == big
+        for support, big in _threshold_rows(spec)
+    )
+
+
+def _closed_form(spec: FamilySpec) -> WeightData:
+    """The closed-form representative of the family member, unchecked."""
+    n = spec.n
+    if spec.family == FAMILY_KAPRANOV:
+        return kapranov_weights(spec.r, spec.s, n)
     if spec.family == FAMILY_SYM:
-        k = spec.k
-        for i in range(1, n):
-            cons.append(_sum_gt_one({i, n}, n))
-        for size in range(2, n - k - 1):
-            for subset in combinations(range(1, n), size):
-                cons.append(_sum_le_one(set(subset), n))
-        for size in range(n - k - 1, n - 1):
-            for subset in combinations(range(1, n), size):
-                cons.append(_sum_gt_one(set(subset), n))
-        return LinearSystem(n, tuple(cons))
+        light = Fraction(1, n - spec.k - 2)
+        return WeightData(0, (light,) * (n - 1) + (ONE,))
     h = spec.h
-    lights = range(4, n + 1)
-    for pair in combinations((1, 2, 3), 2):
-        cons.append(_sum_gt_one(set(pair), n))
     if h <= n - 4:
-        # Heavy-anchored phase: thresholds on one heavy plus light packets.
-        min_size = 2 if h == 0 else 1
-        for i in (1, 2, 3):
-            for size in range(min_size, n - h - 2):
-                for packet in combinations(lights, size):
-                    cons.append(_sum_le_one({i, *packet}, n))
-            for size in range(n - h - 2, n - 2):
-                for packet in combinations(lights, size):
-                    cons.append(_sum_gt_one({i, *packet}, n))
-    else:
-        # Pure-light phase: thresholds on light packets alone.
-        cut = 2 * n - h - 7
-        for size in range(1, cut + 1):
-            for packet in combinations(lights, size):
-                cons.append(_sum_le_one(set(packet), n))
-        for size in range(cut + 1, n - 2):
-            for packet in combinations(lights, size):
-                cons.append(_sum_gt_one(set(packet), n))
-    return LinearSystem(n, tuple(cons))
+        # Heavy-anchored phase: one heavy plus up to k lights stays
+        # at or below one, one more light pushes past it.
+        k = n - h - 3
+        light = Fraction(1, 2 * k + 2)
+        heavy = Fraction(2 * k + 3, 4 * k + 4)
+        return WeightData(0, (heavy,) * 3 + (light,) * (n - 3))
+    if h == n - 3:
+        # Exchange point: two full weights, one doubled light.
+        light = Fraction(1, n - 3)
+        return WeightData(0, (ONE, ONE) + (light,) * (n - 3) + (2 * light,))
+    # Pure-light phase: packets of up to 2n-h-7 lights stay small,
+    # larger ones grow big.
+    cut = 2 * n - h - 7
+    light = Fraction(2, 2 * cut + 1)
+    return WeightData(0, (ONE, ONE) + (light,) * (n - 2))
 
 
 @lru_cache(maxsize=None)
@@ -272,37 +322,13 @@ def representative_weights(spec: FamilySpec) -> WeightData:
     Closed forms, chosen strictly inside the condition region wherever
     the region has interior (threshold equalities are kept only where
     the conditions force them).  Every returned datum is re-checked
-    against :func:`family_conditions` by exact substitution.
+    against every row of :func:`family_conditions`: the threshold rows
+    as integer sums over the scaled weights, the Kapranov equality rows
+    by exact substitution.
     """
-    n = spec.n
-    if spec.family == FAMILY_KAPRANOV:
-        rep = kapranov_weights(spec.r, spec.s, n)
-    elif spec.family == FAMILY_SYM:
-        light = Fraction(1, n - spec.k - 2)
-        rep = WeightData(0, (light,) * (n - 1) + (ONE,))
-    else:
-        h = spec.h
-        if h <= n - 4:
-            # Heavy-anchored phase: one heavy plus up to k lights stays
-            # at or below one, one more light pushes past it.
-            k = n - h - 3
-            light = Fraction(1, 2 * k + 2)
-            heavy = Fraction(2 * k + 3, 4 * k + 4)
-            rep = WeightData(0, (heavy,) * 3 + (light,) * (n - 3))
-        elif h == n - 3:
-            # Exchange point: two full weights, one doubled light.
-            light = Fraction(1, n - 3)
-            rep = WeightData(
-                0, (ONE, ONE) + (light,) * (n - 3) + (2 * light,)
-            )
-        else:
-            # Pure-light phase: packets of up to 2n-h-7 lights stay
-            # small, larger ones grow big.
-            cut = 2 * n - h - 7
-            light = Fraction(2, 2 * cut + 1)
-            rep = WeightData(0, (ONE, ONE) + (light,) * (n - 2))
+    rep = _closed_form(spec)
     require_valid(rep)
-    if not evaluate(family_conditions(spec), rep.weights):
+    if not _meets_conditions(spec, rep):
         raise RuntimeError(
             f"representative for {spec.notation()} violates its conditions"
         )
@@ -351,36 +377,25 @@ def feasible_representative(spec: FamilySpec) -> WeightData:
     is still solved directly if the reduced one comes back infeasible.)
     Raises :class:`InfeasibleFamilyError` when no solution exists.
     """
-    system = family_conditions(spec)
     n = spec.n
-    full_rows = list(system.constraints) + _box_and_validity_rows(n)
-    blocks = _slot_blocks(spec)
+    full_rows = list(family_conditions(spec).constraints)
+    full_rows += _box_and_validity_rows(n)
     block_of = {}
-    for b, block in enumerate(blocks):
+    for b, block in enumerate(_slot_blocks(spec)):
         for slot in block:
             block_of[slot] = b
-    reduced: dict[tuple, Constraint] = {}
-    for row in full_rows:
-        coeffs = [Fraction(0)] * len(blocks)
-        for slot in range(1, n + 1):
-            coeffs[block_of[slot]] += row.coeffs[slot - 1]
-        key = (tuple(coeffs), row.rel, row.bound)
-        reduced.setdefault(key, Constraint(tuple(coeffs), row.rel, row.bound))
-    point = solve_feasibility(
-        LinearSystem(len(blocks), tuple(reduced.values()))
+    weights = _blocked_feasibility(
+        n, full_rows, [block_of[slot] for slot in range(1, n + 1)]
     )
-    if point is not None:
-        weights = tuple(point[block_of[slot]] for slot in range(1, n + 1))
-    else:
-        direct = solve_feasibility(LinearSystem(n, tuple(full_rows)))
-        if direct is None:
+    if weights is None:
+        weights = solve_feasibility(LinearSystem(n, tuple(full_rows)))
+        if weights is None:
             raise InfeasibleFamilyError(
                 f"condition system for {spec.notation()} is infeasible"
             )
-        weights = direct
     w = WeightData(0, weights)
     require_valid(w)
-    if not evaluate(system, w.weights):
+    if not _meets_conditions(spec, w):
         raise RuntimeError(
             f"feasibility witness for {spec.notation()} failed re-checking"
         )

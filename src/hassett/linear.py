@@ -6,6 +6,10 @@ relying on epsilon perturbation. Infeasibility is a value (None), not an
 exception; a returned witness is always re-substituted into the original
 constraints before being handed back.
 
+Internally every row is scaled once to coprime integers and stays a
+tuple of ints through elimination, reduced by its gcd after each
+combination; ``Fraction`` appears again only in back-substitution.
+
 Intended for the small systems arising from chamber conditions (a dozen
 variables, tens of constraints). No floating point anywhere.
 """
@@ -68,45 +72,49 @@ def evaluate(system: LinearSystem, point: tuple[Fraction, ...]) -> bool:
     return all(c.holds_at(point) for c in system.constraints)
 
 
-# internal normal form: coeffs . x <= bound, strict flag for <
-_Row = tuple[tuple[Fraction, ...], Fraction, bool]
+# internal normal form: coeffs . x <= bound with coprime integer coeffs
+# and bound (gcd 1, or all zero), strict flag for <
+_Row = tuple[tuple[int, ...], int, bool]
+
+
+def _reduced(coeffs: tuple[int, ...], bound: int, strict: bool) -> _Row:
+    """Divide an integer row by the gcd of its entries so duplicates collide."""
+    g = gcd(*coeffs, bound)
+    if g > 1:
+        return tuple(a // g for a in coeffs), bound // g, strict
+    return coeffs, bound, strict
+
+
+def _integer_row(
+    coeffs: tuple[Fraction, ...], bound: Fraction, strict: bool
+) -> _Row:
+    """Scale a rational row by the lcm of its denominators, then reduce."""
+    mult = lcm(*(q.denominator for q in coeffs), bound.denominator)
+    return _reduced(
+        tuple(q.numerator * (mult // q.denominator) for q in coeffs),
+        bound.numerator * (mult // bound.denominator),
+        strict,
+    )
 
 
 def _normalize(system: LinearSystem) -> list[_Row]:
     rows: list[_Row] = []
     for c in system.constraints:
         if c.rel == "=":
-            rows.append((c.coeffs, c.bound, False))
-            rows.append((tuple(-a for a in c.coeffs), -c.bound, False))
+            rows.append(_integer_row(c.coeffs, c.bound, False))
+            rows.append(
+                _integer_row(tuple(-a for a in c.coeffs), -c.bound, False)
+            )
         else:
-            rows.append((c.coeffs, c.bound, c.rel == "<"))
+            rows.append(_integer_row(c.coeffs, c.bound, c.rel == "<"))
     return rows
-
-
-def _canonical(row: _Row) -> _Row:
-    """Scale to coprime integer entries so duplicates collide."""
-    coeffs, bound, strict = row
-    denoms = [q.denominator for q in coeffs] + [bound.denominator]
-    mult = lcm(*denoms)
-    ints = [int(q * mult) for q in coeffs] + [int(bound * mult)]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return (
-        tuple(Fraction(v) for v in ints[:-1]),
-        Fraction(ints[-1]),
-        strict,
-    )
 
 
 def _compress(rows: list[_Row]) -> list[_Row] | None:
     """Drop tautologies and dominated rows; None on a ground contradiction."""
-    best: dict[tuple[Fraction, ...], tuple[Fraction, bool]] = {}
-    for row in rows:
-        coeffs, bound, strict = _canonical(row)
-        if all(a == 0 for a in coeffs):
+    best: dict[tuple[int, ...], tuple[int, bool]] = {}
+    for coeffs, bound, strict in rows:
+        if not any(coeffs):
             if bound < 0 or (bound == 0 and strict):
                 return None
             continue
@@ -159,10 +167,10 @@ def solve_feasibility(system: LinearSystem) -> tuple[Fraction, ...] | None:
             for uc, ub, us in uppers:
                 scale_l, scale_u = uc[k], -lc[k]
                 coeffs = tuple(
-                    scale_l * lc[j] + scale_u * uc[j] for j in range(nv)
+                    scale_l * a + scale_u * b for a, b in zip(lc, uc)
                 )
                 combined.append(
-                    (coeffs, scale_l * lb + scale_u * ub, ls or us)
+                    _reduced(coeffs, scale_l * lb + scale_u * ub, ls or us)
                 )
         rows = _compress(combined)
         if rows is None:

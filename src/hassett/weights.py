@@ -359,7 +359,8 @@ def _blocked_feasibility(
     for row in cons:
         coeffs = [Fraction(0)] * m
         for v, c in enumerate(row.coeffs):
-            coeffs[index[v]] += c
+            if c:
+                coeffs[index[v]] += c
         key = (tuple(coeffs), row.rel, row.bound)
         reduced.setdefault(key, Constraint(tuple(coeffs), row.rel, row.bound))
     sol = solve_feasibility(LinearSystem(m, tuple(reduced.values())))

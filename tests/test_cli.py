@@ -340,6 +340,25 @@ class TestVerifyL1Verb:
         rc, _, _ = run_cli("verify-l1", "4")
         assert rc == 2
 
+    def test_seven_markings_pinned(self):
+        # Witness pairs and relabeling as found by exact elimination; any
+        # change to row scaling, row order or pivot choice shows here.
+        rc, out, _ = run_cli("verify-l1", "7")
+        assert rc == 0
+        assert out == (
+            '{"all_pass":true,"checks":[{"h":3,"reduces":true,"revalidated":true,'
+            '"witness_source":["15/16","15/16","13/16","3/16","3/16","3/16","3/16"],'
+            '"witness_target":["7/8","7/8","9/16","1/8","1/8","1/8","1/8"]},'
+            '{"fine_equivalent_to_kapranov_2_2":true,"h":4,"reduces":true,'
+            '"relabeling":[3,4,5,6,7,1,2],"revalidated":true,'
+            '"witness_source":["61/64","61/64","1/8","1/8","1/8","1/8","91/128"],'
+            '"witness_target":["29/32","29/32","3/32","3/32","3/32","3/32","43/64"]},'
+            '{"h":5,"reduces":true,"revalidated":true,'
+            '"witness_source":["71/80","71/80","2/3","2/3","2/3","2/3","2/3"],'
+            '"witness_target":["31/40","31/40","9/40","9/40","9/40","9/40","9/40"]}],'
+            '"family":"keel","n":7,"range":[3,5],"target":["1","1","1/4","1/4","1/4","1/4","1/4"]}\n'
+        )
+
 
 class TestFeasibleVerb:
     def test_witness_satisfies_the_family_conditions(self):
@@ -349,6 +368,19 @@ class TestFeasibleVerb:
         assert all(0 <= q <= 1 for q in weights)
         system = family_conditions(FamilySpec.from_notation("sym:k=1,n=6"))
         assert evaluate(system, weights)
+
+    @pytest.mark.parametrize(
+        "notation,witness",
+        [
+            ("kapranov:r=2,s=2,n=7", '"1/4","1/4","1/4","1/4","1/2","1","1"'),
+            ("sym:k=2,n=7", '"7/24","7/24","7/24","7/24","7/24","7/24","41/48"'),
+            ("keel:h=3,n=7", '"3/4","3/4","3/4","3/16","3/16","3/16","3/16"'),
+        ],
+    )
+    def test_witness_pinned_per_family(self, notation, witness):
+        rc, out, _ = run_cli("feasible", notation)
+        assert rc == 0
+        assert out == f'{{"family":"{notation}","witness":[{witness}]}}\n'
 
     def test_malformed_notation_is_usage_error(self):
         for text in ("bogus:n=5", "kapranov:r=1,n=5", "kapranov:r=1,s=x,n=5"):

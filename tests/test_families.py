@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hassett import families
 from hassett.families import (
     BlowupSchedule,
     FamilySpec,
@@ -142,6 +143,43 @@ class TestFamilyConditions:
         expected.add(("gt", frozenset({4, 5, 6})))
         assert rows == expected
 
+    @pytest.mark.parametrize(
+        "spec,expected",
+        [
+            (
+                sym_spec(1, 6),
+                [("gt", frozenset({i, 6})) for i in range(1, 6)]
+                + [("le", frozenset(s)) for size in (2, 3) for s in combinations(range(1, 6), size)]
+                + [("gt", frozenset(s)) for s in combinations(range(1, 6), 4)],
+            ),
+            (
+                keel_spec(1, 6),
+                [("gt", frozenset(p)) for p in combinations((1, 2, 3), 2)]
+                + [
+                    ("le" if size < 3 else "gt", frozenset({i, *p}))
+                    for i in (1, 2, 3)
+                    for size in (1, 2, 3)
+                    for p in combinations((4, 5, 6), size)
+                ],
+            ),
+            (
+                keel_spec(4, 7),
+                [("gt", frozenset(p)) for p in combinations((1, 2, 3), 2)]
+                + [
+                    ("le" if size <= 3 else "gt", frozenset(p))
+                    for size in (1, 2, 3, 4)
+                    for p in combinations((4, 5, 6, 7), size)
+                ],
+            ),
+        ],
+        ids=lambda v: v.notation() if isinstance(v, FamilySpec) else "",
+    )
+    def test_row_order(self, spec, expected):
+        # Rows come in construction order: the pair rows first, then by
+        # anchor, by packet size and lexicographically within a size.
+        rows = [row_support(c) for c in family_conditions(spec).constraints]
+        assert rows == expected
+
     def test_kapranov_conditions_pin_representative(self):
         system = family_conditions(kapranov_spec(1, 2, 5))
         rep = kapranov_weights(1, 2, 5)
@@ -202,6 +240,78 @@ class TestRepresentatives:
         bogus = FamilySpec("keel", 5, (3,))
         with pytest.raises(InfeasibleFamilyError):
             feasible_representative(bogus)
+
+
+SPECS_5_8 = [spec for n in range(5, 9) for spec in family_grid(n)]
+
+
+@st.composite
+def condition_points(draw, spec: FamilySpec) -> tuple[F, ...]:
+    """Positive rational points for the spec: random, or the representative
+    nudged slotwise; half of them then rescale the support of one condition
+    row so that its weights sum to exactly 1."""
+    if draw(st.booleans()):
+        point = [
+            q * F(draw(st.integers(18, 22)), 20)
+            for q in representative_weights(spec).weights
+        ]
+    else:
+        weight = st.builds(F, st.integers(1, 30), st.integers(1, 30))
+        point = [draw(weight) for _ in range(spec.n)]
+    if draw(st.booleans()):
+        row = draw(st.sampled_from(family_conditions(spec).constraints))
+        support = [i for i, c in enumerate(row.coeffs) if c]
+        total = sum(point[i] for i in support)
+        for i in support:
+            point[i] /= total
+    return tuple(point)
+
+
+class TestIntegerConditionCheck:
+    """The integer check of the family conditions against exact
+    substitution into :func:`family_conditions`, the reference."""
+
+    @pytest.mark.parametrize("spec", SPECS_5_8, ids=FamilySpec.notation)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_evaluate(self, spec, data):
+        point = data.draw(condition_points(spec))
+        expected = evaluate(family_conditions(spec), point)
+        assert families._meets_conditions(spec, WeightData(0, point)) == expected
+
+    @pytest.mark.parametrize(
+        "spec,other",
+        [
+            (kapranov_spec(1, 2, 6), kapranov_spec(1, 1, 6)),
+            (sym_spec(1, 6), sym_spec(2, 6)),
+            (keel_spec(0, 6), keel_spec(1, 6)),
+            (keel_spec(4, 7), keel_spec(5, 7)),
+        ],
+        ids=lambda spec: spec.notation(),
+    )
+    def test_bad_closed_form_is_caught(self, monkeypatch, spec, other):
+        # A valid datum from a neighbouring member sits off the spec's
+        # conditions; the self-check must refuse it as a representative.
+        closed_form = families._closed_form
+        off = closed_form(other)
+        assert validate(off).ok
+        assert not evaluate(family_conditions(spec), off.weights)
+        monkeypatch.setattr(
+            families, "_closed_form", lambda s: off if s == spec else closed_form(s)
+        )
+        representative_weights.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="violates its conditions"):
+                representative_weights(spec)
+        finally:
+            representative_weights.cache_clear()
+
+    def test_bad_feasibility_witness_is_caught(self, monkeypatch):
+        spec = sym_spec(1, 6)
+        off = representative_weights(sym_spec(2, 6)).weights
+        monkeypatch.setattr(families, "_blocked_feasibility", lambda *args: off)
+        with pytest.raises(RuntimeError, match="failed re-checking"):
+            feasible_representative(spec)
 
 
 class TestClassify:

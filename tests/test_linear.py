@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
+from hassett import linear
 from hassett.linear import Constraint, LinearSystem, evaluate, solve_feasibility
 
 
@@ -108,12 +110,12 @@ def sparse_coeffs(rng, nv):
     return tuple(row)
 
 
-def planted_feasible(rng, nv, nc):
+def planted_feasible(rng, nv, nc, fraction=random_fraction, row=sparse_coeffs):
     """A system built around a secret solution point."""
-    point = tuple(random_fraction(rng) for _ in range(nv))
+    point = tuple(fraction(rng) for _ in range(nv))
     cons = []
     for _ in range(nc):
-        coeffs = sparse_coeffs(rng, nv)
+        coeffs = row(rng, nv)
         value = sum((c * x for c, x in zip(coeffs, point)), F(0))
         kind = rng.choice(["<=", "<", "=", "slack"])
         if kind == "<=":
@@ -127,11 +129,11 @@ def planted_feasible(rng, nv, nc):
     return LinearSystem(nv, tuple(cons)), point
 
 
-def planted_infeasible(rng, nv, nc):
+def planted_infeasible(rng, nv, nc, fraction=random_fraction, row=sparse_coeffs):
     """A random system plus a pair of directly clashing constraints."""
-    sys_, _ = planted_feasible(rng, nv, max(0, nc - 2))
-    coeffs = sparse_coeffs(rng, nv)
-    bound = random_fraction(rng)
+    sys_, _ = planted_feasible(rng, nv, max(0, nc - 2), fraction, row)
+    coeffs = row(rng, nv)
+    bound = fraction(rng)
     clash = (
         Constraint(coeffs, "<=", bound),
         Constraint(tuple(-c for c in coeffs), "<", -bound),
@@ -158,6 +160,81 @@ class TestPlanted:
             nc = rng.randint(2, 2 * nv + 2)
             system = planted_infeasible(rng, nv, nc)
             assert solve_feasibility(system) is None, f"trial {trial}"
+
+
+BIG = 10**6
+
+
+def big_fraction(rng):
+    return F(rng.randint(-BIG, BIG), rng.randint(1, BIG))
+
+
+def big_coeffs(rng, nv):
+    """Up to three nonzero entries: a shared factor of up to 10^6 over a
+    shared denominator of up to 10^6, times small integers, so that rows
+    and their combinations carry large common factors."""
+    factor = F(rng.randint(1, BIG), rng.randint(1, BIG))
+    support = rng.sample(range(nv), k=rng.randint(1, min(3, nv)))
+    row = [F(0)] * nv
+    for j in support:
+        row[j] = factor * rng.choice([-3, -2, -1, 1, 2, 3])
+    return tuple(row)
+
+
+@pytest.fixture
+def compressed_rows(monkeypatch):
+    """Every row the solver keeps after each compression."""
+    seen = []
+    compress = linear._compress
+
+    def spy(rows):
+        kept = compress(rows)
+        seen.extend(kept or ())
+        return kept
+
+    monkeypatch.setattr(linear, "_compress", spy)
+    return seen
+
+
+def assert_coprime_integer_rows(rows):
+    assert rows
+    for coeffs, bound, strict in rows:
+        assert all(type(v) is int for v in (*coeffs, bound))
+        assert gcd(*coeffs, bound) == 1
+
+
+class TestLargeCoefficients:
+    def test_feasible_systems_yield_verified_witnesses(self, compressed_rows):
+        rng = random.Random(60617)
+        for trial in range(80):
+            nv = rng.randint(1, 5)
+            nc = rng.randint(1, 2 * nv + 2)
+            system, point = planted_feasible(rng, nv, nc, big_fraction, big_coeffs)
+            assert evaluate(system, point), "planting bug"
+            w = solve_feasibility(system)
+            assert w is not None, f"trial {trial}: lost a feasible system"
+            assert evaluate(system, w)
+        assert_coprime_integer_rows(compressed_rows)
+
+    def test_contradictions_are_detected(self, compressed_rows):
+        rng = random.Random(71)
+        for trial in range(80):
+            nv = rng.randint(1, 5)
+            nc = rng.randint(2, 2 * nv + 2)
+            system = planted_infeasible(rng, nv, nc, big_fraction, big_coeffs)
+            assert solve_feasibility(system) is None, f"trial {trial}"
+        assert_coprime_integer_rows(compressed_rows)
+
+    def test_scaled_copies_collapse_to_one_row(self):
+        # 10^6-scaled copies of x + 2y <= 3 and of x - y < 1 reduce to the
+        # same coprime integer rows as the small ones.
+        small = (le([1, 2], 3), lt([1, -1], 1))
+        big = tuple(
+            Constraint(tuple(c * F(BIG, 7) for c in con.coeffs), con.rel, con.bound * F(BIG, 7))
+            for con in small
+        )
+        rows = linear._normalize(LinearSystem(2, small + big))
+        assert linear._compress(rows) == [((1, -1), 1, True), ((1, 2), 3, False)]
 
 
 class TestValidation:
