@@ -7,17 +7,15 @@ generates the symmetric group on its support), so the order is the
 product of the orbit sizes' factorials. Every other group gets its order
 from a deterministic stabilizer-chain construction (base and strong
 generating set with Schreier generators), which stays exact at sizes
-where explicit element listing is hopeless. Explicit listings by
-breadth-first closure are used only in tests, where they cross-check both
-routes.
+where explicit element listing is hopeless. The engine never lists
+elements; the tests' closure oracles in ``tests/oracles.py`` cross-check
+both routes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from . import kernels
 
 __all__ = ["PermGroup", "generate_group", "transposition"]
 
@@ -137,10 +135,6 @@ class PermGroup:
     generators: tuple[Perm, ...]
     order: int
     orbits: tuple[tuple[int, ...], ...]
-
-    def elements(self, limit: int = 1_000_000) -> list[Perm] | None:
-        """Sorted element list by breadth-first closure; None past limit."""
-        return kernels.close_permutations(list(self.generators), self.degree, limit)
 
     def to_one_based_generators(self) -> list[list[int]]:
         return [[v + 1 for v in g] for g in self.generators]

@@ -46,18 +46,12 @@ class StableTree:
     ``clusters[v]`` lists the coincidence classes at vertex ``v`` —
     markings in one class share a point. Markings not listed are at
     pairwise distinct points; singleton classes are implicit.
-
-    ``edge_markings`` is an extension slot for zero-weight markings that
-    sit at a node (keyed by position into ``edges``). Such markings are
-    excluded from vertex degrees and flagged, since their stratum
-    geometry is not modeled here.
     """
 
     vertex_genera: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
     marking_at: tuple[tuple[int, int], ...]  # (marking, vertex), sorted
     clusters: tuple[tuple[tuple[int, ...], ...], ...] = ()
-    edge_markings: tuple[tuple[int, int], ...] = ()  # (marking, edge index)
 
     def __post_init__(self):
         nv = len(self.vertex_genera)
@@ -78,14 +72,7 @@ class StableTree:
             seen.add(m)
             if not 0 <= v < nv:
                 raise ValueError(f"marking {m} at unknown vertex {v}")
-        for m, e in self.edge_markings:
-            if m in seen:
-                raise ValueError(f"marking {m} placed twice")
-            seen.add(m)
-            if not 0 <= e < len(self.edges):
-                raise ValueError(f"marking {m} on unknown edge {e}")
         object.__setattr__(self, "marking_at", tuple(sorted(self.marking_at)))
-        object.__setattr__(self, "edge_markings", tuple(sorted(self.edge_markings)))
         clusters = self.clusters if self.clusters else ((),) * nv
         if len(clusters) != nv:
             raise ValueError("clusters must list one entry per vertex")
@@ -137,13 +124,7 @@ class StableTree:
 
     @property
     def markings(self) -> frozenset[int]:
-        return frozenset(m for m, _ in self.marking_at) | frozenset(
-            m for m, _ in self.edge_markings
-        )
-
-    @property
-    def has_node_markings(self) -> bool:
-        return bool(self.edge_markings)
+        return frozenset(m for m, _ in self.marking_at)
 
     def markings_at_vertex(self, v: int) -> tuple[int, ...]:
         return tuple(m for m, w in self.marking_at if w == v)
@@ -155,7 +136,7 @@ class StableTree:
         return self.clusters[v]
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "schema": TREE_SCHEMA,
             "vertices": [{"genus": g} for g in self.vertex_genera],
             "edges": [list(e) for e in self.edges],
@@ -165,9 +146,6 @@ class StableTree:
                 for v in range(self.num_vertices)
             ],
         }
-        if self.edge_markings:
-            out["edge_markings"] = {str(m): e for m, e in self.edge_markings}
-        return out
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "StableTree":
@@ -183,9 +161,6 @@ class StableTree:
                 tuple(tuple(cls) for cls in classes)
                 for classes in data.get("clusters", [])
             ),
-            edge_markings=tuple(
-                (int(m), e) for m, e in data.get("edge_markings", {}).items()
-            ),
         )
 
 
@@ -200,18 +175,11 @@ def _check_ambient(w: WeightData, t: StableTree) -> None:
         raise ValueError(
             f"tree carries markings {sorted(t.markings)}, expected 1..{w.n}"
         )
-    for m, _ in t.edge_markings:
-        if w.weights[m - 1] > 0:
-            raise ValueError(
-                f"marking {m} has positive weight and cannot sit at a node"
-            )
 
 
 def vertex_degree(w: WeightData, t: StableTree, v: int) -> Fraction:
     """Degree of the log-canonical polarization on one component:
     2*genus - 2 + (edge ends, self-loops twice) + sum of marking weights.
-
-    Zero-weight markings recorded at nodes contribute nothing.
     """
     if not 0 <= v < t.num_vertices:
         raise ValueError(f"unknown vertex {v}")

@@ -5,6 +5,10 @@ with plain itertools enumeration over Fraction arithmetic, and shares no
 code path with the package (which scales to integers and runs pruned
 kernels). Tests compare the two routes; a substitution on one side must
 never be mirrored on the other.
+
+Group elements are listed here only: ``naive_closure`` multiplies until
+stable, and ``close_permutations`` closes breadth-first under a size limit.
+The package computes group orders without listing elements.
 """
 
 from __future__ import annotations
@@ -84,6 +88,32 @@ def naive_closure(gens: list[tuple[int, ...]], degree: int) -> set[tuple[int, ..
         if not fresh:
             return elements
         elements |= fresh
+
+
+def close_permutations(
+    gens: list[tuple[int, ...]], degree: int, limit: int
+) -> list[tuple[int, ...]] | None:
+    """All products of the generators, by breadth-first closure.
+
+    Permutations are 0-based image tuples; composition ``p * g`` maps
+    ``x -> g[p[x]]``. Returns the sorted element list (identity included),
+    or None once the closure exceeds ``limit`` elements.
+    """
+    ident = tuple(range(degree))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(g[p[x]] for x in range(degree))
+                if q not in seen:
+                    seen.add(q)
+                    if len(seen) > limit:
+                        return None
+                    nxt.append(q)
+        frontier = nxt
+    return sorted(seen)
 
 
 def brute_nodal_divisors(

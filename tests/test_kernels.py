@@ -1,21 +1,11 @@
-"""Integer kernels: pure and compiled twins must agree with brute force."""
+"""Integer kernels against brute force, and the breadth-first closure
+oracle against naive closure."""
 
 import itertools
 import random
 
-import pytest
-
-import hassett._purekern as purekern
 from hassett import kernels
-from tests.oracles import naive_closure
-
-try:
-    import hassett._fastkern as fastkern
-except ImportError:  # compiled twin absent in this environment
-    fastkern = None
-
-BACKENDS = [purekern] + ([fastkern] if fastkern is not None else [])
-IDS = [m.BACKEND for m in BACKENDS]
+from tests.oracles import close_permutations, naive_closure
 
 
 def mask_to_set(mask):
@@ -41,32 +31,52 @@ def brute_interval_hit(scaled, lo, hi, min_size):
     return False
 
 
-@pytest.mark.parametrize("kern", BACKENDS, ids=IDS)
+def first_interval_hit(scaled, lo, hi, min_size):
+    """The kernel's witness order written as plain recursion: sets are
+    tested before their extensions, over indices sorted by value."""
+    order = sorted(range(len(scaled)), key=lambda i: (scaled[i], i))
+
+    def visit(pos, chosen, total):
+        if len(chosen) >= min_size and lo < total <= hi:
+            return sum(1 << i for i in chosen)
+        if total + sum(scaled[i] for i in order[pos:]) <= lo:
+            return -1
+        for k in range(pos, len(order)):
+            t = total + scaled[order[k]]
+            if t > hi:
+                break
+            found = visit(k + 1, chosen + [order[k]], t)
+            if found != -1:
+                return found
+        return -1
+
+    return -1 if lo >= hi else visit(0, [], 0)
+
+
 class TestEnumerateSmallSubsets:
-    def test_matches_brute_force(self, kern):
+    def test_matches_brute_force(self):
         rng = random.Random(404)
         for _ in range(250):
             n = rng.randint(0, 9)
             scaled = [rng.randint(0, 12) for _ in range(n)]
             cap = rng.randint(-1, 30)
-            assert kern.enumerate_small_subsets(scaled, cap) == brute_small_subsets(
+            assert kernels.enumerate_small_subsets(scaled, cap) == brute_small_subsets(
                 scaled, cap
             )
 
-    def test_degenerate_inputs(self, kern):
-        assert kern.enumerate_small_subsets([], 10) == []
-        assert kern.enumerate_small_subsets([5], 10) == []
-        assert kern.enumerate_small_subsets([1, 1], -1) == []
-        assert kern.enumerate_small_subsets([1, 1], 2) == [0b11]
+    def test_degenerate_inputs(self):
+        assert kernels.enumerate_small_subsets([], 10) == []
+        assert kernels.enumerate_small_subsets([5], 10) == []
+        assert kernels.enumerate_small_subsets([1, 1], -1) == []
+        assert kernels.enumerate_small_subsets([1, 1], 2) == [0b11]
 
-    def test_masks_are_sorted_ascending(self, kern):
-        masks = kern.enumerate_small_subsets([3, 1, 4, 1, 5], 7)
+    def test_masks_are_sorted_ascending(self):
+        masks = kernels.enumerate_small_subsets([3, 1, 4, 1, 5], 7)
         assert masks == sorted(masks)
 
 
-@pytest.mark.parametrize("kern", BACKENDS, ids=IDS)
 class TestFindSubsetInInterval:
-    def test_decision_matches_brute_force(self, kern):
+    def test_decision_matches_brute_force(self):
         rng = random.Random(911)
         for _ in range(400):
             n = rng.randint(0, 9)
@@ -74,7 +84,7 @@ class TestFindSubsetInInterval:
             lo = rng.randint(-2, 25)
             hi = rng.randint(-2, 25)
             min_size = rng.randint(0, 3)
-            mask = kern.find_subset_in_interval(scaled, lo, hi, min_size)
+            mask = kernels.find_subset_in_interval(scaled, lo, hi, min_size)
             expected = brute_interval_hit(scaled, lo, hi, min_size)
             assert (mask != -1) == expected
             if mask != -1:
@@ -82,27 +92,42 @@ class TestFindSubsetInInterval:
                 assert len(chosen) >= min_size
                 assert lo < sum(scaled[i] for i in chosen) <= hi
 
-    def test_empty_interval_is_miss(self, kern):
-        assert kern.find_subset_in_interval([1, 2, 3], 5, 5, 1) == -1
-        assert kern.find_subset_in_interval([1, 2, 3], 6, 2, 1) == -1
+    def test_witness_is_the_first_in_traversal_order(self):
+        rng = random.Random(1213)
+        for _ in range(400):
+            n = rng.randint(0, 10)
+            scaled = [rng.randint(0, 12) for _ in range(n)]
+            lo = rng.randint(-2, 40)
+            hi = rng.randint(-2, 45)
+            min_size = rng.randint(0, 4)
+            assert kernels.find_subset_in_interval(
+                scaled, lo, hi, min_size
+            ) == first_interval_hit(scaled, lo, hi, min_size)
 
-    def test_min_size_filters_singletons(self, kern):
+    def test_window_deeper_than_the_recursion_limit(self):
+        mask = kernels.find_subset_in_interval([1] * 1500, 1100, 1101, 2)
+        assert mask.bit_count() == 1101
+
+    def test_empty_interval_is_miss(self):
+        assert kernels.find_subset_in_interval([1, 2, 3], 5, 5, 1) == -1
+        assert kernels.find_subset_in_interval([1, 2, 3], 6, 2, 1) == -1
+
+    def test_min_size_filters_singletons(self):
         # only the singleton {10} lands in (9, 10]
-        assert kern.find_subset_in_interval([10, 1, 1], 9, 10, 1) == 0b001
-        assert kern.find_subset_in_interval([10, 1, 1], 9, 10, 2) == -1
+        assert kernels.find_subset_in_interval([10, 1, 1], 9, 10, 1) == 0b001
+        assert kernels.find_subset_in_interval([10, 1, 1], 9, 10, 2) == -1
 
 
-@pytest.mark.parametrize("kern", BACKENDS, ids=IDS)
 class TestClosePermutations:
-    def test_empty_generators_give_identity(self, kern):
-        assert kern.close_permutations([], 4, 10) == [(0, 1, 2, 3)]
+    def test_empty_generators_give_identity(self):
+        assert close_permutations([], 4, 10) == [(0, 1, 2, 3)]
 
-    def test_adjacent_transpositions_generate_symmetric_group(self, kern):
+    def test_adjacent_transpositions_generate_symmetric_group(self):
         gens = [(1, 0, 2, 3, 4), (0, 2, 1, 3, 4), (0, 1, 3, 2, 4), (0, 1, 2, 4, 3)]
-        elements = kern.close_permutations(gens, 5, 200)
+        elements = close_permutations(gens, 5, 200)
         assert elements is not None and len(elements) == 120
 
-    def test_matches_naive_closure(self, kern):
+    def test_matches_naive_closure(self):
         rng = random.Random(37)
         for _ in range(40):
             degree = rng.randint(1, 5)
@@ -111,58 +136,11 @@ class TestClosePermutations:
                 p = list(range(degree))
                 rng.shuffle(p)
                 gens.append(tuple(p))
-            got = kern.close_permutations(gens, degree, 10_000)
+            got = close_permutations(gens, degree, 10_000)
             assert got == sorted(naive_closure(gens, degree))
 
-    def test_limit_boundary(self, kern):
+    def test_limit_boundary(self):
         gens = [(1, 2, 0), (1, 0, 2)]  # generate all of S_3, order 6
-        assert kern.close_permutations(gens, 3, 5) is None
-        full = kern.close_permutations(gens, 3, 6)
+        assert close_permutations(gens, 3, 5) is None
+        full = close_permutations(gens, 3, 6)
         assert full is not None and len(full) == 6
-
-
-@pytest.mark.skipif(fastkern is None, reason="compiled twin not built")
-class TestBackendAgreement:
-    def test_identical_outputs_on_random_battery(self):
-        rng = random.Random(2718)
-        for _ in range(150):
-            n = rng.randint(0, 8)
-            scaled = [rng.randint(0, 20) for _ in range(n)]
-            cap = rng.randint(0, 40)
-            assert purekern.enumerate_small_subsets(
-                scaled, cap
-            ) == fastkern.enumerate_small_subsets(scaled, cap)
-            lo, hi = rng.randint(-1, 30), rng.randint(-1, 30)
-            ms = rng.randint(0, 3)
-            assert purekern.find_subset_in_interval(
-                scaled, lo, hi, ms
-            ) == fastkern.find_subset_in_interval(scaled, lo, hi, ms)
-
-    def test_identical_closures(self):
-        rng = random.Random(1414)
-        for _ in range(30):
-            degree = rng.randint(1, 6)
-            gens = []
-            for _ in range(rng.randint(0, 3)):
-                p = list(range(degree))
-                rng.shuffle(p)
-                gens.append(tuple(p))
-            for limit in (3, 10_000):
-                assert purekern.close_permutations(
-                    gens, degree, limit
-                ) == fastkern.close_permutations(gens, degree, limit)
-
-    def test_huge_values_take_the_wide_path(self):
-        # sums beyond the 63-bit fast window must fall back, not overflow
-        big = 1 << 62
-        scaled = [big, big, big, 7]
-        assert purekern.enumerate_small_subsets(
-            scaled, 2 * big
-        ) == fastkern.enumerate_small_subsets(scaled, 2 * big)
-        assert purekern.find_subset_in_interval(
-            scaled, big, 3 * big, 2
-        ) == fastkern.find_subset_in_interval(scaled, big, 3 * big, 2)
-
-    def test_selected_backend_is_exposed(self):
-        assert kernels.BACKEND in {"pure", "fast"}
-        assert kernels.enumerate_small_subsets([1, 2], 3) == [0b11]

@@ -147,27 +147,6 @@ class TestIsStable:
         with pytest.raises(ValueError):
             is_stable(classical(5), short)
 
-    def test_zero_weight_marking_at_node_is_flagged_not_fatal(self):
-        w = WeightData(genus=0, weights=(F(0), F(1, 2), F(1), F(1), F(1)))
-        t = StableTree(
-            vertex_genera=(0, 0),
-            edges=((0, 1),),
-            marking_at=((2, 0), (3, 0), (4, 1), (5, 1)),
-            edge_markings=((1, 0),),
-        )
-        assert t.has_node_markings
-        assert is_stable(w, t)
-
-    def test_positive_weight_marking_at_node_rejected(self):
-        t = StableTree(
-            vertex_genera=(0, 0),
-            edges=((0, 1),),
-            marking_at=((2, 0), (3, 0), (4, 1), (5, 1)),
-            edge_markings=((1, 0),),
-        )
-        with pytest.raises(ValueError):
-            is_stable(classical(5), t)
-
 
 class TestTreeStructure:
     def test_disconnected_rejected(self):
@@ -196,17 +175,6 @@ class TestTreeStructure:
         )
         blob = t.to_json_dict()
         assert blob["schema"] == "stable-tree/1"
-        assert StableTree.from_json_dict(blob) == t
-
-    def test_json_round_trip_with_edge_markings(self):
-        t = StableTree(
-            vertex_genera=(0, 0),
-            edges=((0, 1),),
-            marking_at=((2, 0), (3, 0), (4, 1), (5, 1)),
-            edge_markings=((1, 0),),
-        )
-        blob = t.to_json_dict()
-        assert blob["edge_markings"] == {"1": 0}
         assert StableTree.from_json_dict(blob) == t
 
     def test_total_genus(self):
