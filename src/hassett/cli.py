@@ -44,9 +44,7 @@ from hassett.strata import (
 from hassett.weights import (
     InvalidWeightDataError,
     WeightData,
-    _canonical_masks,
-    _mask_members,
-    _signature_masks,
+    _signature_sets,
     format_rational,
     require_valid,
     validate,
@@ -138,7 +136,7 @@ def _index_set(s) -> list[int]:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     report = validate(_weights_from(args))
-    walls = [sorted(wall) for wall in report.walls]  # already in canonical order
+    walls = report.walls  # sorted tuples, in canonical order
     obj = {
         "ok": report.ok,
         "violations": list(report.violations),
@@ -156,10 +154,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_signature(args: argparse.Namespace) -> int:
     w = _weights_from(args)
     require_valid(w)
-    masks = _signature_masks(w)
-    if args.mode == "coarse":
-        masks = [m for m in masks if m.bit_count() >= 3]
-    ordered = [_mask_members(m) for m in _canonical_masks(masks, w.n)]
+    ordered = _signature_sets(w, 3 if args.mode == "coarse" else 2)
     obj = {"mode": args.mode, "sets": ordered}
     lines = chain(
         [f"{args.mode} signature: {len(ordered)} sets"],
@@ -191,12 +186,12 @@ def _divisor_line(d) -> str:
     if d.kind == "nodal":
         return (
             "nodal: side "
-            + " ".join(map(str, _index_set(d.side)))
+            + " ".join(map(str, d.side))
             + f" | genus split {d.genus_split[0]}+{d.genus_split[1]}"
         )
     if d.kind == "irreducible":
         return "irreducible node"
-    return "coincidence: " + " ".join(map(str, _index_set(d.pair)))
+    return "coincidence: " + " ".join(map(str, d.pair))
 
 
 def _cmd_contract(args: argparse.Namespace) -> int:
@@ -290,13 +285,17 @@ def _cmd_factors_kapranov(args: argparse.Namespace) -> int:
 def _cmd_schedule(args: argparse.Namespace) -> int:
     schedule = blowup_schedule(args.construction, args.n)
     obj = schedule.to_json_dict()
-    lines = [f"{schedule.construction} on {schedule.ambient}, n={schedule.n}"]
-    for step in obj["steps"]:
-        rendered = [
-            center if isinstance(center, str) else "{" + " ".join(center) + "}"
-            for center in step["centers"]
-        ]
-        lines.append(f"step {step['step']}: " + "; ".join(rendered))
+    lines = chain(
+        [f"{schedule.construction} on {schedule.ambient}, n={schedule.n}"],
+        (
+            f"step {step['step']}: "
+            + "; ".join(
+                center if isinstance(center, str) else "{" + " ".join(center) + "}"
+                for center in step["centers"]
+            )
+            for step in obj["steps"]
+        ),
+    )
     _emit(args, obj, lines)
     return 0
 

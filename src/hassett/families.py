@@ -589,35 +589,38 @@ class BlowupSchedule:
         }
 
 
-def _labels(indices) -> tuple[str, ...]:
-    return tuple(f"p{i}" for i in sorted(indices))
+def _point_labels(n: int) -> tuple[str, ...]:
+    """``("p1", ..., "pn")``; a center is a slice or a combination of it,
+    so its labels come out in index order without sorting."""
+    return tuple(f"p{i}" for i in range(1, n + 1))
 
 
 def _kblu_steps(n: int) -> tuple[BlowupStep, ...]:
-    steps: list[BlowupStep] = []
-    first: list[tuple[str, ...]] = []
-    for size in range(1, n - 3):
-        for subset in combinations(range(1, n - 1), size):
-            first.append(_labels(subset))
-    steps.append(BlowupStep(1, tuple(first)))
+    labels = _point_labels(n)
+    first = tuple(
+        center
+        for size in range(1, n - 3)
+        for center in combinations(labels[: n - 2], size)
+    )
+    steps = [BlowupStep(1, first)]
     for r in range(2, n - 2):
-        chain = tuple(range(n - r + 1, n))
-        centers: list[tuple[str, ...]] = []
-        for extra in range(0, n - 2 - r):
-            for subset in combinations(range(1, n - r), extra):
-                centers.append(_labels(chain + subset))
-        steps.append(BlowupStep(r, tuple(centers)))
+        # the chain p_{n-r+1}..p_{n-1} follows every subset of p1..p_{n-r-1}
+        chain = labels[n - r : n - 1]
+        centers = tuple(
+            subset + chain
+            for extra in range(0, n - 2 - r)
+            for subset in combinations(labels[: n - r - 1], extra)
+        )
+        steps.append(BlowupStep(r, centers))
     return tuple(steps)
 
 
 def _kblusym_steps(n: int) -> tuple[BlowupStep, ...]:
-    steps = []
-    for k in range(1, n - 3):
-        centers = tuple(
-            _labels(subset) for subset in combinations(range(1, n), k)
-        )
-        steps.append(BlowupStep(k, centers))
-    return tuple(steps)
+    labels = _point_labels(n)
+    return tuple(
+        BlowupStep(k, tuple(combinations(labels[: n - 1], k)))
+        for k in range(1, n - 3)
+    )
 
 
 def _con2_steps(n: int) -> tuple[BlowupStep, ...]:

@@ -9,15 +9,14 @@ collapsed side maps to a stratum of codimension at least two.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from operator import itemgetter
 
+from . import kernels
 from .weights import (
     WeightData,
-    _canonical_masks,
-    _mask_members,
-    _signature_masks,
     chamber_signature,
     reduction_exists,
     require_valid,
@@ -205,23 +204,24 @@ def is_stable(w: WeightData, t: StableTree) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundaryDivisor:
     """One-node boundary divisor or two-marking coincidence divisor.
 
     * ``nodal``: two components; ``side`` holds the canonical side's
-      markings and ``genus_split`` its genus first. Canonical means the
-      smaller genus, ties broken by fewer markings then lexicographic.
+      markings as a sorted tuple and ``genus_split`` its genus first.
+      Canonical means the smaller genus, ties broken by fewer markings
+      then lexicographic.
     * ``irreducible``: one component of genus g-1 glued to itself
       (genus >= 1 only).
     * ``coincidence``: two positive-weight markings with weight sum <= 1
-      meeting in the smooth locus.
+      meeting in the smooth locus; ``pair`` is the sorted tuple of the two.
     """
 
     kind: str
-    side: frozenset[int] | None = None
+    side: tuple[int, ...] | None = None
     genus_split: tuple[int, int] | None = None
-    pair: frozenset[int] | None = None
+    pair: tuple[int, int] | None = None
 
     def __post_init__(self):
         if self.kind not in {"nodal", "irreducible", "coincidence"}:
@@ -234,17 +234,17 @@ class BoundaryDivisor:
                 raise ValueError("coincidence divisors need a marking pair")
 
     def to_json_dict(self) -> dict:
+        """The divisor's JSON object, holding its own tuples as the arrays.
+
+        Tuples of integers leave the cyclic garbage collector's view and
+        lists do not; the ``divisors`` verb builds one such dict per
+        divisor, so lists would be traversed again at every collection.
+        """
         if self.kind == "nodal":
-            assert self.side is not None and self.genus_split is not None
-            return {
-                "kind": "nodal",
-                "side": sorted(self.side),
-                "genus_split": list(self.genus_split),
-            }
+            return {"kind": "nodal", "side": self.side, "genus_split": self.genus_split}
         if self.kind == "irreducible":
             return {"kind": "irreducible"}
-        assert self.pair is not None
-        return {"kind": "coincidence", "pair": sorted(self.pair)}
+        return {"kind": "coincidence", "pair": self.pair}
 
 
 def _genus0_side_stable(
@@ -256,56 +256,49 @@ def _genus0_side_stable(
     return len(side) >= 2 and side not in sig
 
 
-def _is_canonical_side(side: int, comp: int) -> bool:
-    """Of two complementary sides of equal genus: fewer markings first,
-    then lexicographic, which for complements means holding marking 1."""
-    a, b = side.bit_count(), comp.bit_count()
-    return a < b or (a == b and (side & 1 == 1 or side == comp))
-
-
 def enumerate_boundary_divisors(w: WeightData) -> list[BoundaryDivisor]:
     """All one-node divisors (over genus splits) plus the irreducible-node
     divisor for genus >= 1, plus all coincidence divisors.
 
     Deterministic order: nodal by (side genus, side size, side), then the
     irreducible divisor, then coincidence pairs lexicographically.
+
+    Every family here is one window of the enumeration kernel over the
+    scaled weights, which yields it already in that order. A side S of
+    genus g_1 glued to its complement of genus g_2 is stable when each
+    genus-0 side holds two markings and weighs more than 1: with cap the
+    scaled 1 and total the scaled sum, a genus-0 S needs sum(S) > cap and a
+    genus-0 complement needs sum(S) <= total - cap - 1. With equal genera a
+    divisor has two sides and is kept under its canonical one: fewer
+    markings, or half the markings including marking 1.
     """
     require_valid(w)
-    sig = set(_signature_masks(w))
-    full = (1 << w.n) - 1
-
-    def stable(g_side: int, side: int) -> bool:
-        # the rule of _genus0_side_stable, on masks (bit i - 1 is marking i)
-        return g_side >= 1 or (side.bit_count() >= 2 and side not in sig)
-
+    scaled, cap = w.scaled()
+    n, total = w.n, sum(scaled)
     out: list[BoundaryDivisor] = []
     for g1 in range(0, w.genus // 2 + 1):
         g2 = w.genus - g1
-        # each side is tried once; with equal genera a divisor is reached
-        # from both of its sides and kept under its canonical one
-        sides = [
-            s
-            for s in range(full + 1)
-            if stable(g1, s)
-            and stable(g2, full ^ s)
-            and (g1 < g2 or _is_canonical_side(s, full ^ s))
-        ]
-        out.extend(
-            BoundaryDivisor(
-                kind="nodal",
-                side=frozenset(_mask_members(s)),
-                genus_split=(g1, g2),
-            )
-            for s in _canonical_masks(sides, w.n)
-        )
+        lo, min_size = (cap, 2) if g1 == 0 else (-1, 0)
+        hi, max_size = (total - cap - 1, n - 2) if g2 == 0 else (total, n)
+        if g1 == g2:
+            max_size = min(max_size, n // 2)
+        sides = kernels.enumerate_small_subsets(scaled, lo, hi, min_size, max_size)
+        if g1 == g2 and n and n % 2 == 0:
+            # the sides of n/2 markings come last, those holding marking 1
+            # first among them
+            half = bisect_left(sides, n // 2, key=len)
+            del sides[bisect_right(sides, 1, lo=half, key=itemgetter(0)):]
+        # fields passed by position (kind, side, genus_split): this runs once
+        # per divisor, and keyword arguments cost measurably more here
+        split = (g1, g2)
+        out.extend(BoundaryDivisor("nodal", side, split) for side in sides)
     if w.genus >= 1:
         out.append(BoundaryDivisor(kind="irreducible"))
-    for i, j in combinations(range(1, w.n + 1), 2):
-        if w.weights[i - 1] > 0 and w.weights[j - 1] > 0:
-            if (1 << (i - 1) | 1 << (j - 1)) in sig:
-                out.append(
-                    BoundaryDivisor(kind="coincidence", pair=frozenset({i, j}))
-                )
+    out.extend(
+        BoundaryDivisor(kind="coincidence", pair=pair)
+        for pair in kernels.enumerate_small_subsets(scaled, -1, cap, 2, 2)
+        if scaled[pair[0] - 1] and scaled[pair[1] - 1]
+    )
     return out
 
 
@@ -347,9 +340,10 @@ def contracted_divisors(a: WeightData, b: WeightData) -> list[Contraction]:
             continue
         assert d.side is not None and d.genus_split is not None
         full = frozenset(range(1, a.n + 1))
+        near = frozenset(d.side)
         for side, g_side in (
-            (d.side, d.genus_split[0]),
-            (full - d.side, d.genus_split[1]),
+            (near, d.genus_split[0]),
+            (full - near, d.genus_split[1]),
         ):
             if g_side != 0:
                 continue
@@ -392,5 +386,5 @@ def divisor_tree(w: WeightData, d: BoundaryDivisor) -> StableTree:
         vertex_genera=(w.genus,),
         edges=(),
         marking_at=tuple((m, 0) for m in all_marks),
-        clusters=((tuple(sorted(d.pair)),),),
+        clusters=((d.pair,),),
     )

@@ -142,15 +142,15 @@ class ValidationReport:
     """Outcome of :func:`validate`: hard violations plus wall annotations.
 
     ``walls`` lists the index sets (size >= 2) whose weights sum to exactly
-    1, by size and then lexicographically; the datum sits on those chamber
-    walls without violating anything. Zero-weight markings pad walls like
-    any other set: weights (1/2, 1/2, 0) have the walls {1, 2} and
-    {1, 2, 3}. Invalid data report no walls.
+    1, as sorted tuples, by size and then lexicographically; the datum sits
+    on those chamber walls without violating anything. Zero-weight markings
+    pad walls like any other set: weights (1/2, 1/2, 0) have the walls
+    (1, 2) and (1, 2, 3). Invalid data report no walls.
     """
 
     ok: bool
     violations: tuple[str, ...]
-    walls: tuple[frozenset[int], ...]
+    walls: tuple[tuple[int, ...], ...]
 
 
 def _violations(w: WeightData) -> list[str]:
@@ -175,22 +175,16 @@ def _violations(w: WeightData) -> list[str]:
 def validate(w: WeightData) -> ValidationReport:
     """Check the defining inequalities of a weight datum and list its walls.
 
-    This is the only function that computes walls: one subset pass over a
-    valid datum, keeping the signature sets of weight exactly 1. Callers
-    that only need validity use :func:`require_valid`.
+    This is the only function that computes walls: one kernel pass over a
+    valid datum for the sets of weight exactly 1, the window
+    ``(cap - 1, cap]`` of the scaled weights, already in canonical order.
+    Callers that only need validity use :func:`require_valid`.
     """
     problems = _violations(w)
-    walls: tuple[frozenset[int], ...] = ()
+    walls: tuple[tuple[int, ...], ...] = ()
     if not problems:
         scaled, cap = w.scaled()
-        wall_masks = [
-            m
-            for m in _signature_masks(w)
-            if sum(scaled[i - 1] for i in _mask_members(m)) == cap
-        ]
-        walls = tuple(
-            frozenset(_mask_members(m)) for m in _canonical_masks(wall_masks, w.n)
-        )
+        walls = tuple(kernels.enumerate_small_subsets(scaled, cap - 1, cap, 2, w.n))
     return ValidationReport(not problems, tuple(problems), walls)
 
 
@@ -205,56 +199,16 @@ def require_valid(w: WeightData) -> None:
         raise InvalidWeightDataError("; ".join(problems))
 
 
-def _mask_members(mask: int) -> list[int]:
-    """The sorted 1-based markings of a mask (bit i - 1 is marking i)."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
-    return out
+def _signature_sets(w: WeightData, min_size: int = 2) -> list[tuple[int, ...]]:
+    """The chamber signature as sorted 1-based index tuples, by size and
+    then lexicographically: the sets of at least ``min_size`` markings
+    whose weights sum to at most 1.
 
-
-def _canonical_masks(masks, n: int) -> list[int]:
-    """Masks over n markings ordered by size, then lexicographically.
-
-    One integer key per mask: its size, then its complement bit-reversed.
-    Of two sets of equal size, A comes first exactly when min(A ^ B) lies
-    in A; reversal puts that marking's bit on top, and taking complements
-    makes A's key the smaller one. Bit n of ``flip`` is a sentinel that
-    keeps ``bin`` at a fixed width.
+    One kernel window ``(-1, cap]`` over the scaled weights; zero weights
+    are ordinary entries and pad the sets like any other marking.
     """
-    flip = (1 << (n + 1)) - 1
-    return sorted(
-        masks,
-        key=lambda m: (m.bit_count() << (n + 1)) | int(bin(m ^ flip)[:1:-1], 2),
-    )
-
-
-def _signature_masks(w: WeightData) -> list[int]:
-    """The chamber signature as masks (bit i - 1 is marking i), unordered.
-
-    One kernel pass over the positive weights. A zero weight changes no
-    sum, so every small positive part, the empty set and every positive
-    singleton is padded by every set of zero-weight markings, keeping the
-    results of size >= 2. The caller has checked validity (so every
-    singleton weighs at most 1).
-    """
-    if w.n < 2:
-        return []
     scaled, cap = w.scaled()
-    positive_bits = [1 << i for i, v in enumerate(scaled) if v > 0]
-    masks = kernels.enumerate_small_subsets([v for v in scaled if v > 0], cap)
-    if len(positive_bits) == w.n:
-        return masks
-    # kernel masks index the positive weights; move them onto the markings
-    parts = [sum(positive_bits[k - 1] for k in _mask_members(m)) for m in masks]
-    parts += [0, *positive_bits]
-    zero_sets = [0]
-    for i, v in enumerate(scaled):
-        if v == 0:
-            zero_sets += [z | 1 << i for z in zero_sets]
-    return [p | z for p in parts for z in zero_sets if (p | z).bit_count() >= 2]
+    return kernels.enumerate_small_subsets(scaled, -1, cap, min_size, w.n)
 
 
 def chamber_signature(w: WeightData) -> frozenset[frozenset[int]]:
@@ -262,9 +216,11 @@ def chamber_signature(w: WeightData) -> frozenset[frozenset[int]]:
 
     The result is downward closed in the size->=2 range and determines the
     moduli problem. Data with fewer than two markings have empty signature.
+    Callers that want the sets in canonical order use the sorted tuples of
+    :func:`_signature_sets` instead.
     """
     require_valid(w)
-    return frozenset(frozenset(_mask_members(m)) for m in _signature_masks(w))
+    return frozenset(map(frozenset, _signature_sets(w)))
 
 
 def _check_comparable(w1: WeightData, w2: WeightData) -> None:
@@ -282,7 +238,8 @@ def fine_equivalent(w1: WeightData, w2: WeightData) -> bool:
     _check_comparable(w1, w2)
     require_valid(w1)
     require_valid(w2)
-    return set(_signature_masks(w1)) == set(_signature_masks(w2))
+    # both lists are in canonical order, so equal sets give equal lists
+    return _signature_sets(w1) == _signature_sets(w2)
 
 
 def coarse_equivalent_genus0(w1: WeightData, w2: WeightData) -> bool:
@@ -296,9 +253,7 @@ def coarse_equivalent_genus0(w1: WeightData, w2: WeightData) -> bool:
     _check_comparable(w1, w2)
     require_valid(w1)
     require_valid(w2)
-    big1 = {m for m in _signature_masks(w1) if m.bit_count() >= 3}
-    big2 = {m for m in _signature_masks(w2) if m.bit_count() >= 3}
-    return big1 == big2
+    return _signature_sets(w1, 3) == _signature_sets(w2, 3)
 
 
 def reduction_exists(a: WeightData, b: WeightData) -> bool:

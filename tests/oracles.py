@@ -4,7 +4,9 @@ Everything here is written against the mathematical definitions directly,
 with plain itertools enumeration over Fraction arithmetic, and shares no
 code path with the package (which scales to integers and runs pruned
 kernels). Tests compare the two routes; a substitution on one side must
-never be mirrored on the other.
+never be mirrored on the other. ``brute_window`` is the one oracle over
+integers: it states the enumeration kernel's contract on its own inputs,
+by filtering every subset.
 
 Group elements are listed here only: ``naive_closure`` multiplies until
 stable, and ``close_permutations`` closes breadth-first under a size limit.
@@ -30,12 +32,28 @@ def brute_signature(weights: list[Fraction]) -> set[frozenset[int]]:
     return out
 
 
-def brute_walls(weights: list[Fraction]) -> list[frozenset[int]]:
-    """All 1-based index sets of size >= 2 with weight sum exactly 1, by
-    size and then lexicographically (the order combinations yield)."""
+def brute_window(
+    values: list[int], lo: int, hi: int, min_size: int, max_size: int
+) -> list[tuple[int, ...]]:
+    """The 1-based index tuples T with lo < sum(T) <= hi and
+    min_size <= |T| <= max_size: every one of the 2^n subsets filtered,
+    then sorted by size and then as tuples."""
+    n = len(values)
+    hits = []
+    for mask in range(1 << n):
+        t = tuple(i + 1 for i in range(n) if mask >> i & 1)
+        if min_size <= len(t) <= max_size and lo < sum(values[i - 1] for i in t) <= hi:
+            hits.append(t)
+    return sorted(hits, key=lambda t: (len(t), t))
+
+
+def brute_walls(weights: list[Fraction]) -> list[tuple[int, ...]]:
+    """All 1-based index sets of size >= 2 with weight sum exactly 1, as
+    sorted tuples, by size and then lexicographically (the order
+    combinations yield)."""
     n = len(weights)
     return [
-        frozenset(combo)
+        combo
         for r in range(2, n + 1)
         for combo in combinations(range(1, n + 1), r)
         if sum(weights[i - 1] for i in combo) == ONE

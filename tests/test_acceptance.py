@@ -90,7 +90,7 @@ def test_criterion_06_nodal_divisor_counts_against_brute_force():
     for n, expected in ((5, 10), (6, 25), (7, 56), (8, 119)):
         w = WeightData(0, (F(1),) * n)
         nodal = {
-            (d.genus_split[0], d.side)
+            (d.genus_split[0], frozenset(d.side))
             for d in enumerate_boundary_divisors(w)
             if d.kind == "nodal"
         }

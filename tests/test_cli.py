@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import subprocess
@@ -471,6 +472,91 @@ class TestTextMode:
         )
         assert rc == 0
         assert "not admissible" in out and "witness packet 1 2" in out
+
+
+G0_ZEROS = ("--genus", "0", "--weights", "1/3,0,1/4,1/2,0,1/5,1/6,2/3,0")
+G1_ZEROS = ("--genus", "1", "--weights", "1/2,1/3,0,1/4,1/5,1/6,0,3/4")
+G0_DIV = ("--genus", "0", "--weights", "1/2,1/3,0,1/4,2/3,1/5,1,0")
+G2_DIV = ("--genus", "2", "--weights", "1/2,0,1/3,1/4,1,1/5,2/3")
+G3_DIV = ("--genus", "3", "--weights", "1/3,1/2,0,1/4,1,1/6")
+
+# sha256 of stdout as (JSON, text); the text of ``divisors`` ignores
+# ``--trees``, so each such pair shares its text digest
+STDOUT_SHA256 = {
+    ("signature", *G0_ZEROS): (
+        "cf1a71d2eadc5c0bd3f080d3a5b9da7c2f7ef1971f7945859d816380904d5349",
+        "7a64c4d4d51ed8aa0ce06ff5bad39e8a39dc1d2d1be78c381f7fc24434a86e77",
+    ),
+    ("signature", "--mode", "coarse", *G0_ZEROS): (
+        "24b01fa2b9b78f4f1a5776804f593d59d8f67727c5777562db40855461a0beda",
+        "9fc84a09f1a7c7f357f798faeb8195b65c001a22a64b00a607fc7cfc8312d72b",
+    ),
+    ("signature", *G1_ZEROS): (
+        "3603d13e4cc534f0e269c19a4da07a4566e5c58e05e5f609d66b04a2f4beb748",
+        "1b96763f247eea4d955304b29773820cee47d81b25cca4607a54f24014d37dcf",
+    ),
+    ("signature", "--mode", "coarse", *G1_ZEROS): (
+        "27da29d57564c2f7e96a56d6c145949a0b8b346dc56e6057c29a795b3faff3b1",
+        "1326c848394ac3226359a0bc975f05feddaf1ec30b08804620a37869cb18438f",
+    ),
+    ("validate", "--genus", "0", "--weights", "1/2,1/2,0,1/4,1/4,1/2,0,3/4"): (
+        "8bf386394a4c75c8ffc1134291998070bc7c5fef083898318af39a85726f659c",
+        "656026fdb150fc56777b8347d36ac73e1efb61bd4a8721c72fff4b184af0b4d5",
+    ),
+    ("divisors", *G0_DIV): (
+        "5e764125c953443093c4405b9b082a98d0e722bd85a2a03bdae5ca48fb5fd558",
+        "7a59c81485bf214636b76687c3647a3e762da988805fafe8c8879416a99c7dfe",
+    ),
+    ("divisors", "--trees", *G0_DIV): (
+        "7b2361302802737d3bd591cc1b6eb16c88130e367a1ad52479f2a76dc50d3290",
+        "7a59c81485bf214636b76687c3647a3e762da988805fafe8c8879416a99c7dfe",
+    ),
+    ("divisors", *G2_DIV): (
+        "ad1d15c5d2cd2a0b031a643446cb76f6c41e281e47658e6b97c552e4fd9ddb99",
+        "1daaf479f7a1b9cae7b1c42d3b49a55125fb6d3d686c574963c1cb5069a98a75",
+    ),
+    ("divisors", "--trees", *G2_DIV): (
+        "86796a3244d72ee956796d16cbf2c2f24f452299e441e60902eabe2576ae3a11",
+        "1daaf479f7a1b9cae7b1c42d3b49a55125fb6d3d686c574963c1cb5069a98a75",
+    ),
+    ("divisors", *G3_DIV): (
+        "d1e830bea0ca8dd28ee3963c84fa36a2f9a905ea2443976087053595907ff070",
+        "d955259541939007c07e520db348a2061a53ddf000adea2c112b34f7768a0263",
+    ),
+    ("divisors", "--trees", *G3_DIV): (
+        "b63c7e98d1540a1fdbb848b4c8b30fc8332eefff1abfebd4784a1a0cb169f3bf",
+        "d955259541939007c07e520db348a2061a53ddf000adea2c112b34f7768a0263",
+    ),
+    ("schedule", "kblu", "9"): (
+        "d4ca53d5ccd185ac01a2e3a9251046452c96f19208e1b0b9b47484fbafeb326e",
+        "fd0c4c6087f2d51c103a897a3a83cb7a63c9acc210ec3d5849571b0b2b9c0677",
+    ),
+    ("schedule", "kblusym", "9"): (
+        "c900107292803baa512f69a9cb13000a18b7407f5dc1ff42860cf03191171cf2",
+        "e777233a24a74d497de43ac2b7eccfafe90bc0da43ae85d39037829ab1299c22",
+    ),
+    ("schedule", "con2", "9"): (
+        "9f4a713a0b61502873ba02656edbbdaa2bbbe03a0e0edca2ea530c4f77e770b0",
+        "f7777ff88d85bf226e408136d862521d72b9c44d70a76c0703ec30201a18d59b",
+    ),
+}
+
+
+class TestStdoutPinned:
+    """Stdout digests of the set-listing verbs, in both output forms: zero
+    weights, splits of positive genus and divisor trees included."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        list(STDOUT_SHA256),
+        ids=lambda argv: " ".join(argv[:-2] if "--weights" in argv else argv),
+    )
+    @pytest.mark.parametrize("form", ["json", "text"])
+    def test_stdout_digest(self, argv, form):
+        rc, out, err = run_cli(*argv, "--format", form)
+        assert rc == 0, err
+        expected = STDOUT_SHA256[argv][form == "text"]
+        assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
 class TestProcessEntryPoint:

@@ -4,22 +4,15 @@ oracle against naive closure."""
 import itertools
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from hassett import kernels
-from tests.oracles import close_permutations, naive_closure
+from tests.oracles import brute_window, close_permutations, naive_closure
 
 
 def mask_to_set(mask):
     return {i for i in range(mask.bit_length()) if mask >> i & 1}
-
-
-def brute_small_subsets(scaled, cap):
-    n = len(scaled)
-    out = []
-    for size in range(2, n + 1):
-        for combo in itertools.combinations(range(n), size):
-            if sum(scaled[i] for i in combo) <= cap:
-                out.append(sum(1 << i for i in combo))
-    return sorted(out)
 
 
 def brute_interval_hit(scaled, lo, hi, min_size):
@@ -60,19 +53,66 @@ class TestEnumerateSmallSubsets:
             n = rng.randint(0, 9)
             scaled = [rng.randint(0, 12) for _ in range(n)]
             cap = rng.randint(-1, 30)
-            assert kernels.enumerate_small_subsets(scaled, cap) == brute_small_subsets(
-                scaled, cap
-            )
+            assert kernels.enumerate_small_subsets(
+                scaled, -1, cap, 2, n
+            ) == brute_window(scaled, -1, cap, 2, n)
+
+    @given(
+        st.lists(st.integers(0, 12), max_size=9),
+        st.integers(-4, 40),
+        st.integers(-4, 40),
+        st.integers(-1, 10),
+        st.integers(-1, 10),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_window_matches_brute_force_in_order(self, values, lo, hi, min_size, max_size):
+        assert kernels.enumerate_small_subsets(
+            values, lo, hi, min_size, max_size
+        ) == brute_window(values, lo, hi, min_size, max_size)
 
     def test_degenerate_inputs(self):
-        assert kernels.enumerate_small_subsets([], 10) == []
-        assert kernels.enumerate_small_subsets([5], 10) == []
-        assert kernels.enumerate_small_subsets([1, 1], -1) == []
-        assert kernels.enumerate_small_subsets([1, 1], 2) == [0b11]
+        assert kernels.enumerate_small_subsets([], -1, 10, 2, 0) == []
+        assert kernels.enumerate_small_subsets([5], -1, 10, 2, 1) == []
+        assert kernels.enumerate_small_subsets([1, 1], -1, -1, 2, 2) == []
+        assert kernels.enumerate_small_subsets([1, 1], -1, 2, 2, 2) == [(1, 2)]
 
-    def test_masks_are_sorted_ascending(self):
-        masks = kernels.enumerate_small_subsets([3, 1, 4, 1, 5], 7)
-        assert masks == sorted(masks)
+    def test_empty_and_single_value(self):
+        assert kernels.enumerate_small_subsets([], -1, 0, 0, 0) == [()]
+        assert kernels.enumerate_small_subsets([], 0, 5, 0, 0) == []
+        assert kernels.enumerate_small_subsets([4], -1, 4, 0, 1) == [(), (1,)]
+        assert kernels.enumerate_small_subsets([4], 3, 4, 0, 1) == [(1,)]
+        assert kernels.enumerate_small_subsets([4], -1, 3, 0, 1) == [()]
+
+    def test_empty_window(self):
+        assert kernels.enumerate_small_subsets([1, 2, 3], 3, 3, 0, 3) == []
+        assert kernels.enumerate_small_subsets([1, 2, 3], 5, 2, 0, 3) == []
+
+    def test_negative_caps(self):
+        assert kernels.enumerate_small_subsets([0, 0, 1], -3, -1, 0, 3) == []
+        assert kernels.enumerate_small_subsets([0, 0, 1], -2, 0, 0, 3) == [
+            (), (1,), (2,), (1, 2)
+        ]
+
+    def test_zero_values_are_ordinary_entries(self):
+        # every set of zeros joins every set in the window
+        assert kernels.enumerate_small_subsets([0, 2, 0], 1, 2, 1, 3) == [
+            (2,), (1, 2), (2, 3), (1, 2, 3)
+        ]
+        assert kernels.enumerate_small_subsets([0, 0, 0], -1, 0, 2, 3) == [
+            (1, 2), (1, 3), (2, 3), (1, 2, 3)
+        ]
+
+    def test_sets_come_in_canonical_order(self):
+        sets = kernels.enumerate_small_subsets([3, 1, 4, 1, 5], -1, 7, 2, 5)
+        assert sets == sorted(sets, key=lambda t: (len(t), t))
+        assert all(list(t) == sorted(set(t)) for t in sets)
+
+    def test_window_deeper_than_the_recursion_limit(self):
+        # the only member is the first 1101 markings: the last value is too
+        # heavy for any set in the window, so the search walks down 1101
+        # levels instead of emitting a whole block at once
+        sets = kernels.enumerate_small_subsets([1] * 1101 + [3000], 1100, 1101, 1101, 1102)
+        assert sets == [tuple(range(1, 1102))]
 
 
 class TestFindSubsetInInterval:

@@ -46,12 +46,12 @@ def smooth_vertex(n, genus=0, clusters=()):
 
 def nodal_keys(divs):
     return {
-        (d.genus_split[0], d.side) for d in divs if d.kind == "nodal"
+        (d.genus_split[0], frozenset(d.side)) for d in divs if d.kind == "nodal"
     }
 
 
 def coincidence_pairs(divs):
-    return {d.pair for d in divs if d.kind == "coincidence"}
+    return {frozenset(d.pair) for d in divs if d.kind == "coincidence"}
 
 
 class TestVertexDegree:

@@ -59,6 +59,22 @@ class TestValidation:
         with pytest.raises(InvalidWeightDataError):
             require_valid(WeightData(0, (F(1, 30),) * 60))
 
+    def test_validate_enumerates_walls_only(self, monkeypatch):
+        returned = []
+        original = kernels.enumerate_small_subsets
+
+        def spy(*args):
+            sets = original(*args)
+            returned.extend(sets)
+            return sets
+
+        monkeypatch.setattr(kernels, "enumerate_small_subsets", spy)
+        report = validate(WeightData(0, (F(1, 4),) * 12))
+        # the walls are the 495 sets of four markings; the whole signature
+        # would add the 286 sets of two and three
+        assert len(report.walls) == 495
+        assert len(returned) == len(report.walls)
+
     def test_classify_never_computes_walls(self, monkeypatch):
         def boom(*args):
             raise AssertionError("classify called validate")
@@ -73,21 +89,10 @@ class TestValidation:
         assert hit is not None and hit[0].notation() == "kapranov:r=2,s=3,n=9"
 
     def test_zero_weights_pad_walls(self):
-        assert validate(wd(1, "1/2", "1/2", 0)).walls == (
-            frozenset({1, 2}),
-            frozenset({1, 2, 3}),
-        )
-        assert validate(wd(1, 1, 0, 0)).walls == (
-            frozenset({1, 2}),
-            frozenset({1, 3}),
-            frozenset({1, 2, 3}),
-        )
+        assert validate(wd(1, "1/2", "1/2", 0)).walls == ((1, 2), (1, 2, 3))
+        assert validate(wd(1, 1, 0, 0)).walls == ((1, 2), (1, 3), (1, 2, 3))
         # relabeling the zeros relabels the walls
-        assert validate(wd(1, 0, 0, 1)).walls == (
-            frozenset({1, 3}),
-            frozenset({2, 3}),
-            frozenset({1, 2, 3}),
-        )
+        assert validate(wd(1, 0, 0, 1)).walls == ((1, 3), (2, 3), (1, 2, 3))
 
     def test_classical_datum(self):
         assert validate(wd(0, 1, 1, 1, 1, 1)).ok
@@ -112,8 +117,8 @@ class TestValidation:
 
     def test_wall_annotations(self):
         report = validate(wd(0, "1/3", "1/3", "1/3", "2/3", 1))
-        assert frozenset({1, 2, 3}) in report.walls
-        assert frozenset({1, 4}) in report.walls
+        assert (1, 2, 3) in report.walls
+        assert (1, 4) in report.walls
 
     def test_negative_genus(self):
         assert not validate(wd(-1, 1, 1, 1, 1, 1)).ok
