@@ -40,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
 
 from . import kernels
 from .families import classify_with_relabeling
@@ -205,39 +204,18 @@ def admissible_generators(
     sorted 1-based pairs.
     """
     require_valid(w)
-    positive = [k for k in range(1, w.n + 1) if w.weights[k - 1] > 0]
-    zero = list(w.zero_indices())
     gens = [
         (i, j)
-        for i, j in combinations(positive, 2)
+        for i, j in combinations(w.positive_indices(), 2)
         if is_admissible(w, i, j, exclude_ij)[0]
     ]
-    gens.extend(combinations(zero, 2))
+    gens.extend(combinations(w.zero_indices(), 2))
     return sorted(gens)
 
 
-def _conjugate(perm: tuple[int, ...], sigma0: list[int]) -> tuple[int, ...]:
-    """Transport a 0-based permutation through the slot relabeling."""
-    out = [0] * len(perm)
-    for x, image in enumerate(perm):
-        out[sigma0[x]] = sigma0[image]
-    return tuple(out)
-
-
 def _finite_label(group: PermGroup) -> str:
-    if group.order == 1:
-        return "trivial"
-    if group.order == factorial(group.degree):
-        return f"S{group.degree}"
-    product = 1
-    for orbit in group.orbits:
-        product *= factorial(len(orbit))
-    if group.order == product:
-        parts = sorted(
-            (len(o) for o in group.orbits if len(o) >= 2), reverse=True
-        )
-        return " x ".join(f"S{p}" for p in parts)
-    return f"finite of order {group.order}"
+    parts = sorted((len(o) for o in group.orbits if len(o) >= 2), reverse=True)
+    return " x ".join(f"S{p}" for p in parts) or "trivial"
 
 
 def _described(
@@ -309,10 +287,11 @@ def _genus_zero(w: WeightData) -> AutDescription:
         # Light slots 1..n-2 permute; at the top second weight an extra
         # factor swaps the two remaining slots.  These generators are
         # isomorphism data transported to the input's slot labels.
-        gens = [transposition(x, x + 1, n) for x in range(n - 3)]
+        gens = [
+            transposition(sigma0[x], sigma0[x + 1], n) for x in range(n - 3)
+        ]
         if spec.s == n - 3:
-            gens.append(transposition(n - 2, n - 1, n))
-        gens = [_conjugate(g, sigma0) for g in gens]
+            gens.append(transposition(sigma0[n - 2], sigma0[n - 1], n))
         return _described(n - 3, generate_group(gens, n), provenance)
     if spec.family == "keel" and spec.h < n - 4:
         raise NotCoveredError(
@@ -332,7 +311,7 @@ def aut_group(w: WeightData, exclude_ij: bool = False) -> AutDescription:
     """
     require_valid(w)
     g, n = w.genus, w.n
-    positive = sum(1 for a in w.weights if a > 0)
+    positive = len(w.positive_indices())
     if g >= 2 and n == 0:
         return _described(
             0,

@@ -416,9 +416,13 @@ def signature_relabeling(
 
     Returns a 1-based tuple ``sigma`` with ``sigma[j-1]`` the image of
     slot j, such that mapping every set of ``source`` through it yields
-    exactly ``target`` — or None if no such permutation exists.  The
-    search is pruned by per-slot membership fingerprints (how many sets
-    of each size contain the slot), which relabeling cannot change.
+    exactly ``target`` — or None if no such permutation exists.  Per-slot
+    membership fingerprints (how many sets of each size contain the slot)
+    cannot change under relabeling.  A chamber signature is a weighted
+    threshold family, in which slots with equal fingerprints are
+    interchangeable; so if any relabeling exists, sending each source slot
+    to the smallest free target slot of equal fingerprint is one.  That
+    map is checked against ``target`` before it is returned.
     """
     if len(target) != len(source):
         return None
@@ -439,34 +443,14 @@ def signature_relabeling(
     fp_source = fingerprints(source)
     if Counter(fp_target) != Counter(fp_source):
         return None
-    candidates = [
-        [i for i in range(n) if fp_target[i] == fp_source[j]]
-        for j in range(n)
-    ]
-    order = sorted(range(n), key=lambda j: len(candidates[j]))
-    assignment = [0] * n
-    used = [False] * n
-
-    def backtrack(pos: int) -> bool:
-        if pos == n:
-            mapped = frozenset(
-                frozenset(assignment[x - 1] for x in s) for s in source
-            )
-            return mapped == target
-        j = order[pos]
-        for i in candidates[j]:
-            if used[i]:
-                continue
-            used[i] = True
-            assignment[j] = i + 1
-            if backtrack(pos + 1):
-                return True
-            used[i] = False
-        return False
-
-    if backtrack(0):
-        return tuple(assignment)
-    return None
+    # Free target slots per fingerprint, largest first, so pop() takes
+    # the smallest.
+    free: dict[tuple[int, ...], list[int]] = {}
+    for slot in range(n, 0, -1):
+        free.setdefault(fp_target[slot - 1], []).append(slot)
+    sigma = tuple(free[fp].pop() for fp in fp_source)
+    mapped = frozenset(frozenset(sigma[x - 1] for x in s) for s in source)
+    return sigma if mapped == target else None
 
 
 def classify_with_relabeling(

@@ -1,15 +1,15 @@
-"""Finite permutation groups with exact order computation.
+"""Permutation groups generated by transpositions, with exact orders.
 
-Groups are given by generators in 0-based one-line image notation. When
-every generator is a transposition, the group is the product of the full
-symmetric groups on its orbits (a connected set of transpositions
-generates the symmetric group on its support), so the order is the
-product of the orbit sizes' factorials. Every other group gets its order
-from a deterministic stabilizer-chain construction (base and strong
-generating set with Schreier generators), which stays exact at sizes
-where explicit element listing is hopeless. The engine never lists
-elements; the tests' closure oracles in ``tests/oracles.py`` cross-check
-both routes.
+Groups are given by generators in 0-based one-line image notation, and
+every generator must be a transposition: :func:`generate_group` raises
+``ValueError`` on any other. Every group the engine builds is of this
+kind (admissible swaps, zero-weight swaps, the symmetric factors of the
+family table). A connected set of transpositions generates the full
+symmetric group on its support, so the group is the product of the
+symmetric groups on its orbits and its order is the product of the orbit
+sizes' factorials. The engine never lists elements; the tests check
+orders against the closure oracles and the stabilizer chain in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -20,18 +20,6 @@ from dataclasses import dataclass
 __all__ = ["PermGroup", "generate_group", "transposition"]
 
 Perm = tuple[int, ...]
-
-
-def _mul(p: Perm, q: Perm) -> Perm:
-    """Apply p, then q."""
-    return tuple(q[p[x]] for x in range(len(p)))
-
-
-def _inv(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
 
 
 def transposition(i: int, j: int, degree: int) -> Perm:
@@ -46,84 +34,6 @@ def transposition(i: int, j: int, degree: int) -> Perm:
 def _check_perm(p: Perm, degree: int) -> None:
     if len(p) != degree or sorted(p) != list(range(degree)):
         raise ValueError(f"{p!r} is not a permutation of 0..{degree - 1}")
-
-
-def _stabilizer_chain_order(gens: list[Perm], degree: int) -> int:
-    """Product of orbit sizes along a base whose Schreier generators all
-    sift to the identity — the group order, exactly."""
-    ident = tuple(range(degree))
-    if not gens:
-        return 1
-    base: list[int] = []
-    strong: list[list[Perm]] = []
-    transv: list[dict[int, Perm]] = []
-
-    def extend_base(p: Perm) -> None:
-        x = next(i for i in range(degree) if p[i] != i)
-        base.append(x)
-        strong.append([])
-        transv.append({})
-
-    def rebuild(i: int) -> None:
-        b = base[i]
-        tr = {b: ident}
-        queue = [b]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
-            tx = tr[x]
-            for g in strong[i]:
-                y = g[x]
-                if y not in tr:
-                    tr[y] = _mul(tx, g)
-                    queue.append(y)
-        transv[i] = tr
-
-    def strip(p: Perm, start: int) -> tuple[Perm, int]:
-        for i in range(start, len(base)):
-            t = transv[i].get(p[base[i]])
-            if t is None:
-                return p, i
-            p = _mul(p, _inv(t))
-        return p, len(base)
-
-    extend_base(gens[0])
-    strong[0] = list(gens)
-    rebuild(0)
-
-    level = len(base) - 1
-    while level >= 0:
-        rebuild(level)
-        dirty = False
-        for x in sorted(transv[level]):
-            tx = transv[level][x]
-            for g in strong[level]:
-                rep_back = transv[level][g[x]]
-                schreier = _mul(_mul(tx, g), _inv(rep_back))
-                if schreier == ident:
-                    continue
-                residue, stuck = strip(schreier, level + 1)
-                if residue == ident:
-                    continue
-                if stuck == len(base):
-                    extend_base(residue)
-                for j in range(level + 1, stuck + 1):
-                    strong[j].append(residue)
-                    rebuild(j)
-                level = stuck
-                dirty = True
-                break
-            if dirty:
-                break
-        if dirty:
-            continue
-        level -= 1
-
-    order = 1
-    for tr in transv:
-        order *= len(tr)
-    return order
 
 
 @dataclass(frozen=True)
@@ -141,18 +51,26 @@ class PermGroup:
 
 
 def generate_group(gens: list[Perm] | tuple[Perm, ...], degree: int) -> PermGroup:
-    """The group generated, with canonical sorted generators, exact order,
-    and orbit partition."""
+    """The group generated by transpositions, with canonical sorted
+    generators, exact order and orbit partition.
+
+    Identity generators are dropped. Every other generator must be a
+    transposition (move exactly two points), or ``ValueError`` names it.
+    The order is the product of the orbit sizes' factorials.
+    """
     if degree < 0:
         raise ValueError("degree must be non-negative")
-    ident = tuple(range(degree))
-    canon: set[Perm] = set()
+    swaps: dict[Perm, list[int]] = {}
     for g in gens:
         g = tuple(g)
         _check_perm(g, degree)
-        if g != ident:
-            canon.add(g)
-    generators = tuple(sorted(canon))
+        moved = [x for x in range(degree) if g[x] != x]
+        if not moved:
+            continue
+        if len(moved) != 2:
+            raise ValueError(f"generator {g!r} is not a transposition")
+        swaps[g] = moved
+    generators = tuple(sorted(swaps))
 
     parent = list(range(degree))
 
@@ -162,25 +80,13 @@ def generate_group(gens: list[Perm] | tuple[Perm, ...], degree: int) -> PermGrou
             x = parent[x]
         return x
 
-    all_transpositions = True
-    for g in generators:
-        moved = 0
-        for x in range(degree):
-            if g[x] != x:
-                moved += 1
-                parent[find(x)] = find(g[x])
-        all_transpositions = all_transpositions and moved == 2
+    for i, j in swaps.values():
+        parent[find(i)] = find(j)
     buckets: dict[int, list[int]] = {}
     for x in range(degree):
         buckets.setdefault(find(x), []).append(x)
     orbits = tuple(sorted(tuple(sorted(b)) for b in buckets.values()))
-
-    if all_transpositions:
-        order = math.prod(math.factorial(len(orbit)) for orbit in orbits)
-    else:
-        order = _stabilizer_chain_order(list(generators), degree)
-    if degree <= 20 and math.factorial(degree) % order != 0:
-        raise RuntimeError("computed order does not divide degree! — chain bug")
+    order = math.prod(math.factorial(len(orbit)) for orbit in orbits)
     return PermGroup(
         degree=degree, generators=generators, order=order, orbits=orbits
     )

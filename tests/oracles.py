@@ -1,20 +1,29 @@
-"""Independent brute-force oracles.
+"""Independent reference implementations: brute force and full searches.
 
-Everything here is written against the mathematical definitions directly,
-with plain itertools enumeration over Fraction arithmetic, and shares no
-code path with the package (which scales to integers and runs pruned
-kernels). Tests compare the two routes; a substitution on one side must
-never be mirrored on the other. ``brute_window`` is the one oracle over
-integers: it states the enumeration kernel's contract on its own inputs,
-by filtering every subset.
+The subset oracles are written against the mathematical definitions
+directly, with plain itertools enumeration over Fraction arithmetic, and
+share no code path with the package (which scales to integers and runs
+pruned kernels). Tests compare the two routes; a substitution on one side
+must never be mirrored on the other. ``brute_window`` is the one subset
+oracle over integers: it states the enumeration kernel's contract on its
+own inputs, by filtering every subset.
 
 Group elements are listed here only: ``naive_closure`` multiplies until
 stable, and ``close_permutations`` closes breadth-first under a size limit.
-The package computes group orders without listing elements.
+``stabilizer_chain_order`` computes the order of any permutation group,
+by a Schreier-Sims chain, without listing it. The package accepts only
+transposition generators and takes the order from the orbits.
+
+``backtrack_relabeling`` searches the fingerprint-respecting slot
+bijections for one that carries a signature onto another. The package
+builds one such bijection in closed form and checks it.
+
+Nothing here imports ``hassett``; ``tests/test_oracles.py`` checks that.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -165,3 +174,160 @@ def brute_nodal_divisors(
                 if side_ok(g1, s) and side_ok(g2, comp):
                     out.add((g1, s))
     return out
+
+
+def _mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """Apply p, then q."""
+    return tuple(q[p[x]] for x in range(len(p)))
+
+
+def _inv(p: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * len(p)
+    for i, v in enumerate(p):
+        out[v] = i
+    return tuple(out)
+
+
+def stabilizer_chain_order(gens: list[tuple[int, ...]], degree: int) -> int:
+    """Order of the group the 0-based permutations generate, exactly.
+
+    A deterministic Schreier-Sims construction: a base with strong
+    generators, extended until every Schreier generator sifts to the
+    identity; the order is the product of the basic orbit sizes.
+    """
+    ident = tuple(range(degree))
+    gens = [tuple(g) for g in gens if tuple(g) != ident]
+    if not gens:
+        return 1
+    base: list[int] = []
+    strong: list[list[tuple[int, ...]]] = []
+    transv: list[dict[int, tuple[int, ...]]] = []
+
+    def extend_base(p: tuple[int, ...]) -> None:
+        x = next(i for i in range(degree) if p[i] != i)
+        base.append(x)
+        strong.append([])
+        transv.append({})
+
+    def rebuild(i: int) -> None:
+        b = base[i]
+        tr = {b: ident}
+        queue = [b]
+        qi = 0
+        while qi < len(queue):
+            x = queue[qi]
+            qi += 1
+            tx = tr[x]
+            for g in strong[i]:
+                y = g[x]
+                if y not in tr:
+                    tr[y] = _mul(tx, g)
+                    queue.append(y)
+        transv[i] = tr
+
+    def strip(p: tuple[int, ...], start: int) -> tuple[tuple[int, ...], int]:
+        for i in range(start, len(base)):
+            t = transv[i].get(p[base[i]])
+            if t is None:
+                return p, i
+            p = _mul(p, _inv(t))
+        return p, len(base)
+
+    extend_base(gens[0])
+    strong[0] = list(gens)
+    rebuild(0)
+
+    level = len(base) - 1
+    while level >= 0:
+        rebuild(level)
+        dirty = False
+        for x in sorted(transv[level]):
+            tx = transv[level][x]
+            for g in strong[level]:
+                rep_back = transv[level][g[x]]
+                schreier = _mul(_mul(tx, g), _inv(rep_back))
+                if schreier == ident:
+                    continue
+                residue, stuck = strip(schreier, level + 1)
+                if residue == ident:
+                    continue
+                if stuck == len(base):
+                    extend_base(residue)
+                for j in range(level + 1, stuck + 1):
+                    strong[j].append(residue)
+                    rebuild(j)
+                level = stuck
+                dirty = True
+                break
+            if dirty:
+                break
+        if dirty:
+            continue
+        level -= 1
+
+    order = 1
+    for tr in transv:
+        order *= len(tr)
+    return order
+
+
+def backtrack_relabeling(
+    target: frozenset[frozenset[int]],
+    source: frozenset[frozenset[int]],
+    n: int,
+) -> tuple[int, ...] | None:
+    """The first slot permutation, in backtracking order, that maps every
+    set of ``source`` onto exactly ``target``, as a 1-based image tuple;
+    None if there is none.
+
+    Only bijections that respect the per-slot fingerprints (how many sets
+    of each size contain the slot) are tried. Source slots with fewer
+    candidates go first; candidates are tried smallest first.
+    """
+    if len(target) != len(source):
+        return None
+    if Counter(len(s) for s in target) != Counter(len(s) for s in source):
+        return None
+
+    def fingerprints(sig) -> list[tuple[int, ...]]:
+        table = []
+        for slot in range(1, n + 1):
+            counts = [0] * (n + 1)
+            for s in sig:
+                if slot in s:
+                    counts[len(s)] += 1
+            table.append(tuple(counts))
+        return table
+
+    fp_target = fingerprints(target)
+    fp_source = fingerprints(source)
+    if Counter(fp_target) != Counter(fp_source):
+        return None
+    candidates = [
+        [i for i in range(n) if fp_target[i] == fp_source[j]]
+        for j in range(n)
+    ]
+    order = sorted(range(n), key=lambda j: len(candidates[j]))
+    assignment = [0] * n
+    used = [False] * n
+
+    def backtrack(pos: int) -> bool:
+        if pos == n:
+            mapped = frozenset(
+                frozenset(assignment[x - 1] for x in s) for s in source
+            )
+            return mapped == target
+        j = order[pos]
+        for i in candidates[j]:
+            if used[i]:
+                continue
+            used[i] = True
+            assignment[j] = i + 1
+            if backtrack(pos + 1):
+                return True
+            used[i] = False
+        return False
+
+    if backtrack(0):
+        return tuple(assignment)
+    return None

@@ -22,10 +22,9 @@ from hassett.families import (
     representative_weights,
 )
 from hassett.linear import evaluate
-from hassett.perms import generate_group
 from hassett.strata import StableTree
 from hassett.weights import WeightData, chamber_signature
-from tests.oracles import brute_nodal_divisors, brute_signature
+from tests.oracles import brute_nodal_divisors, brute_signature, naive_closure
 from tests.test_signature_props import weight_data
 
 
@@ -59,10 +58,9 @@ class TestAutVerb:
         assert obj["finite_order"] == 120
         assert obj["torus_rank"] == 0
         assert obj["label"] == "S5"
-        # round-trip: the emitted generators regenerate a group of the
-        # emitted order
+        # the emitted generators close to a group of the emitted order
         gens = [tuple(x - 1 for x in perm) for perm in obj["finite_generators"]]
-        assert generate_group(gens, 5).order == 120
+        assert len(naive_closure(gens, 5)) == 120
 
     def test_del_pezzo_description(self):
         rc, obj = run_json("aut", *DEL_PEZZO)

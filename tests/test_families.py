@@ -1,6 +1,7 @@
 """Tests for the named genus-zero families and their blow-up schedules."""
 
 from fractions import Fraction as F
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import pytest
@@ -37,6 +38,7 @@ from hassett.weights import (
     reduction_exists_up_to_equivalence,
     validate,
 )
+from tests.oracles import backtrack_relabeling, brute_signature
 
 
 def brute_coarse_sets(w: WeightData) -> set[frozenset[int]]:
@@ -399,6 +401,54 @@ class TestClassify:
             n,
         )
         assert sigma is not None
+
+
+def oracle_signature(weights) -> frozenset[frozenset[int]]:
+    return frozenset(brute_signature(list(weights)))
+
+
+@lru_cache(maxsize=None)
+def grid_signatures(n: int) -> tuple[frozenset[frozenset[int]], ...]:
+    return tuple(
+        oracle_signature(representative_weights(spec).weights)
+        for spec in family_grid(n)
+    )
+
+
+class TestSignatureRelabeling:
+    """The fingerprint-greedy relabeling against the backtracking oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_shuffled_representatives_against_the_grid(self, data):
+        n = data.draw(st.integers(min_value=5, max_value=9))
+        spec = data.draw(st.sampled_from(list(family_grid(n))))
+        perm = data.draw(st.permutations(range(n)))
+        weights = representative_weights(spec).weights
+        target = oracle_signature(weights[k] for k in perm)
+        for source in grid_signatures(n):
+            assert signature_relabeling(target, source, n) == backtrack_relabeling(
+                target, source, n
+            )
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_random_pairs_with_few_weight_classes(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=9))
+        value = st.fractions(min_value=F(1, 12), max_value=1, max_denominator=12)
+
+        def datum():
+            values = data.draw(st.lists(value, min_size=1, max_size=3))
+            return data.draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+
+        first = datum()
+        shuffled = data.draw(st.booleans())
+        second = data.draw(st.permutations(first)) if shuffled else datum()
+        target, source = oracle_signature(first), oracle_signature(second)
+        greedy = signature_relabeling(target, source, n)
+        assert greedy == backtrack_relabeling(target, source, n)
+        if shuffled:
+            assert greedy is not None
 
 
 class TestFactorsKapranov:

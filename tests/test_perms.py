@@ -1,9 +1,11 @@
 """Permutation groups: orders against closure oracles and the chain.
 
-Groups generated by transpositions take their order from their orbits;
-those orders are checked against naive closure at small degree and against
-the stabilizer chain at larger degree. Every other group goes through the
-chain, checked against naive closure.
+``generate_group`` accepts transpositions only and takes the order from
+the orbits; its orders are checked against naive closure at small degree
+and against the oracle stabilizer chain at larger degree. Any other
+generator is rejected. The oracle chain itself is checked against naive
+closure on cycles, the alternating group, random permutations and
+transpositions mixed with one longer cycle.
 """
 
 import math
@@ -11,9 +13,8 @@ import random
 
 import pytest
 
-from hassett import perms
-from hassett.perms import PermGroup, generate_group, transposition
-from tests.oracles import close_permutations, naive_closure
+from hassett.perms import generate_group, transposition
+from tests.oracles import close_permutations, naive_closure, stabilizer_chain_order
 
 
 def random_perm(rng, degree):
@@ -33,18 +34,24 @@ def closure_orbits(elements, degree):
     return tuple(sorted({tuple(sorted({p[x] for p in elements})) for x in range(degree)}))
 
 
-@pytest.fixture
-def chain_calls(monkeypatch):
-    """Record every stabilizer-chain order computation."""
-    calls = []
-    chain = perms._stabilizer_chain_order
+def mixed_generator_sets():
+    """Forty random transposition sets, each with one 3- or 4-cycle added."""
+    rng = random.Random(2026)
+    for trial in range(40):
+        length = 3 + trial % 2
+        degree = rng.randint(length, 6)
+        cycle = list(range(degree))
+        points = rng.sample(range(degree), length)
+        for a, b in zip(points, points[1:] + points[:1]):
+            cycle[a] = b
+        gens = random_transpositions(rng, degree, rng.randint(0, 4))
+        gens.insert(rng.randint(0, len(gens)), tuple(cycle))
+        yield gens, degree
 
-    def spy(gens, degree):
-        calls.append(degree)
-        return chain(gens, degree)
 
-    monkeypatch.setattr(perms, "_stabilizer_chain_order", spy)
-    return calls
+CYCLE_5 = [(1, 2, 3, 4, 0)]
+# 3-cycles generating A_5, order 60
+A5_THREE_CYCLES = [(1, 2, 0, 3, 4), (0, 2, 3, 1, 4), (0, 1, 3, 4, 2)]
 
 
 class TestGenerateGroup:
@@ -77,17 +84,21 @@ class TestGenerateGroup:
         assert g.orbits == ((0, 1), (2,), (3, 4, 5))
 
     def test_cyclic_group(self):
-        g = generate_group([(1, 2, 3, 4, 0)], 5)
-        assert g.order == 5
+        assert stabilizer_chain_order(CYCLE_5, 5) == len(naive_closure(CYCLE_5, 5)) == 5
 
     def test_large_symmetric_group_order_without_listing(self):
         gens = [transposition(i, i + 1, 12) for i in range(11)]
         assert generate_group(gens, 12).order == math.factorial(12)
 
     def test_alternating_group(self):
-        # 3-cycles generate A_5, order 60
-        gens = [(1, 2, 0, 3, 4), (0, 2, 3, 1, 4), (0, 1, 3, 4, 2)]
-        assert generate_group(gens, 5).order == 60
+        gens = A5_THREE_CYCLES
+        assert stabilizer_chain_order(gens, 5) == len(naive_closure(gens, 5)) == 60
+
+    def test_non_transposition_generators_rejected(self):
+        cases = [(CYCLE_5, 5), (A5_THREE_CYCLES, 5), *mixed_generator_sets()]
+        for gens, degree in cases:
+            with pytest.raises(ValueError, match="is not a transposition"):
+                generate_group(gens, degree)
 
     def test_identity_is_dropped_and_generators_canonical(self):
         ident = (0, 1, 2)
@@ -105,12 +116,12 @@ class TestGenerateGroup:
         for _ in range(40):
             degree = rng.randint(1, 6)
             gens = [random_perm(rng, degree) for _ in range(rng.randint(0, 3))]
-            group = generate_group(gens, degree)
-            assert group.order == len(naive_closure(gens, degree))
-            listed = close_permutations(list(group.generators), degree, 1_000_000)
-            assert listed is not None and len(listed) == group.order
+            order = stabilizer_chain_order(gens, degree)
+            assert order == len(naive_closure(gens, degree))
+            listed = close_permutations(gens, degree, 1_000_000)
+            assert listed is not None and len(listed) == order
 
-    def test_transposition_orders_match_closure(self, chain_calls):
+    def test_transposition_orders_match_closure(self):
         rng = random.Random(2024)
         for _ in range(60):
             degree = rng.randint(1, 6)
@@ -119,44 +130,25 @@ class TestGenerateGroup:
             closure = naive_closure(gens, degree)
             assert group.order == len(closure)
             assert group.orbits == closure_orbits(closure, degree)
-        assert chain_calls == []
 
-    def test_transposition_orders_match_stabilizer_chain(self, chain_calls):
+    def test_transposition_orders_match_stabilizer_chain(self):
         rng = random.Random(2025)
         for _ in range(40):
             degree = rng.randint(7, 12)
             gens = random_transpositions(rng, degree, rng.randint(0, 14))
             group = generate_group(gens, degree)
-            assert group.order == perms._stabilizer_chain_order(
-                list(group.generators), degree
-            )
-        # only the reference calls above ran the chain
-        assert len(chain_calls) == 40
+            assert group.order == stabilizer_chain_order(gens, degree)
 
-    def test_transpositions_with_one_longer_cycle_use_the_chain(self, chain_calls):
-        rng = random.Random(2026)
-        for trial in range(40):
-            length = 3 + trial % 2
-            degree = rng.randint(length, 6)
-            cycle = list(range(degree))
-            points = rng.sample(range(degree), length)
-            for a, b in zip(points, points[1:] + points[:1]):
-                cycle[a] = b
-            gens = random_transpositions(rng, degree, rng.randint(0, 4))
-            gens.insert(rng.randint(0, len(gens)), tuple(cycle))
-            group = generate_group(gens, degree)
-            closure = naive_closure(gens, degree)
-            assert group.order == len(closure)
-            assert group.orbits == closure_orbits(closure, degree)
-            assert len(chain_calls) == trial + 1
+    def test_transpositions_with_one_longer_cycle_use_the_chain(self):
+        for gens, degree in mixed_generator_sets():
+            assert stabilizer_chain_order(gens, degree) == len(naive_closure(gens, degree))
 
     def test_order_divides_factorial(self):
         rng = random.Random(77)
         for _ in range(30):
             degree = rng.randint(1, 7)
             gens = [random_perm(rng, degree) for _ in range(2)]
-            group = generate_group(gens, degree)
-            assert math.factorial(degree) % group.order == 0
+            assert math.factorial(degree) % stabilizer_chain_order(gens, degree) == 0
 
     def test_elements_respects_limit(self):
         gens = [transposition(i, i + 1, 5) for i in range(4)]
