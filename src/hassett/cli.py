@@ -101,9 +101,9 @@ def _weights_from(args: argparse.Namespace) -> WeightData:
     if args.genus is None or args.weights is None:
         raise _UsageError("weight data needed: --genus and --weights, or --input")
     try:
-        return WeightData.from_strings(
-            args.genus, [tok for tok in args.weights.split(",")]
-        )
+        # an empty value is the datum with no markings
+        tokens = args.weights.split(",") if args.weights else []
+        return WeightData.from_strings(args.genus, tokens)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 

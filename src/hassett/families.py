@@ -31,13 +31,13 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
-from .linear import Constraint, LinearSystem, evaluate, solve_feasibility
+from .linear import Constraint, LinearSystem, solve_feasibility
 from .weights import (
     ONE,
     WeightData,
-    _blocked_feasibility,
+    _solve_over_classes,
     chamber_reduction_exists,
     chamber_signature,
     coarse_equivalent_genus0,
@@ -203,89 +203,108 @@ def kapranov_weights(r: int, s: int, n: int) -> WeightData:
     return WeightData(0, weights)
 
 
-def _sum_le_one(indices, n: int) -> Constraint:
-    coeffs = tuple(Fraction(1 if i + 1 in indices else 0) for i in range(n))
-    return Constraint(coeffs, "<=", ONE)
+def _slot_blocks(spec: FamilySpec) -> tuple[tuple[int, ...], ...]:
+    """Slot groups under which the family's condition system is symmetric."""
+    n = spec.n
+    if spec.family == FAMILY_KAPRANOV:
+        r = spec.r
+        return (tuple(range(1, n - r)), (n - r,), tuple(range(n - r + 1, n + 1)))
+    if spec.family == FAMILY_SYM:
+        return (tuple(range(1, n)), (n,))
+    return ((1, 2, 3), tuple(range(4, n + 1)))
 
 
-def _sum_gt_one(indices, n: int) -> Constraint:
-    coeffs = tuple(Fraction(-1 if i + 1 in indices else 0) for i in range(n))
-    return Constraint(coeffs, "<", -ONE)
+def _block_rows(spec: FamilySpec) -> list[Constraint]:
+    """The construction's condition rows over the blocks of :func:`_slot_blocks`.
 
-
-def _threshold_rows(spec: FamilySpec):
-    """The symmetric and Keel condition rows as ``(support, big)`` pairs.
-
-    ``support`` is a sorted tuple of 1-based slots; the row reads
-    ``sum(support) > 1`` when ``big`` is set and ``sum(support) <= 1``
-    otherwise.  Kapranov members have equality rows instead, built by
-    :func:`family_conditions` alone.
+    Column b of a row counts the slots its supports take from block b,
+    negated in a ``sum > 1`` row; :func:`family_conditions` expands each
+    row into its supports.  The Kapranov members pin each block to its
+    weight by equality; the symmetric and Keel members have one threshold
+    row, ``sum > 1`` (big) or ``sum <= 1``, per type of support.
     """
     n = spec.n
+    if spec.family == FAMILY_KAPRANOV:
+        rep = kapranov_weights(spec.r, spec.s, n).weights
+        units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        return [
+            Constraint(unit, "=", rep[block[0] - 1])
+            for unit, block in zip(units, _slot_blocks(spec))
+        ]
     if spec.family == FAMILY_SYM:
         k = spec.k
-        for i in range(1, n):
-            yield (i, n), True
-        for size in range(2, n - 1):
-            for subset in combinations(range(1, n), size):
-                yield subset, size >= n - k - 1
-        return
-    h = spec.h
-    lights = range(4, n + 1)
-    for pair in combinations((1, 2, 3), 2):
-        yield pair, True
-    if h <= n - 4:
-        # Heavy-anchored phase: thresholds on one heavy plus light packets.
-        for i in (1, 2, 3):
-            for size in range(2 if h == 0 else 1, n - 2):
-                for packet in combinations(lights, size):
-                    yield (i, *packet), size >= n - h - 2
+        types = [((1, 1), True)]
+        types += [((size, 0), size >= n - k - 1) for size in range(2, n - 1)]
     else:
-        # Pure-light phase: thresholds on light packets alone.
-        cut = 2 * n - h - 7
-        for size in range(1, n - 2):
-            for packet in combinations(lights, size):
-                yield packet, size > cut
+        h = spec.h
+        types = [((2, 0), True)]
+        if h <= n - 4:
+            # Heavy-anchored phase: thresholds on one heavy plus light packets.
+            types += [
+                ((1, size), size >= n - h - 2)
+                for size in range(2 if h == 0 else 1, n - 2)
+            ]
+        else:
+            # Pure-light phase: thresholds on light packets alone.
+            cut = 2 * n - h - 7
+            types += [((0, size), size > cut) for size in range(1, n - 2)]
+    return [
+        Constraint(tuple(-c for c in t), "<", -ONE) if big else Constraint(t, "<=", ONE)
+        for t, big in types
+    ]
 
 
 @lru_cache(maxsize=None)
 def family_conditions(spec: FamilySpec) -> LinearSystem:
     """The construction's exact inequality system on the n weights.
 
-    Only the inequalities of the construction itself appear; the generic
-    box and validity rows (0 < a_i <= 1, total above two) are appended
-    separately by the feasibility search.
+    Each row of :func:`_block_rows` expanded into its supports, which
+    come block by block in lexicographic order.  Only the inequalities
+    of the construction itself appear; the generic box and validity rows
+    (0 < a_i <= 1, total above two) are appended separately by the
+    feasibility search.
     """
     n = spec.n
-    if spec.family == FAMILY_KAPRANOV:
-        rep = kapranov_weights(spec.r, spec.s, n)
-        cons = []
-        for i, value in enumerate(rep.weights):
-            unit = tuple(Fraction(1 if j == i else 0) for j in range(n))
-            cons.append(Constraint(unit, "=", value))
-        return LinearSystem(n, tuple(cons))
-    return LinearSystem(
-        n,
-        tuple(
-            _sum_gt_one(support, n) if big else _sum_le_one(support, n)
-            for support, big in _threshold_rows(spec)
-        ),
-    )
+    blocks = _slot_blocks(spec)
+    rows = []
+    for row in _block_rows(spec):
+        choices = [combinations(block, abs(c)) for c, block in zip(row.coeffs, blocks)]
+        for parts in product(*choices):
+            coeffs = [Fraction(0)] * n
+            for c, part in zip(row.coeffs, parts):
+                for slot in part:
+                    coeffs[slot - 1] = Fraction(1 if c > 0 else -1)
+            rows.append(Constraint(tuple(coeffs), row.rel, row.bound))
+    return LinearSystem(n, tuple(rows))
 
 
 def _meets_conditions(spec: FamilySpec, w: WeightData) -> bool:
     """Whether w satisfies every row of :func:`family_conditions`.
 
-    Threshold rows are checked as integer sums of ``w.scaled()`` against
-    its cap, the Kapranov equality rows by exact substitution.
+    Each block row holds on all its supports exactly when it holds at the
+    extreme ones: the largest sum takes the |c| largest weights of a block
+    with positive column c and the |c| smallest of one with negative c,
+    the smallest sum the reverse.  No support is enumerated.
     """
-    if spec.family == FAMILY_KAPRANOV:
-        return evaluate(family_conditions(spec), w.weights)
-    scaled, cap = w.scaled()
-    return all(
-        (sum(scaled[i - 1] for i in support) > cap) == big
-        for support, big in _threshold_rows(spec)
-    )
+    blocks = [
+        sorted(w.weights[slot - 1] for slot in block) for block in _slot_blocks(spec)
+    ]
+
+    def extreme(coeffs, top: bool) -> Fraction:
+        total = Fraction(0)
+        for c, ordered in zip(coeffs, blocks):
+            if c:
+                picked = ordered[-abs(c):] if (c > 0) == top else ordered[: abs(c)]
+                total += (1 if c > 0 else -1) * sum(picked)
+        return total
+
+    for row in _block_rows(spec):
+        high, low = extreme(row.coeffs, True), extreme(row.coeffs, False)
+        bound = row.bound
+        holds = {"<=": high <= bound, "<": high < bound, "=": low == high == bound}
+        if not holds[row.rel]:
+            return False
+    return True
 
 
 def _closed_form(spec: FamilySpec) -> WeightData:
@@ -322,9 +341,8 @@ def representative_weights(spec: FamilySpec) -> WeightData:
     Closed forms, chosen strictly inside the condition region wherever
     the region has interior (threshold equalities are kept only where
     the conditions force them).  Every returned datum is re-checked
-    against every row of :func:`family_conditions`: the threshold rows
-    as integer sums over the scaled weights, the Kapranov equality rows
-    by exact substitution.
+    against every row of :func:`family_conditions`, each block row at its
+    extreme supports (see :func:`_meets_conditions`).
     """
     rep = _closed_form(spec)
     require_valid(rep)
@@ -335,60 +353,43 @@ def representative_weights(spec: FamilySpec) -> WeightData:
     return rep
 
 
-def _box_and_validity_rows(n: int) -> list[Constraint]:
+def _box_and_validity_rows(blocks) -> list[Constraint]:
+    """0 < x_b <= 1 per column and total weight above two, over columns
+    standing for the given slot blocks."""
+    m = len(blocks)
     rows: list[Constraint] = []
-    for i in range(n):
-        unit = tuple(Fraction(1 if j == i else 0) for j in range(n))
+    for b in range(m):
+        unit = tuple(int(j == b) for j in range(m))
         rows.append(Constraint(tuple(-u for u in unit), "<", Fraction(0)))
         rows.append(Constraint(unit, "<=", ONE))
-    rows.append(
-        Constraint(tuple(Fraction(-1) for _ in range(n)), "<", Fraction(-2))
-    )
+    rows.append(Constraint(tuple(-len(block) for block in blocks), "<", Fraction(-2)))
     return rows
-
-
-def _slot_blocks(spec: FamilySpec) -> tuple[tuple[int, ...], ...]:
-    """Slot groups under which the family's condition system is symmetric."""
-    n = spec.n
-    if spec.family == FAMILY_KAPRANOV:
-        r = spec.r
-        return (
-            tuple(range(1, n - r)),
-            (n - r,),
-            tuple(range(n - r + 1, n + 1)),
-        )
-    if spec.family == FAMILY_SYM:
-        return (tuple(range(1, n)), (n,))
-    return ((1, 2, 3), tuple(range(4, n + 1)))
 
 
 def feasible_representative(spec: FamilySpec) -> WeightData:
     """A representative found by exact linear feasibility, not closed form.
 
-    Cross-check route for :func:`representative_weights`: solves the
-    condition system plus the weight box and validity rows, then
-    re-checks the point against the full system by substitution.
-
-    The search runs in one variable per symmetric slot block: the
-    condition system is invariant under permuting slots within each
-    block, and its solution region is convex, so averaging any solution
-    over the block symmetries yields a block-uniform one — the reduced
-    system is solvable exactly when the full one is.  (The full system
-    is still solved directly if the reduced one comes back infeasible.)
-    Raises :class:`InfeasibleFamilyError` when no solution exists.
+    Cross-check route for :func:`representative_weights`: solves the rows
+    of :func:`_block_rows` plus the weight box and validity rows, in one
+    variable per slot block, then re-checks the point against every
+    condition row.  The condition system is invariant under permuting
+    slots within each block, so this decides the per-slot system (see
+    :func:`hassett.weights._solve_over_classes`).  If the block rows come
+    back infeasible, the per-slot system of :func:`family_conditions` is
+    still solved directly.  Raises :class:`InfeasibleFamilyError` when no
+    solution exists.
     """
     n = spec.n
-    full_rows = list(family_conditions(spec).constraints)
-    full_rows += _box_and_validity_rows(n)
-    block_of = {}
-    for b, block in enumerate(_slot_blocks(spec)):
-        for slot in block:
-            block_of[slot] = b
-    weights = _blocked_feasibility(
-        n, full_rows, [block_of[slot] for slot in range(1, n + 1)]
+    blocks = _slot_blocks(spec)
+    weights = _solve_over_classes(
+        blocks, _block_rows(spec) + _box_and_validity_rows(blocks)
     )
     if weights is None:
-        weights = solve_feasibility(LinearSystem(n, tuple(full_rows)))
+        slots = [(slot,) for slot in range(1, n + 1)]
+        full_rows = family_conditions(spec).constraints + tuple(
+            _box_and_validity_rows(slots)
+        )
+        weights = solve_feasibility(LinearSystem(n, full_rows))
         if weights is None:
             raise InfeasibleFamilyError(
                 f"condition system for {spec.notation()} is infeasible"

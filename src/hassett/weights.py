@@ -10,6 +10,13 @@ The *chamber signature* of a datum is the family of index sets
 S (|S| >= 2) whose weights sum to at most 1. Two data with equal signatures
 define the same moduli problem (fine equivalence); in genus 0 the coarse
 space only sees the sets of size >= 3 (coarse equivalence).
+
+Reductions up to equivalence are decided by exact linear feasibility over
+a chamber's conditions. Those rows are written over *weight classes*, the
+slots of equal weight (across every datum involved): a set's membership in
+a signature depends only on its type, its count of slots per class, so
+there is one row per maximal-small or minimal-big type and one variable
+per class, never one per subset or per slot.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import product
 from math import lcm
 
 from hassett import kernels
@@ -264,64 +271,100 @@ def reduction_exists(a: WeightData, b: WeightData) -> bool:
     return all(x >= y for x, y in zip(a.weights, b.weights))
 
 
-def _signature_antichains(
-    sig: frozenset[frozenset[int]], n: int, min_size: int
-) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
-    """Maximal small sets and minimal big sets of sizes >= min_size.
+def _slot_classes(*data: WeightData) -> tuple[tuple[int, ...], ...]:
+    """The 1-based slots grouped by equal weight tuple across ``data``,
+    numbered in order of each class's first slot.
 
-    Together with nonnegativity these two antichains pin the full signature:
-    subsets of small sets stay small, supersets of big sets stay big.
+    The classes refine every datum's classes of equal weight, so whether a
+    set is in a datum's signature depends only on its *type*: its count of
+    slots in each class.
     """
-    universe = range(1, n + 1)
-    smalls = {s for s in sig if len(s) >= min_size}
-    maximal = [
-        s
-        for s in smalls
-        if not any(x not in s and s | {x} in smalls for x in universe)
-    ]
-    minimal: list[frozenset[int]] = []
-    for size in range(min_size, n + 1):
-        for combo in combinations(universe, size):
-            s = frozenset(combo)
-            if s in smalls:
-                continue
-            if size == min_size or all(s - {x} in smalls for x in s):
-                minimal.append(s)
+    groups: dict[tuple[Fraction, ...], list[int]] = {}
+    for slot, key in enumerate(zip(*(w.weights for w in data)), start=1):
+        groups.setdefault(key, []).append(slot)
+    return tuple(map(tuple, groups.values()))
+
+
+def _chamber_types(
+    w: WeightData, classes: tuple[tuple[int, ...], ...], min_size: int
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The maximal-small and minimal-big types of sizes >= min_size.
+
+    A type counts members per class of ``classes``, which must refine w's
+    classes of equal weight. A set is maximal small (minimal big) exactly
+    when its type is: adding a slot of class c moves the type by one in
+    column c. Together with nonnegativity these two antichains pin the
+    signature: subsets of small sets stay small, supersets of big sets stay
+    big. One pass over the prod(|class| + 1) type vectors.
+    """
+    scaled, cap = w.scaled()
+    values = [scaled[block[0] - 1] for block in classes]
+    maximal: list[tuple[int, ...]] = []
+    minimal: list[tuple[int, ...]] = []
+    for t in product(*(range(len(block) + 1) for block in classes)):
+        size = sum(t)
+        if size < min_size:
+            continue
+        total = sum(k * v for k, v in zip(t, values))
+        if total <= cap:
+            if all(
+                k == len(block) or total + v > cap
+                for k, block, v in zip(t, classes, values)
+            ):
+                maximal.append(t)
+        elif size == min_size or all(
+            k == 0 or total - v <= cap for k, v in zip(t, values)
+        ):
+            minimal.append(t)
     return maximal, minimal
 
 
-def _blocked_feasibility(
-    num_vars: int,
-    cons: list[Constraint],
-    var_class,
+def _solve_over_classes(
+    classes: tuple[tuple[int, ...], ...], rows: list[Constraint]
 ) -> tuple[Fraction, ...] | None:
-    """Exact feasibility with variables tied inside equal-key classes.
+    """Solve rows written over class columns; spread the answer to slots.
 
-    ``var_class[v]`` is a hashable key; variables sharing a key are
-    replaced by one block variable and duplicate rows are merged.  This
-    is sound whenever the constraint set is invariant under every
-    permutation of variables that preserves the keys: the solution set
-    is convex, so averaging any solution over those permutations yields
-    a block-uniform solution, and the reduced system is feasible exactly
-    when the full one is.  Callers guarantee that invariance.
+    Column c of a row stands for every slot of ``classes[c]``: a per-slot
+    row projects onto it by summing its coefficients over each class. The
+    caller's per-slot system must be invariant under every permutation of
+    slots within classes. Its solution set is convex, so averaging any
+    solution over those permutations gives a class-uniform one; and at a
+    class-uniform point every per-slot row reads as its projection. So the
+    class rows are feasible exactly when the per-slot system is, and a
+    class solution spread back to slots solves the per-slot system.
+    Duplicate rows are dropped; a witness is ``None`` when infeasible.
     """
-    keys: dict = {}
-    for key in var_class:
-        keys.setdefault(key, len(keys))
-    index = [keys[k] for k in var_class]
-    m = len(keys)
-    reduced: dict[tuple, Constraint] = {}
-    for row in cons:
-        coeffs = [Fraction(0)] * m
-        for v, c in enumerate(row.coeffs):
-            if c:
-                coeffs[index[v]] += c
-        key = (tuple(coeffs), row.rel, row.bound)
-        reduced.setdefault(key, Constraint(tuple(coeffs), row.rel, row.bound))
-    sol = solve_feasibility(LinearSystem(m, tuple(reduced.values())))
+    system = LinearSystem(len(classes), tuple(dict.fromkeys(rows)))
+    sol = solve_feasibility(system)
     if sol is None:
         return None
-    return tuple(sol[index[v]] for v in range(num_vars))
+    point = {slot: value for value, block in zip(sol, classes) for slot in block}
+    return tuple(point[slot] for slot in range(1, len(point) + 1))
+
+
+def _chamber_rows(
+    w: WeightData,
+    classes: tuple[tuple[int, ...], ...],
+    min_size: int,
+    caps: list[Fraction],
+) -> list[Constraint]:
+    """Rows over class columns cutting out w's chamber (sizes >= min_size).
+
+    Per class c: 0 <= x_c <= caps[c]; then validity, one row per
+    maximal-small type (sum <= 1) and one per minimal-big type (sum > 1).
+    """
+    m = len(classes)
+    rows: list[Constraint] = []
+    for c, cap in enumerate(caps):
+        unit = tuple(int(j == c) for j in range(m))
+        rows.append(Constraint(tuple(-u for u in unit), "<=", Fraction(0)))
+        rows.append(Constraint(unit, "<=", cap))
+    total = tuple(-len(block) for block in classes)
+    rows.append(Constraint(total, "<", Fraction(2 * w.genus - 2)))
+    maximal, minimal = _chamber_types(w, classes, min_size)
+    rows += [Constraint(t, "<=", ONE) for t in maximal]
+    rows += [Constraint(tuple(-k for k in t), "<", -ONE) for t in minimal]
+    return rows
 
 
 def reduction_exists_up_to_equivalence(
@@ -332,8 +375,9 @@ def reduction_exists_up_to_equivalence(
     Marking labels are fixed: slot i of b' compares against slot i of both
     inputs. Callers wanting relabelings permute b themselves. The witness is
     found by exact linear feasibility over the chamber conditions of b's
-    signature (its maximal-small and minimal-big antichains), re-verified by
-    substitution before returning.
+    signature (its maximal-small and minimal-big types), in one variable per
+    class of slots with equal (a_i, b_i), and re-verified by substitution
+    before returning.
     """
     if mode not in ("fine", "coarse"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -342,36 +386,10 @@ def reduction_exists_up_to_equivalence(
     require_valid(b)
     if mode == "coarse" and a.genus != 0:
         raise ValueError("coarse equivalence is a genus-0 notion")
-    n = a.n
     min_size = 2 if mode == "fine" else 3
-    maximal, minimal = _signature_antichains(chamber_signature(b), n, min_size)
-
-    def indicator(s: frozenset[int], sign: int) -> tuple[Fraction, ...]:
-        return tuple(
-            Fraction(sign if i in s else 0) for i in range(1, n + 1)
-        )
-
-    cons: list[Constraint] = []
-    for i in range(n):
-        unit = tuple(Fraction(1 if j == i else 0) for j in range(n))
-        neg = tuple(-u for u in unit)
-        cons.append(Constraint(neg, "<=", Fraction(0)))
-        cons.append(Constraint(unit, "<=", min(a.weights[i], ONE)))
-    cons.append(
-        Constraint(
-            tuple(Fraction(-1) for _ in range(n)),
-            "<",
-            Fraction(2 * a.genus - 2),
-        )
-    )
-    for s in maximal:
-        cons.append(Constraint(indicator(s, 1), "<=", ONE))
-    for s in minimal:
-        cons.append(Constraint(indicator(s, -1), "<", -ONE))
-    # Slots with equal (a_i, b_i) weight pairs are interchangeable in
-    # every row above, so the search may tie them (see _blocked_feasibility).
-    var_class = [(a.weights[i], b.weights[i]) for i in range(n)]
-    witness = _blocked_feasibility(n, cons, var_class)
+    classes = _slot_classes(a, b)
+    caps = [min(a.weights[block[0] - 1], ONE) for block in classes]
+    witness = _solve_over_classes(classes, _chamber_rows(b, classes, min_size, caps))
     if witness is None:
         return None
     b_prime = WeightData(a.genus, witness)
@@ -393,9 +411,10 @@ def chamber_reduction_exists(
     Unlike :func:`reduction_exists_up_to_equivalence`, BOTH sides range over
     their full equivalence chambers, so the answer depends only on the
     chambers of the inputs: replacing either datum by an equivalent one
-    cannot change the result. One joint exact feasibility system in 2n
-    variables decides it; the witness pair is re-verified by substitution
-    before returning. Returns None when no such pair exists.
+    cannot change the result. One joint exact feasibility system decides
+    it, in one x and one y variable per class of slots with equal
+    (a_i, b_i); the witness pair is re-verified by substitution before
+    returning. Returns None when no such pair exists.
     """
     if mode not in ("fine", "coarse"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -406,45 +425,18 @@ def chamber_reduction_exists(
         raise ValueError("coarse equivalence is a genus-0 notion")
     n = a.n
     min_size = 2 if mode == "fine" else 3
-    cons: list[Constraint] = []
-
-    def chamber_rows(w: WeightData, offset: int) -> None:
-        maximal, minimal = _signature_antichains(
-            chamber_signature(w), n, min_size
-        )
-        for i in range(n):
-            unit = [Fraction(0)] * (2 * n)
-            unit[offset + i] = Fraction(1)
-            cons.append(Constraint(tuple(-u for u in unit), "<=", Fraction(0)))
-            cons.append(Constraint(tuple(unit), "<=", ONE))
-        validity = [Fraction(0)] * (2 * n)
-        for i in range(n):
-            validity[offset + i] = Fraction(-1)
-        cons.append(Constraint(tuple(validity), "<", Fraction(2 * w.genus - 2)))
-        for s in maximal:
-            row = [Fraction(0)] * (2 * n)
-            for i in s:
-                row[offset + i - 1] = Fraction(1)
-            cons.append(Constraint(tuple(row), "<=", ONE))
-        for s in minimal:
-            row = [Fraction(0)] * (2 * n)
-            for i in s:
-                row[offset + i - 1] = Fraction(-1)
-            cons.append(Constraint(tuple(row), "<", -ONE))
-
-    chamber_rows(a, 0)
-    chamber_rows(b, n)
-    for i in range(n):
-        row = [Fraction(0)] * (2 * n)
-        row[n + i] = Fraction(1)
-        row[i] = Fraction(-1)
-        cons.append(Constraint(tuple(row), "<=", Fraction(0)))
-    # Simultaneously permuting slots with equal (a_i, b_i) weight pairs
-    # on both halves maps every row above to another, so the search may
-    # tie such slots (see _blocked_feasibility).
-    var_class = [("x", a.weights[i], b.weights[i]) for i in range(n)]
-    var_class += [("y", a.weights[i], b.weights[i]) for i in range(n)]
-    witness = _blocked_feasibility(2 * n, cons, var_class)
+    classes = _slot_classes(a, b)
+    m = len(classes)
+    pad = (0,) * m
+    x_rows = _chamber_rows(a, classes, min_size, [ONE] * m)
+    y_rows = _chamber_rows(b, classes, min_size, [ONE] * m)
+    rows = [Constraint(r.coeffs + pad, r.rel, r.bound) for r in x_rows]
+    rows += [Constraint(pad + r.coeffs, r.rel, r.bound) for r in y_rows]
+    for c in range(m):  # y_c <= x_c
+        unit = tuple(int(j == c) for j in range(m))
+        rows.append(Constraint(tuple(-u for u in unit) + unit, "<=", Fraction(0)))
+    both = classes + tuple(tuple(slot + n for slot in block) for block in classes)
+    witness = _solve_over_classes(both, rows)
     if witness is None:
         return None
     x = WeightData(a.genus, witness[:n])

@@ -14,6 +14,9 @@ stable, and ``close_permutations`` closes breadth-first under a size limit.
 by a Schreier-Sims chain, without listing it. The package accepts only
 transposition generators and takes the order from the orbits.
 
+``signature_antichains`` lists the maximal small and minimal big sets
+that pin a signature; the package lists their types over weight classes.
+
 ``backtrack_relabeling`` searches the fingerprint-respecting slot
 bijections for one that carries a signature onto another. The package
 builds one such bijection in closed form and checks it.
@@ -39,6 +42,32 @@ def brute_signature(weights: list[Fraction]) -> set[frozenset[int]]:
             if sum(weights[i - 1] for i in combo) <= ONE:
                 out.add(frozenset(combo))
     return out
+
+
+def signature_antichains(
+    weights: list[Fraction], min_size: int
+) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
+    """The maximal small sets and the minimal big sets of sizes >= min_size
+    of the signature of ``weights``, by testing every set: a small set is
+    maximal when adding any slot makes it big; a big set is minimal when it
+    has min_size members or removing any slot makes it small."""
+    n = len(weights)
+    universe = range(1, n + 1)
+    smalls = {s for s in brute_signature(weights) if len(s) >= min_size}
+    maximal = [
+        s
+        for s in smalls
+        if not any(x not in s and s | {x} in smalls for x in universe)
+    ]
+    minimal: list[frozenset[int]] = []
+    for size in range(min_size, n + 1):
+        for combo in combinations(universe, size):
+            s = frozenset(combo)
+            if s in smalls:
+                continue
+            if size == min_size or all(s - {x} in smalls for x in s):
+                minimal.append(s)
+    return maximal, minimal
 
 
 def brute_window(

@@ -430,6 +430,22 @@ class TestInputHandling:
         rc, _, err = run_cli("validate", "--input", str(path))
         assert rc == 2 and "not JSON" in err
 
+    @pytest.mark.parametrize("verb", ["validate", "signature", "divisors", "aut"])
+    @pytest.mark.parametrize("genus", [1, 2])
+    @pytest.mark.parametrize("form", ["json", "text"])
+    def test_empty_weights_mean_no_markings(self, tmp_path, verb, genus, form):
+        # an empty --weights value answers as a file with no weights does
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"genus": genus, "weights": []}), encoding="utf-8")
+        from_file = run_cli(verb, "--input", str(path), "--format", form)
+        inline = run_cli(verb, "--genus", str(genus), "--weights", "", "--format", form)
+        assert inline == from_file
+        assert inline[0] == (0 if genus == 2 else 1)
+
+    def test_empty_weight_between_commas_rejected(self):
+        rc, out, err = run_cli("aut", "--genus", "2", "--weights", "1/2,,1/2")
+        assert rc == 2 and out == "" and "exact rational" in err
+
     def test_unknown_verb_and_bad_format(self):
         assert run_cli("frobnicate")[0] == 2
         assert run_cli("aut", *DEL_PEZZO, "--format", "yaml")[0] == 2
@@ -477,6 +493,9 @@ G1_ZEROS = ("--genus", "1", "--weights", "1/2,1/3,0,1/4,1/5,1/6,0,3/4")
 G0_DIV = ("--genus", "0", "--weights", "1/2,1/3,0,1/4,2/3,1/5,1,0")
 G2_DIV = ("--genus", "2", "--weights", "1/2,0,1/3,1/4,1,1/5,2/3")
 G3_DIV = ("--genus", "3", "--weights", "1/3,1/2,0,1/4,1,1/6")
+# kapranov:r=1,s=2,n=7 factors; the keel:h=0,n=7 representative does not
+FACTORS_TRUE = ("--genus", "0", "--weights", "1/5,1/5,1/5,1/5,1/5,2/5,1")
+FACTORS_FALSE = ("--genus", "0", "--weights", "11/20,11/20,11/20,1/10,1/10,1/10,1/10")
 
 # sha256 of stdout as (JSON, text); the text of ``divisors`` ignores
 # ``--trees``, so each such pair shares its text digest
@@ -537,12 +556,76 @@ STDOUT_SHA256 = {
         "9f4a713a0b61502873ba02656edbbdaa2bbbe03a0e0edca2ea530c4f77e770b0",
         "f7777ff88d85bf226e408136d862521d72b9c44d70a76c0703ec30201a18d59b",
     ),
+    # the Fourier-Motzkin verbs: one feasible spec per row shape (Kapranov
+    # r=1 and r>=2, sym, Keel h=0, heavy-anchored, exchange, pure-light)
+    ("feasible", "kapranov:r=1,s=2,n=7"): (
+        "d4e104223709613895b62ac80d280c8947cffb4bcb3900b3634ac5ebe6580b84",
+        "dce01c497cede48bacd62ac2cc38ae7eb18bdb68aad46fa2bc888c363ac52fb2",
+    ),
+    ("feasible", "kapranov:r=2,s=2,n=7"): (
+        "0b382ec44a6d7a303a09c5c0d672af6fe8b9d6952dd44d742361286313ee241f",
+        "5c55e323795130486260a8dbbacc2e614afdc54ca0d75742bccf58c41df304c2",
+    ),
+    ("feasible", "sym:k=2,n=7"): (
+        "2788938df00ce71df579aa09fac2bdba87efe6541b6b6ff02e2f06682a25d42d",
+        "4754971009859dffa4babbfb90499b76ee610b485c7878e3c6abfa3c25d06f5e",
+    ),
+    ("feasible", "keel:h=0,n=7"): (
+        "81df0d1b664dbf18b727716fdab6ad1f8b4d243cf0b30bf550ee65596848b5a9",
+        "ce9095e4d797e3773242f9d674ccaeabb3df346c97d8ac578a1399f91e0a2155",
+    ),
+    ("feasible", "keel:h=2,n=7"): (
+        "4cb20831163e50de603fb72777f9909d620371bd99e361db6608c5a37e388851",
+        "eda2335564726cc3f942412da6f80a5ef697263b61786e32b0c1df9c2dd21dc0",
+    ),
+    ("feasible", "keel:h=4,n=7"): (
+        "954df63bb5706d709e1a1b0f037b95e8c8afe55d9c371dcf286cef74fbe89313",
+        "6d8b111be89498e0c8c27aa8437c2817e7f437341f00252db724e4eb3f5cedeb",
+    ),
+    ("feasible", "keel:h=5,n=7"): (
+        "39fa6543226519a84626f65282e564e5ecb9497b572d4487dc8f8fd88bedc64d",
+        "8fc4a8bb7c1056ca6c983a41941eec742ffcd57f03f3f5f266617bece684261f",
+    ),
+    ("factors-kapranov", *FACTORS_TRUE): (
+        "1489a43fdff9b41c611b0aeb85103cf0b8265c7df47c1d24f43b97026232d41b",
+        "5035a402580966e07941fa471f25abf4c93e027c6fd81990ecc876b56c62e5da",
+    ),
+    ("factors-kapranov", *FACTORS_FALSE): (
+        "0baf14db12442d26de646d90d8d53af5d2311652955a2063da85b51d83c23c06",
+        "12c9d906796f3b64954a929896b3e7ac460429831fa1126242ac1f18fb1b9afd",
+    ),
+    ("verify-l1", "5"): (
+        "8c47577b0943150fba5838a8667c22710a6535d0fb8a04c2da65283886318fc6",
+        "1927aecd2847be3828d49459a245fd9f2178ac7a3ed0eca7205e0ad21fa0a5b0",
+    ),
+    ("verify-l1", "6"): (
+        "7cc548ae90d2fbfdf9578d693601d01fc2c17fb31886222f12b1cee2d2677980",
+        "1139028d093a0d1fee5607534eda92308c7404dc304cd2933e13d93293f58c08",
+    ),
+    ("verify-l1", "7"): (
+        "558c5f91943e23fab5dc7878025ed7a7e2e6f9f516c6b6408778b77781494664",
+        "c9eaabdf9b4fe8a979f32f8fa8cadb063af645ca61ace881da7fb54e6c1bd46d",
+    ),
+    ("verify-l1", "8"): (
+        "e9832c3b8b16ccd8202269ace513947aa1949e5dd4d5e8ba9558a3fbc824ca74",
+        "b0dba1642e2b90a02e9a24ecfad5f62c82c03a3cc174459fcd904176f0e61e53",
+    ),
+    ("verify-l1", "9"): (
+        "dc598c983ec0c5ddccb919dfbbf24bac74d20a753539f3aed43981391d01fcf1",
+        "6e4fe3d0331db2f48c97230bd2d04d653fd548b5c1062c2bce3fa93369c32426",
+    ),
+    ("verify-l1", "10"): (
+        "0a4d1c49afa19d304f185c34a2475d3f2df1ed3cd3f43ab3f855ca28dd409203",
+        "c11678d7463237ed1589a8b95207f7a881475e2c51f61c43792303e2845480b4",
+    ),
 }
 
 
 class TestStdoutPinned:
-    """Stdout digests of the set-listing verbs, in both output forms: zero
-    weights, splits of positive genus and divisor trees included."""
+    """Stdout digests of the set-listing verbs and of the Fourier-Motzkin
+    verbs (``feasible``, ``factors-kapranov``, ``verify-l1``), in both
+    output forms: zero weights, splits of positive genus and divisor trees
+    included."""
 
     @pytest.mark.parametrize(
         "argv",

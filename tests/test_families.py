@@ -159,8 +159,8 @@ class TestFamilyConditions:
                 [("gt", frozenset(p)) for p in combinations((1, 2, 3), 2)]
                 + [
                     ("le" if size < 3 else "gt", frozenset({i, *p}))
-                    for i in (1, 2, 3)
                     for size in (1, 2, 3)
+                    for i in (1, 2, 3)
                     for p in combinations((4, 5, 6), size)
                 ],
             ),
@@ -178,9 +178,29 @@ class TestFamilyConditions:
     )
     def test_row_order(self, spec, expected):
         # Rows come in construction order: the pair rows first, then by
-        # anchor, by packet size and lexicographically within a size.
+        # packet size, by anchor and lexicographically within a size.
         rows = [row_support(c) for c in family_conditions(spec).constraints]
         assert rows == expected
+
+    @pytest.mark.parametrize(
+        "spec",
+        [spec for n in range(5, 11) for spec in family_grid(n)]
+        + [FamilySpec("keel", 5, (3,))],
+        ids=FamilySpec.notation,
+    )
+    def test_block_rows_are_projected_set_rows(self, spec):
+        # per-slot condition and box rows, summed over each slot block,
+        # give exactly the block rows the feasibility search solves
+        n = spec.n
+        blocks = families._slot_blocks(spec)
+        per_slot = family_conditions(spec).constraints
+        per_slot += tuple(families._box_and_validity_rows([(i,) for i in range(1, n + 1)]))
+        projected = {
+            (tuple(sum(c.coeffs[i - 1] for i in block) for block in blocks), c.rel, c.bound)
+            for c in per_slot
+        }
+        block_rows = families._block_rows(spec) + families._box_and_validity_rows(blocks)
+        assert projected == {(c.coeffs, c.rel, c.bound) for c in block_rows}
 
     def test_kapranov_conditions_pin_representative(self):
         system = family_conditions(kapranov_spec(1, 2, 5))
@@ -311,7 +331,7 @@ class TestIntegerConditionCheck:
     def test_bad_feasibility_witness_is_caught(self, monkeypatch):
         spec = sym_spec(1, 6)
         off = representative_weights(sym_spec(2, 6)).weights
-        monkeypatch.setattr(families, "_blocked_feasibility", lambda *args: off)
+        monkeypatch.setattr(families, "_solve_over_classes", lambda *args: off)
         with pytest.raises(RuntimeError, match="failed re-checking"):
             feasible_representative(spec)
 

@@ -250,6 +250,63 @@ class TestChamberReduction:
         assert (r1 is None) == (r2 is None)
 
 
+# (genus, a, b, fine witness of reduction_exists_up_to_equivalence, fine
+# pair of chamber_reduction_exists); no verb reaches fine mode, so these
+# pin its witnesses, as the engine gave them before its rows were written
+# over weight classes
+FINE_WITNESSES = [
+    (
+        0,
+        "1,1,1,1/2,1/2,1/2",
+        "1/2,1/2,1/3,1/3,1/3,1/4",
+        "7/16,7/16,5/16,5/16,5/16,5/16",
+        ("51/64,51/64,51/64,13/32,13/32,29/64", "7/16,7/16,5/16,5/16,5/16,5/16"),
+    ),
+    (
+        0,
+        "1,1,1/2,1/2,1/3,1/3",
+        "1/2,1/2,1/3,1/3,1/3,1/3",
+        "11/24,11/24,5/16,5/16,7/24,7/24",
+        ("205/256,205/256,13/32,13/32,51/128,51/128", "29/64,29/64,5/16,5/16,19/64,19/64"),
+    ),
+    (
+        0,
+        "1/3,1/3,1/3,2/3,1",
+        "1/4,1/4,1/4,1/2,1",
+        "5/18,5/18,5/18,1/3,11/12",
+        ("1/4,1/4,1/4,5/8,63/64", "1/6,1/6,1/6,9/16,31/32"),
+    ),
+    (
+        1,
+        "1/2,1/2,0,1/3,1/3",
+        "1/3,1/3,0,1/4,1/4",
+        "3/8,3/8,0,1/6,1/6",
+        ("3/8,3/8,3/32,13/32,13/32", "77/256,77/256,3/64,17/64,17/64"),
+    ),
+    (
+        2,
+        "1,1/2,1/2,0",
+        "1/3,1/4,1/4,0",
+        "1/4,1/4,1/4,0",
+        ("23/32,5/16,5/16,1/4", "1/6,1/4,1/4,1/6"),
+    ),
+    (0, "1/5,1/5,1/5,1/5,1/5,2/5,1", "1,1,1,1,1,1,1", None, None),
+]
+
+
+class TestFineWitnessesPinned:
+    @pytest.mark.parametrize("genus,a,b,single,pair", FINE_WITNESSES)
+    def test_witnesses(self, genus, a, b, single, pair):
+        a, b = wd(genus, *a.split(",")), wd(genus, *b.split(","))
+        found = reduction_exists_up_to_equivalence(a, b, mode="fine")
+        assert found == (None if single is None else wd(genus, *single.split(",")).weights)
+        found_pair = chamber_reduction_exists(a, b, mode="fine")
+        if pair is None:
+            assert found_pair is None
+        else:
+            assert found_pair == tuple(wd(genus, *p.split(",")) for p in pair)
+
+
 class TestForgetful:
     def test_positive_genus_example(self):
         w = wd(1, "1/3", 0)
