@@ -11,12 +11,15 @@ S (|S| >= 2) whose weights sum to at most 1. Two data with equal signatures
 define the same moduli problem (fine equivalence); in genus 0 the coarse
 space only sees the sets of size >= 3 (coarse equivalence).
 
-Reductions up to equivalence are decided by exact linear feasibility over
-a chamber's conditions. Those rows are written over *weight classes*, the
-slots of equal weight (across every datum involved): a set's membership in
-a signature depends only on its type, its count of slots per class, so
-there is one row per maximal-small or minimal-big type and one variable
-per class, never one per subset or per slot.
+A chamber is cut out by rows written over *weight classes*, the slots of
+equal weight (across every datum involved): a set's membership in a
+signature depends only on its type, its count of slots per class, so
+there is one row per maximal-small or minimal-big type and one column per
+class, never one per subset or per slot. Reductions up to equivalence
+solve such rows by exact linear feasibility. Equivalence checks the rows
+of one datum's chamber against the other datum, each row at the largest
+and smallest sums its supports reach (:func:`_meets_class_rows`), and
+enumerates no subset.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import lcm
+from itertools import accumulate, product
+from math import lcm, prod
 
 from hassett import kernels
 from hassett.linear import Constraint, LinearSystem, solve_feasibility
@@ -241,26 +244,21 @@ def _check_comparable(w1: WeightData, w2: WeightData) -> None:
 
 
 def fine_equivalent(w1: WeightData, w2: WeightData) -> bool:
-    """Equal chamber signatures: the two data define the same moduli problem."""
-    _check_comparable(w1, w2)
-    require_valid(w1)
-    require_valid(w2)
-    # both lists are in canonical order, so equal sets give equal lists
-    return _signature_sets(w1) == _signature_sets(w2)
+    """Equal chamber signatures: the two data define the same moduli problem.
+    Decided on class rows by :func:`_same_chamber`."""
+    return _same_chamber(w1, w2, 2)
 
 
 def coarse_equivalent_genus0(w1: WeightData, w2: WeightData) -> bool:
     """Equal signatures on sets of size >= 3; genus 0 only.
 
     Pair conditions move marked points onto each other without changing the
-    underlying coarse space, so only the larger sets matter for it.
+    underlying coarse space, so only the larger sets matter for it. Decided
+    on class rows by :func:`_same_chamber`.
     """
     if w1.genus != 0 or w2.genus != 0:
         raise ValueError("coarse equivalence is a genus-0 notion")
-    _check_comparable(w1, w2)
-    require_valid(w1)
-    require_valid(w2)
-    return _signature_sets(w1, 3) == _signature_sets(w2, 3)
+    return _same_chamber(w1, w2, 3)
 
 
 def reduction_exists(a: WeightData, b: WeightData) -> bool:
@@ -367,6 +365,72 @@ def _chamber_rows(
     return rows
 
 
+def _meets_class_rows(
+    w: WeightData, classes: tuple[tuple[int, ...], ...], rows: list[Constraint]
+) -> bool:
+    """Whether w satisfies every class row on every one of its supports.
+
+    Column c of a row takes |k| slots of ``classes[c]``, with sign k. A row
+    holds on all its supports exactly when it holds at the extreme ones:
+    the largest sum takes the |k| largest weights of a class with positive
+    k and the |k| smallest of one with negative k, the smallest sum the
+    reverse. Both are read off each class's sorted weights.
+    """
+    scaled, d = w.scaled()
+    runs = []  # per class: sums of its k smallest and of its k largest weights
+    for block in classes:
+        ordered = sorted(scaled[slot - 1] for slot in block)
+        runs.append((list(accumulate(ordered, initial=0)),
+                     list(accumulate(reversed(ordered), initial=0))))
+    for row in rows:
+        high = low = 0
+        for k, (smallest, largest) in zip(row.coeffs, runs):
+            if k > 0:
+                high += largest[k]
+                low += smallest[k]
+            elif k < 0:
+                high -= smallest[-k]
+                low -= largest[-k]
+        bound = row.bound * d
+        holds = {"<=": high <= bound, "<": high < bound, "=": low == high == bound}
+        if not holds[row.rel]:
+            return False
+    return True
+
+
+def _same_chamber(w1: WeightData, w2: WeightData, min_size: int) -> bool:
+    """Whether two data, once checked comparable and valid, have equal
+    signatures on the sets of sizes >= min_size; no set is listed.
+
+    The rows of one datum's chamber, over its classes of equal weight, are
+    checked against the other (:func:`_meets_class_rows`). Each small set
+    lies in a maximal-small one and each big set contains a minimal-big
+    one, and weights are nonnegative; so meeting those rows puts the other
+    datum in the same chamber. The rows come from the datum with fewer
+    type vectors.
+    """
+    _check_comparable(w1, w2)
+    require_valid(w1)
+    require_valid(w2)
+    c1, c2 = _slot_classes(w1), _slot_classes(w2)
+    if prod(len(b) + 1 for b in c2) < prod(len(b) + 1 for b in c1):
+        w1, w2, c1 = w2, w1, c2
+    rows = _chamber_rows(w1, c1, min_size, [ONE] * len(c1))
+    return _meets_class_rows(w2, c1, rows)
+
+
+def _mode_size(a: WeightData, b: WeightData, mode: str) -> int:
+    """The smallest set size the mode compares, once the pair is checked."""
+    if mode not in ("fine", "coarse"):
+        raise ValueError(f"unknown mode {mode!r}")
+    _check_comparable(a, b)
+    require_valid(a)
+    require_valid(b)
+    if mode == "coarse" and a.genus != 0:
+        raise ValueError("coarse equivalence is a genus-0 notion")
+    return 2 if mode == "fine" else 3
+
+
 def reduction_exists_up_to_equivalence(
     a: WeightData, b: WeightData, mode: str = "fine"
 ) -> tuple[Fraction, ...] | None:
@@ -379,26 +443,14 @@ def reduction_exists_up_to_equivalence(
     class of slots with equal (a_i, b_i), and re-verified by substitution
     before returning.
     """
-    if mode not in ("fine", "coarse"):
-        raise ValueError(f"unknown mode {mode!r}")
-    _check_comparable(a, b)
-    require_valid(a)
-    require_valid(b)
-    if mode == "coarse" and a.genus != 0:
-        raise ValueError("coarse equivalence is a genus-0 notion")
-    min_size = 2 if mode == "fine" else 3
+    min_size = _mode_size(a, b, mode)
     classes = _slot_classes(a, b)
     caps = [min(a.weights[block[0] - 1], ONE) for block in classes]
     witness = _solve_over_classes(classes, _chamber_rows(b, classes, min_size, caps))
     if witness is None:
         return None
     b_prime = WeightData(a.genus, witness)
-    equivalent = (
-        fine_equivalent(b_prime, b)
-        if mode == "fine"
-        else coarse_equivalent_genus0(b_prime, b)
-    )
-    if not equivalent or not reduction_exists(a, b_prime):
+    if not (_same_chamber(b_prime, b, min_size) and reduction_exists(a, b_prime)):
         raise RuntimeError("reduction witness failed re-verification")
     return witness
 
@@ -416,15 +468,8 @@ def chamber_reduction_exists(
     (a_i, b_i); the witness pair is re-verified by substitution before
     returning. Returns None when no such pair exists.
     """
-    if mode not in ("fine", "coarse"):
-        raise ValueError(f"unknown mode {mode!r}")
-    _check_comparable(a, b)
-    require_valid(a)
-    require_valid(b)
-    if mode == "coarse" and a.genus != 0:
-        raise ValueError("coarse equivalence is a genus-0 notion")
+    min_size = _mode_size(a, b, mode)
     n = a.n
-    min_size = 2 if mode == "fine" else 3
     classes = _slot_classes(a, b)
     m = len(classes)
     pad = (0,) * m
@@ -441,8 +486,8 @@ def chamber_reduction_exists(
         return None
     x = WeightData(a.genus, witness[:n])
     y = WeightData(b.genus, witness[n:])
-    same = fine_equivalent if mode == "fine" else coarse_equivalent_genus0
-    if not (same(x, a) and same(y, b) and reduction_exists(x, y)):
+    same = _same_chamber(x, a, min_size) and _same_chamber(y, b, min_size)
+    if not (same and reduction_exists(x, y)):
         raise RuntimeError("chamber reduction witness failed re-verification")
     return x, y
 

@@ -18,8 +18,12 @@ transposition generators and takes the order from the orbits.
 that pin a signature; the package lists their types over weight classes.
 
 ``backtrack_relabeling`` searches the fingerprint-respecting slot
-bijections for one that carries a signature onto another. The package
-builds one such bijection in closed form and checks it.
+bijections for one that carries a signature onto another, and
+``fingerprint_relabeling`` builds one greedily from the per-slot
+fingerprints (how many sets of each size contain the slot). Both read
+signature sets. The package works on the weights instead: it sorts both
+data by weight, merges the source's runs of interchangeable slots, and
+checks the map against the signature sets once.
 
 Nothing here imports ``hassett``; ``tests/test_oracles.py`` checks that.
 """
@@ -300,6 +304,47 @@ def stabilizer_chain_order(gens: list[tuple[int, ...]], degree: int) -> int:
     return order
 
 
+def _fingerprints(sig, n: int) -> list[tuple[int, ...]]:
+    """Per slot 1..n: how many sets of each size in ``sig`` contain it."""
+    table = []
+    for slot in range(1, n + 1):
+        counts = [0] * (n + 1)
+        for s in sig:
+            if slot in s:
+                counts[len(s)] += 1
+        table.append(tuple(counts))
+    return table
+
+
+def fingerprint_relabeling(
+    target: frozenset[frozenset[int]],
+    source: frozenset[frozenset[int]],
+    n: int,
+) -> tuple[int, ...] | None:
+    """The greedy fingerprint-respecting slot map, as a 1-based image tuple,
+    if it carries every set of ``source`` onto exactly ``target``; else None.
+
+    Each source slot, in index order, goes to the smallest free target slot
+    of equal fingerprint.
+    """
+    if len(target) != len(source):
+        return None
+    if Counter(len(s) for s in target) != Counter(len(s) for s in source):
+        return None
+    fp_target = _fingerprints(target, n)
+    fp_source = _fingerprints(source, n)
+    if Counter(fp_target) != Counter(fp_source):
+        return None
+    # free target slots per fingerprint, largest first, so pop() takes the
+    # smallest
+    free: dict[tuple[int, ...], list[int]] = {}
+    for slot in range(n, 0, -1):
+        free.setdefault(fp_target[slot - 1], []).append(slot)
+    sigma = tuple(free[fp].pop() for fp in fp_source)
+    mapped = frozenset(frozenset(sigma[x - 1] for x in s) for s in source)
+    return sigma if mapped == target else None
+
+
 def backtrack_relabeling(
     target: frozenset[frozenset[int]],
     source: frozenset[frozenset[int]],
@@ -317,19 +362,8 @@ def backtrack_relabeling(
         return None
     if Counter(len(s) for s in target) != Counter(len(s) for s in source):
         return None
-
-    def fingerprints(sig) -> list[tuple[int, ...]]:
-        table = []
-        for slot in range(1, n + 1):
-            counts = [0] * (n + 1)
-            for s in sig:
-                if slot in s:
-                    counts[len(s)] += 1
-            table.append(tuple(counts))
-        return table
-
-    fp_target = fingerprints(target)
-    fp_source = fingerprints(source)
+    fp_target = _fingerprints(target, n)
+    fp_source = _fingerprints(source, n)
     if Counter(fp_target) != Counter(fp_source):
         return None
     candidates = [

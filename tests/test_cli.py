@@ -390,6 +390,21 @@ class TestFeasibleVerb:
         rc, _, _ = run_cli("feasible", "keel:h=3,n=5")
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "text,part",
+        [
+            ("kapranov:r=--1,s=2,n=7", "r=--1"),
+            ("sym:k=²,n=7", "k=²"),
+            ("sym:k=٣,n=7", "k=٣"),  # a digit to int(), but not ASCII
+            ("keel:h=+1,n=7", "h=+1"),
+        ],
+    )
+    def test_values_must_be_ascii_integers(self, text, part):
+        rc, out, err = run_cli("feasible", text)
+        key = part.partition("=")[0]
+        assert (rc, out) == (2, "")
+        assert f"expected {key}=<integer>, got {part!r}" in err
+
 
 class TestInputHandling:
     def test_input_file_equals_inline(self, tmp_path):
@@ -618,12 +633,87 @@ STDOUT_SHA256 = {
         "0a4d1c49afa19d304f185c34a2475d3f2df1ed3cd3f43ab3f855ca28dd409203",
         "c11678d7463237ed1589a8b95207f7a881475e2c51f61c43792303e2845480b4",
     ),
+    # classify and aut on one shuffled family representative per n = 5..12
+    # (random.Random(n) picks a member that aut covers and shuffles it)
+    # sym:k=1,n=5
+    ("classify", "--genus", "0", "--weights", "1/2,1/2,1,1/2,1/2"): (
+        "9b69ad054cef6bf41396c701aa987cac7585ef308a1d59d0db99ade91fdfb2e3",
+        "66941e4289f18522a6d69d837580dff7257341b2b1f24f21c2d6cd863ac67ef5",
+    ),
+    ("aut", "--genus", "0", "--weights", "1/2,1/2,1,1/2,1/2"): (
+        "e6f6cbd3db0831f4af831ded4306f0b51a09a05511cd858a1bb89b141f7866c9",
+        "b2d1c146cf5924c1ef62d8b45d65f7580752e4d7abc888b2ecbde4b6733e206f",
+    ),
+    # kapranov:r=1,s=3,n=6
+    ("classify", "--genus", "0", "--weights", "1/4,1/4,1/4,1,3/4,1/4"): (
+        "4e8a592f660162932cedbb0e58ab48e18718978e5b7e7601b89ee9b62a0b092c",
+        "e2c68df2f127ed583c36cf24b6b24b176d7677baa6dfb201a3b946329bccc1e3",
+    ),
+    ("aut", "--genus", "0", "--weights", "1/4,1/4,1/4,1,3/4,1/4"): (
+        "4015e5d530313ffc81a0d71d1c903d8091931232e5f3c25f3aa1b265c73a44ed",
+        "7345202dd38321c43d57d4cd0cd2a9345a09b1dd51f29016612261a6a5f87d57",
+    ),
+    # kapranov:r=2,s=3,n=7
+    ("classify", "--genus", "0", "--weights", "1/4,1/4,1/4,3/4,1/4,1,1"): (
+        "af56dc9969f803fe272180330353458667efb65ecd4973cd856ac5b656817156",
+        "2e040f6015f568dfbd65179c8f25d0302431f19cdab10f6559235967eafc2f81",
+    ),
+    ("aut", "--genus", "0", "--weights", "1/4,1/4,1/4,3/4,1/4,1,1"): (
+        "14294dd80d238338011ee86db85d8ad20404ef3c9e2f3489541509d0afc54afa",
+        "23dd0b7e78d75048f75c257631f5d8cfb3c881bba832fef53ea716fcfdba8667",
+    ),
+    # kapranov:r=2,s=4,n=8
+    ("classify", "--genus", "0", "--weights", "4/5,1/5,1/5,1,1/5,1,1/5,1/5"): (
+        "f0c8f95b4a0b493e8673cb5b8e48315950054df27cf7b5663b18d23b9abd7cb3",
+        "f93650be1bc141f48dd068c6628dbe989265417fad13ed1293b54444621a2c00",
+    ),
+    ("aut", "--genus", "0", "--weights", "4/5,1/5,1/5,1,1/5,1,1/5,1/5"): (
+        "dd0b12d40a3a28bcdde18d6a597a9320ad7d388717e631d5185628350754cd61",
+        "bd1cc2904f30576d42c4a29688c159ee52098f0aa014f3ce6203c2c19659a5c6",
+    ),
+    # kapranov:r=4,s=1,n=9
+    ("classify", "--genus", "0", "--weights", "1,1/4,1/4,1,1/4,1/4,1/4,1,1"): (
+        "af5fe61c0de63fbd3f22a5d13e988ddff45fab2a826e4471e9d55329ea92ff16",
+        "1fc94758deef9d69d0e3af6d793d373e0cbf1942dd00768fd3b9cefe7020f788",
+    ),
+    ("aut", "--genus", "0", "--weights", "1,1/4,1/4,1,1/4,1/4,1/4,1,1"): (
+        "a687415427ec3db11927acddf934a614c237ac0246a1c2a17eadc8264c03ea1d",
+        "a8bb34f68279510bbcd834f1027d341b4d70d2d2a6197fd20fc99e3805fadefa",
+    ),
+    # keel:h=9,n=10
+    ("classify", "--genus", "0", "--weights", "1,2/9,2/9,2/9,2/9,1,2/9,2/9,2/9,2/9"): (
+        "9dfeb34b57732383ce0f6a47709237bf327bd78701352eb18a4bdd18d47c9434",
+        "4105cb93dd2df73b092e0193b7c5d24da9ffebbb7cb3a98b3f18a04563e3e53b",
+    ),
+    ("aut", "--genus", "0", "--weights", "1,2/9,2/9,2/9,2/9,1,2/9,2/9,2/9,2/9"): (
+        "f4fb124706edd6d92ee56c3de11a7d365e1cfd6256ca874ae8195b1858c57609",
+        "52e6f58fbcb3c43e804081c3dddaf193dcc4bbfc81f14e94b2401f1461b9faf3",
+    ),
+    # kapranov:r=5,s=4,n=11
+    ("classify", "--genus", "0", "--weights", "1,1,1,1/5,1/5,1/5,1,1,1/5,4/5,1/5"): (
+        "3f07be83a4cc00807bee0dcf2e61129b064b1da63787a5441aa33efd57257580",
+        "d52b53b18edfc75348a5266c2d9821ccf2ed147073dc226933cd8530072953ec",
+    ),
+    ("aut", "--genus", "0", "--weights", "1,1,1,1/5,1/5,1/5,1,1,1/5,4/5,1/5"): (
+        "f4528238826a39cd91dc34eb888a429952ca331a208e3d74d5edc801e33e82d9",
+        "f19ba48ab8c637658bfcd5534f6d0b9536134758dd5a9c6197df4b4998cb7ce7",
+    ),
+    # kapranov:r=5,s=2,n=12
+    ("classify", "--genus", "0", "--weights", "1/6,1,1,1/6,1/6,1/6,1/6,1,1/3,1/6,1,1"): (
+        "0d426a1501e7446a50dd9adbfbe143d6b28c4f814555d1333cf2811c7bf2a0e0",
+        "41d813733b86d620ca50a98e9460bfd64bcfa5a770e386216d21c275a59e01ab",
+    ),
+    ("aut", "--genus", "0", "--weights", "1/6,1,1,1/6,1/6,1/6,1/6,1,1/3,1/6,1,1"): (
+        "33451fbac5d09180220cb63cf4e246148ca49b08b12a18b54a9c10b0019b17d3",
+        "efb25f7a86327a211c4ec65db7134da5cebf402e041277b959a376748cdcb5e5",
+    ),
 }
 
 
 class TestStdoutPinned:
-    """Stdout digests of the set-listing verbs and of the Fourier-Motzkin
-    verbs (``feasible``, ``factors-kapranov``, ``verify-l1``), in both
+    """Stdout digests of the set-listing verbs, of the Fourier-Motzkin
+    verbs (``feasible``, ``factors-kapranov``, ``verify-l1``) and of the
+    family-table verbs (``classify``, ``aut``) on relabeled inputs, in both
     output forms: zero weights, splits of positive genus and divisor trees
     included."""
 

@@ -31,6 +31,7 @@ from hassett.families import (
 from hassett.linear import evaluate
 from hassett.weights import (
     WeightData,
+    _meets_class_rows,
     chamber_reduction_exists,
     chamber_signature,
     fine_equivalent,
@@ -38,7 +39,7 @@ from hassett.weights import (
     reduction_exists_up_to_equivalence,
     validate,
 )
-from tests.oracles import backtrack_relabeling, brute_signature
+from tests.oracles import backtrack_relabeling, brute_signature, fingerprint_relabeling
 
 
 def brute_coarse_sets(w: WeightData) -> set[frozenset[int]]:
@@ -299,7 +300,9 @@ class TestIntegerConditionCheck:
     def test_matches_evaluate(self, spec, data):
         point = data.draw(condition_points(spec))
         expected = evaluate(family_conditions(spec), point)
-        assert families._meets_conditions(spec, WeightData(0, point)) == expected
+        blocks, rows = families._slot_blocks(spec), families._block_rows(spec)
+        got = _meets_class_rows(WeightData(0, point), blocks, rows)
+        assert got == expected
 
     @pytest.mark.parametrize(
         "spec,other",
@@ -383,20 +386,13 @@ class TestClassify:
         assert classify(a22) == kapranov_spec(2, 2, 6)
         keel_rep = representative_weights(keel_spec(3, 6))
         assert classify(keel_rep) == keel_spec(3, 6)
-        sigma = signature_relabeling(
-            chamber_signature(keel_rep), chamber_signature(a22), 6
-        )
+        sigma = signature_relabeling(keel_rep, a22)
         assert sigma is not None
 
     def test_signature_relabeling_none_on_mismatch(self):
         a = WeightData(0, (F(1, 3),) * 3 + (F(2, 3), F(1)))
         b = WeightData(0, (F(1, 2),) * 3 + (F(1), F(1)))
-        assert (
-            signature_relabeling(
-                chamber_signature(a), chamber_signature(b), 5
-            )
-            is None
-        )
+        assert signature_relabeling(a, b) is None
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -415,11 +411,7 @@ class TestClassify:
         # representative is equivalent to it up to relabeling; families
         # with chamber aliases (the exchange member) may report the alias.
         assert got is not None
-        sigma = signature_relabeling(
-            chamber_signature(w),
-            chamber_signature(representative_weights(got)),
-            n,
-        )
+        sigma = signature_relabeling(w, representative_weights(got))
         assert sigma is not None
 
 
@@ -436,7 +428,8 @@ def grid_signatures(n: int) -> tuple[frozenset[frozenset[int]], ...]:
 
 
 class TestSignatureRelabeling:
-    """The fingerprint-greedy relabeling against the backtracking oracle."""
+    """The relabeling built from sorted weights against the backtracking
+    oracle and the set-based greedy fingerprint oracle."""
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -445,15 +438,18 @@ class TestSignatureRelabeling:
         spec = data.draw(st.sampled_from(list(family_grid(n))))
         perm = data.draw(st.permutations(range(n)))
         weights = representative_weights(spec).weights
-        target = oracle_signature(weights[k] for k in perm)
-        for source in grid_signatures(n):
-            assert signature_relabeling(target, source, n) == backtrack_relabeling(
-                target, source, n
-            )
+        shuffled = WeightData(0, tuple(weights[k] for k in perm))
+        target = oracle_signature(shuffled.weights)
+        for other, source in zip(family_grid(n), grid_signatures(n)):
+            got = signature_relabeling(shuffled, representative_weights(other))
+            assert got == backtrack_relabeling(target, source, n)
+            assert got == fingerprint_relabeling(target, source, n)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_random_pairs_with_few_weight_classes(self, data):
+        # genus 2 makes every weight tuple valid; signatures do not
+        # depend on the genus
         n = data.draw(st.integers(min_value=2, max_value=9))
         value = st.fractions(min_value=F(1, 12), max_value=1, max_denominator=12)
 
@@ -465,10 +461,13 @@ class TestSignatureRelabeling:
         shuffled = data.draw(st.booleans())
         second = data.draw(st.permutations(first)) if shuffled else datum()
         target, source = oracle_signature(first), oracle_signature(second)
-        greedy = signature_relabeling(target, source, n)
-        assert greedy == backtrack_relabeling(target, source, n)
+        got = signature_relabeling(
+            WeightData(2, tuple(first)), WeightData(2, tuple(second))
+        )
+        assert got == backtrack_relabeling(target, source, n)
+        assert got == fingerprint_relabeling(target, source, n)
         if shuffled:
-            assert greedy is not None
+            assert got is not None
 
 
 class TestFactorsKapranov:

@@ -5,11 +5,14 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hassett import families, kernels
+from hassett.families import classify_with_relabeling, kapranov_spec, kapranov_weights
 from hassett.weights import (
     WeightData,
     _chamber_types,
     _slot_classes,
     chamber_signature,
+    coarse_equivalent_genus0,
     fine_equivalent,
     validate,
 )
@@ -118,3 +121,70 @@ def test_chamber_types_match_antichain_oracle(data, min_size):
     got_maximal, got_minimal = _chamber_types(w, classes, min_size)
     assert sorted(got_maximal) == project(maximal)
     assert sorted(got_minimal) == project(minimal)
+
+
+@st.composite
+def comparable_pairs(draw):
+    """Two valid data of genus 0-2 on the same n <= 9 slots. Each weight
+    tuple takes its values from one to four weights (zero may be among
+    them) or has all weights distinct; on half the draws the second datum
+    is the first with each weight moved by -1/97, 0 or +1/97 (kept in
+    [0, 1]), so that equivalent pairs occur."""
+    n = draw(st.integers(min_value=0, max_value=9))
+    distinct = st.fractions(min_value=0, max_value=1, max_denominator=12)
+
+    def weights() -> list[F]:
+        if draw(st.booleans()):
+            return draw(st.lists(distinct, min_size=n, max_size=n, unique=True))
+        values = draw(st.lists(small_fraction, min_size=1, max_size=4))
+        return [draw(st.sampled_from(values)) for _ in range(n)]
+
+    first = weights()
+    if draw(st.booleans()):
+        moves = draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=n, max_size=n))
+        second = [min(max(q + F(d, 97), F(0)), F(1)) for q, d in zip(first, moves)]
+    else:
+        second = weights()
+    total = min(sum(first), sum(second))
+    min_g = 0 if total > 2 else (1 if total > 0 else 2)
+    # the smallest genus on half the draws, so that coarse pairs are common
+    g = min_g if draw(st.booleans()) else draw(st.integers(min_value=min_g, max_value=2))
+    return WeightData(g, tuple(first)), WeightData(g, tuple(second))
+
+
+@given(comparable_pairs())
+@settings(max_examples=300, deadline=None)
+def test_equivalences_match_signature_sets(pair):
+    w1, w2 = pair
+    sig1, sig2 = brute_signature(list(w1.weights)), brute_signature(list(w2.weights))
+    assert fine_equivalent(w1, w2) == (sig1 == sig2)
+    assert fine_equivalent(w2, w1) == (sig1 == sig2)
+    if w1.genus == 0:
+
+        def coarse(sig):
+            return {s for s in sig if len(s) >= 3}
+
+        assert coarse_equivalent_genus0(w1, w2) == (coarse(sig1) == coarse(sig2))
+
+
+def test_equivalence_and_classification_enumerate_no_subset(monkeypatch):
+    # The equivalences and the classification decide on class rows; the
+    # one set check of a relabeled answer reads families.chamber_signature,
+    # served here by the brute-force oracle.
+    def refuse(*args):
+        raise AssertionError("the enumeration kernel was called")
+
+    monkeypatch.setattr(kernels, "enumerate_small_subsets", refuse)
+    monkeypatch.setattr(
+        families, "chamber_signature", lambda w: frozenset(brute_signature(list(w.weights)))
+    )
+    w = kapranov_weights(2, 3, 12)
+    shuffled = WeightData(0, w.weights[::-1])
+    light = WeightData(0, (F(1, 9),) * 11 + (F(1),))
+    assert fine_equivalent(w, w) and not fine_equivalent(w, shuffled)
+    assert coarse_equivalent_genus0(w, w) and not coarse_equivalent_genus0(w, light)
+    identity = tuple(range(1, 13))
+    assert classify_with_relabeling(w) == (kapranov_spec(2, 3, 12), identity)
+    spec, sigma = classify_with_relabeling(shuffled)
+    assert spec == kapranov_spec(2, 3, 12) and sorted(sigma) == list(identity)
+    assert all(w.weights[j] == shuffled.weights[sigma[j] - 1] for j in range(12))
