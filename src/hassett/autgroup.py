@@ -24,7 +24,16 @@ violation windows (1 - max(a_i, a_j) - shift, 1 - min(a_i, a_j) - shift],
 one window per way a packet can touch the pair; the reported witness
 packet is recomputed independently by direct enumeration in canonical
 order (packets avoiding the swapped pair first, ordered by size then
-lexicographically).
+lexicographically).  The enumeration skips every packet size whose
+smallest and largest possible sums, read off prefix sums of the sorted
+other weights and shifted by the touched members, cannot meet the window;
+skipped packets never violate, so the first witness is unchanged.
+
+The decision depends only on the two swapped values and the multiset of
+the other weights, which is the same for every pair of markings carrying
+those two values.  :func:`admissible_generators` therefore decides each
+unordered pair of weight values once and lists every marking pair with
+that value pair.
 
 For the strictly-away reading the admissibility relation on
 positive-weight markings is provably transitive: a violating packet for
@@ -39,7 +48,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import (
+    accumulate,
+    combinations,
+    combinations_with_replacement,
+    product,
+)
 
 from . import kernels
 from .families import classify_with_relabeling
@@ -114,22 +128,46 @@ class AutDescription:
         }
 
 
-def _witness_candidates(n: int, i: int, j: int, exclude_ij: bool):
+def _witness_candidates(
+    scaled: list[int], i: int, j: int, lo: int, hi: int, exclude_ij: bool
+):
     """Packets in canonical reporting order, as sorted index tuples.
 
     Packets drawn away from {i, j} come first, by size then
     lexicographically; under the default literal reading the packets
-    touching i or j follow, in the same order.
+    touching i or j follow, in the same order.  A size is skipped when no
+    packet of that size can sum into the window (lo, hi]: the smallest
+    sum of that many other weights, shifted by the touched members of
+    {i, j}, lies above hi, or the largest lies at or below lo.
     """
+    n = len(scaled)
     others = [x for x in range(1, n + 1) if x != i and x != j]
+    ordered = sorted(scaled[x - 1] for x in others)
+    least = list(accumulate(ordered, initial=0))
+    most = list(accumulate(reversed(ordered), initial=0))
+    s_i, s_j = scaled[i - 1], scaled[j - 1]
+
+    def may_land(size: int, shift: int) -> bool:
+        return (
+            0 <= size <= len(others)
+            and least[size] + shift <= hi
+            and most[size] + shift > lo
+        )
+
     for size in range(2, len(others) + 1):
-        yield from combinations(others, size)
+        if may_land(size, 0):
+            yield from combinations(others, size)
     if exclude_ij:
         return
     for size in range(2, n + 1):
-        for combo in combinations(range(1, n + 1), size):
-            if i in combo or j in combo:
-                yield combo
+        if (
+            may_land(size - 1, s_i)
+            or may_land(size - 1, s_j)
+            or may_land(size - 2, s_i + s_j)
+        ):
+            for combo in combinations(range(1, n + 1), size):
+                if i in combo or j in combo:
+                    yield combo
 
 
 def is_admissible(
@@ -185,7 +223,7 @@ def is_admissible(
     )
     if not violated:
         return True, None
-    for packet in _witness_candidates(n, i, j, exclude_ij):
+    for packet in _witness_candidates(scaled, i, j, lo, hi, exclude_ij):
         total = sum(scaled[k - 1] for k in packet)
         if (s_i + total <= cap) != (s_j + total <= cap):
             return False, frozenset(packet)
@@ -201,14 +239,23 @@ def admissible_generators(
 
     All admissible swaps of positive-weight markings, then all swaps of
     zero-weight markings (which permute freely among themselves), as
-    sorted 1-based pairs.
+    sorted 1-based pairs.  Each unordered pair of positive weight values
+    is decided once, on its first pair of markings, and the answer holds
+    for every marking pair carrying those values: the decision reads only
+    the two values and the multiset of the remaining weights.
     """
     require_valid(w)
-    gens = [
-        (i, j)
-        for i, j in combinations(w.positive_indices(), 2)
-        if is_admissible(w, i, j, exclude_ij)[0]
-    ]
+    by_value: dict[Fraction, list[int]] = {}
+    for k in w.positive_indices():
+        by_value.setdefault(w.weights[k - 1], []).append(k)
+    gens = []
+    for first, second in combinations_with_replacement(by_value.values(), 2):
+        if first is second:
+            pairs = list(combinations(first, 2))
+        else:
+            pairs = [tuple(sorted(p)) for p in product(first, second)]
+        if pairs and is_admissible(w, *pairs[0], exclude_ij)[0]:
+            gens.extend(pairs)
     gens.extend(combinations(w.zero_indices(), 2))
     return sorted(gens)
 

@@ -5,6 +5,10 @@ single-shot. Results go to standard output; JSON output is canonical
 (sorted keys, no optional whitespace, lowest-term rationals), so identical
 inputs produce byte-identical bytes.
 
+Each run builds the subparser of the requested verb only, when the first
+argument names one; help, a missing or unknown verb, or an option before
+the verb builds them all.
+
 Exit status: 0 on success, 1 on domain errors (invalid weight data, weight
 data no covering theorem applies to, infeasible family systems) with a
 machine-readable error object on standard output, 2 on usage errors with a
@@ -350,26 +354,7 @@ def _cmd_feasible(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hassett",
-        description=(
-            "Exact combinatorics of moduli spaces of weighted pointed "
-            "stable curves."
-        ),
-    )
-    verbs = parser.add_subparsers(dest="verb", required=True, metavar="verb")
-
-    def verb(name: str, handler, help_text: str) -> argparse.ArgumentParser:
-        sub = verbs.add_parser(name, help=help_text)
-        sub.set_defaults(handler=handler)
-        _add_format_argument(sub)
-        return sub
-
-    sub = verb("validate", _cmd_validate, "check a weight datum, report walls")
-    _add_weight_arguments(sub)
-
-    sub = verb("signature", _cmd_signature, "chamber signature of a datum")
+def _add_signature_arguments(sub: argparse.ArgumentParser) -> None:
     _add_weight_arguments(sub)
     sub.add_argument(
         "--mode",
@@ -378,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="fine keeps all small sets; coarse drops pairs (default fine)",
     )
 
-    sub = verb("divisors", _cmd_divisors, "enumerate boundary divisors")
+
+def _add_divisors_arguments(sub: argparse.ArgumentParser) -> None:
     _add_weight_arguments(sub)
     sub.add_argument(
         "--trees",
@@ -386,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach the dual graph of each divisor",
     )
 
-    sub = verb("contract", _cmd_contract, "divisors a reduction contracts")
+
+def _add_contract_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--from",
         dest="from_path",
@@ -402,52 +389,130 @@ def build_parser() -> argparse.ArgumentParser:
         help="target weight-datum JSON file",
     )
 
-    sub = verb("admissible", _cmd_admissible, "test a marking transposition")
+
+def _add_strict_argument(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--strict-atrans",
+        action="store_true",
+        help="draw witness packets strictly away from the swapped pair",
+    )
+
+
+def _add_admissible_arguments(sub: argparse.ArgumentParser) -> None:
     _add_weight_arguments(sub)
     sub.add_argument("i", type=int, help="first marking, 1-based")
     sub.add_argument("j", type=int, help="second marking, 1-based")
-    sub.add_argument(
-        "--strict-atrans",
-        action="store_true",
-        help="draw witness packets strictly away from the swapped pair",
-    )
+    _add_strict_argument(sub)
 
-    sub = verb("aut", _cmd_aut, "describe the automorphism group")
+
+def _add_aut_arguments(sub: argparse.ArgumentParser) -> None:
     _add_weight_arguments(sub)
-    sub.add_argument(
-        "--strict-atrans",
-        action="store_true",
-        help="draw witness packets strictly away from the swapped pair",
-    )
+    _add_strict_argument(sub)
 
-    sub = verb("classify", _cmd_classify, "recognize a named family member")
-    _add_weight_arguments(sub)
 
-    sub = verb(
-        "factors-kapranov",
-        _cmd_factors_kapranov,
-        "does the datum factor through the one-heavy tower",
-    )
-    _add_weight_arguments(sub)
+def _add_marking_count_argument(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("n", type=int, help="number of markings")
 
-    sub = verb("schedule", _cmd_schedule, "blow-up schedule of a construction")
+
+def _add_schedule_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("construction", choices=CONSTRUCTIONS)
-    sub.add_argument("n", type=int, help="number of markings")
+    _add_marking_count_argument(sub)
 
-    sub = verb("verify-l1", _cmd_verify_l1, "verify the contraction-to-tower chain")
-    sub.add_argument("n", type=int, help="number of markings")
 
-    sub = verb("feasible", _cmd_feasible, "solve a family's condition system")
+def _add_feasible_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "family",
         help='family notation, e.g. "kapranov:r=1,s=2,n=5" or "sym:k=1,n=6"',
     )
 
+
+# verb -> (handler, help text, adder of the verb's own arguments), in the
+# order ``hassett --help`` lists them
+VERBS = {
+    "validate": (
+        _cmd_validate,
+        "check a weight datum, report walls",
+        _add_weight_arguments,
+    ),
+    "signature": (
+        _cmd_signature,
+        "chamber signature of a datum",
+        _add_signature_arguments,
+    ),
+    "divisors": (
+        _cmd_divisors,
+        "enumerate boundary divisors",
+        _add_divisors_arguments,
+    ),
+    "contract": (
+        _cmd_contract,
+        "divisors a reduction contracts",
+        _add_contract_arguments,
+    ),
+    "admissible": (
+        _cmd_admissible,
+        "test a marking transposition",
+        _add_admissible_arguments,
+    ),
+    "aut": (
+        _cmd_aut,
+        "describe the automorphism group",
+        _add_aut_arguments,
+    ),
+    "classify": (
+        _cmd_classify,
+        "recognize a named family member",
+        _add_weight_arguments,
+    ),
+    "factors-kapranov": (
+        _cmd_factors_kapranov,
+        "does the datum factor through the one-heavy tower",
+        _add_weight_arguments,
+    ),
+    "schedule": (
+        _cmd_schedule,
+        "blow-up schedule of a construction",
+        _add_schedule_arguments,
+    ),
+    "verify-l1": (
+        _cmd_verify_l1,
+        "verify the contraction-to-tower chain",
+        _add_marking_count_argument,
+    ),
+    "feasible": (
+        _cmd_feasible,
+        "solve a family's condition system",
+        _add_feasible_arguments,
+    ),
+}
+
+
+def build_parser(names: Iterable[str] = VERBS) -> argparse.ArgumentParser:
+    """The parser with a subparser for each named verb, by default all."""
+    parser = argparse.ArgumentParser(
+        prog="hassett",
+        description=(
+            "Exact combinatorics of moduli spaces of weighted pointed "
+            "stable curves."
+        ),
+    )
+    verbs = parser.add_subparsers(dest="verb", required=True, metavar="verb")
+    for name in names:
+        handler, help_text, add_arguments = VERBS[name]
+        sub = verbs.add_parser(name, help=help_text)
+        sub.set_defaults(handler=handler)
+        _add_format_argument(sub)
+        add_arguments(sub)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # A leading verb name is all the parser needs; anything else (help,
+    # no argument, an unknown verb, an option first) gets every verb.
+    names = argv[:1] if argv and argv[0] in VERBS else VERBS
+    parser = build_parser(names)
     args = parser.parse_args(argv)
     try:
         return args.handler(args)

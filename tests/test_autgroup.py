@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hassett import autgroup
 from hassett.autgroup import (
     NOT_COVERED_MESSAGE,
     NotCoveredError,
@@ -229,6 +230,70 @@ class TestAdmissibleGenerators:
     def test_invalid_weight_data_rejected(self):
         with pytest.raises(InvalidWeightDataError):
             admissible_generators(WeightData(0, (F(1, 4), F(1, 4), F(1, 4))))
+
+
+@st.composite
+def _repeated_values(draw) -> WeightData:
+    """Genus 1-3, n <= 9: one to three positive values, each possibly
+    repeated, plus optional zeros, in a random slot order."""
+    values = draw(
+        st.lists(
+            st.fractions(min_value=F(1, 12), max_value=1, max_denominator=12),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        )
+    )
+    zeros = draw(st.integers(min_value=0, max_value=2))
+    positive = draw(
+        st.lists(st.sampled_from(values), min_size=2, max_size=9 - zeros)
+    )
+    weights = draw(st.permutations(positive + [F(0)] * zeros))
+    return WeightData(draw(st.integers(min_value=1, max_value=3)), tuple(weights))
+
+
+class TestOneDecisionPerValuePair:
+    @given(_repeated_values(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_generators_match_pairwise_oracle(self, w, flag):
+        weights = list(w.weights)
+        expected = sorted(
+            (i, j)
+            for i, j in combinations(range(1, w.n + 1), 2)
+            if (weights[i - 1] == weights[j - 1] == 0)
+            or (
+                weights[i - 1] > 0
+                and weights[j - 1] > 0
+                and brute_admissible(weights, i, j, exclude_ij=flag)[0]
+            )
+        )
+        assert admissible_generators(w, flag) == expected
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            (F(1, 10),) * 5 + (F(1, 7),) * 5 + (F(1, 4),) * 5,
+            (F(1, 4), F(1, 4), F(1, 2), F(3, 4), F(1), F(1)),
+            (F(0), F(1, 3), F(0), F(1, 3), F(2, 3), F(1, 3)),
+            (F(1, 2),) * 8,
+            (F(1, 5), F(2, 5), F(3, 5), F(4, 5), F(1, 5)),
+        ],
+    )
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_one_call_per_unordered_value_pair(self, monkeypatch, weights, flag):
+        calls = []
+
+        def counting(w, i, j, exclude_ij=False):
+            calls.append(frozenset((w.weights[i - 1], w.weights[j - 1])))
+            return is_admissible(w, i, j, exclude_ij)
+
+        monkeypatch.setattr(autgroup, "is_admissible", counting)
+        admissible_generators(WeightData(2, weights), flag)
+        positive = sorted({a for a in weights if a > 0})
+        expected = {frozenset(pair) for pair in combinations(positive, 2)}
+        expected |= {frozenset((a,)) for a in positive if weights.count(a) >= 2}
+        assert len(calls) == len(expected)
+        assert set(calls) == expected
 
 
 class TestPinnedGroupOrders:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
@@ -258,6 +259,16 @@ class TestAdmissibleVerb:
                 "admissible", *self.HIGHER_GENUS, str(i), str(j)
             )
             assert rc == 2, (i, j, out, err)
+
+    def test_many_equal_weights_answer_with_first_away_packet(self):
+        # the witness search skips the packet sizes that cannot reach the
+        # violation window (0.99, 0.995], so it starts at size 991
+        weights = ",".join(["1/200", "1/100"] + ["1/1000"] * 2000)
+        rc, obj = run_json(
+            "admissible", "--genus", "0", "--weights", weights, "1", "2"
+        )
+        assert rc == 0
+        assert obj == {"admissible": False, "witness": list(range(3, 994))}
 
     def test_zero_weight_marking_is_usage_error(self):
         rc, _, err = run_cli(
@@ -728,6 +739,66 @@ class TestStdoutPinned:
         assert rc == 0, err
         expected = STDOUT_SHA256[argv][form == "text"]
         assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+PARSER_CASES = [
+    *([verb, "--help"] for verb in cli.VERBS),
+    # every verb with its required arguments missing
+    *([verb] for verb in cli.VERBS),
+    ["schedule", "nosuch", "6"],
+    ["admissible", *TestAdmissibleVerb.HIGHER_GENUS, "3", "4"],
+    ["aut", *DEL_PEZZO, "--bogus"],
+    ["--help"],
+    ["-h"],
+    [],
+    ["frobnicate"],
+    ["--format", "json", "aut", *DEL_PEZZO],
+]
+
+
+class TestParserFloor:
+    """``main`` builds only the requested verb's subparser; every answer,
+    help and usage error included, is the full parser's."""
+
+    @pytest.mark.parametrize(
+        "argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "(none)"
+    )
+    def test_answers_as_the_full_parser(self, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        floor = run_cli(*argv)
+        full_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda names: full_parser())
+        assert run_cli(*argv) == floor
+
+    @pytest.mark.parametrize(
+        "argv, built",
+        [
+            (("admissible", *TestAdmissibleVerb.HIGHER_GENUS, "3", "4"), 1),
+            (("--help",), 11),
+        ],
+    )
+    def test_subparsers_built_per_run(self, monkeypatch, argv, built):
+        added = []
+        original = argparse._SubParsersAction.add_parser
+
+        def counting(self, name, **kwargs):
+            added.append(name)
+            return original(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        run_cli(*argv)
+        assert len(added) == built
+
+    def test_module_help_reads_sys_argv(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        proc = subprocess.run(
+            [sys.executable, "-m", "hassett.cli", "admissible", "--help"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        in_process = run_cli("admissible", "--help")
+        assert (proc.returncode, proc.stdout, proc.stderr) == in_process
 
 
 class TestProcessEntryPoint:
