@@ -5,6 +5,15 @@ single-shot. Results go to standard output; JSON output is canonical
 (sorted keys, no optional whitespace, lowest-term rationals), so identical
 inputs produce byte-identical bytes.
 
+The verbs that list sets (``signature``, ``validate``, ``divisors`` and
+``schedule``) ask the engine's windows for tuples of marking tokens
+(``"1"``...``"n"``, or the schedule's point labels) and build both output
+forms by joining those tokens, in C, once per set; the JSON text reaches
+:func:`~hassett.jsonio.canonical_line` as a
+:class:`~hassett.jsonio.Rendered` value, and no integer is encoded one by
+one. Only ``divisors --trees`` in JSON builds divisor objects, for their
+dual graphs.
+
 Each run builds the subparser of the requested verb only, when the first
 argument names one; help, a missing or unknown verb, or an option before
 the verb builds them all.
@@ -20,7 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 
 from hassett.autgroup import (
@@ -31,6 +40,7 @@ from hassett.autgroup import (
 )
 from hassett.families import (
     CONSTRUCTIONS,
+    SCHEDULE_SCHEMA,
     FamilySpec,
     InfeasibleFamilyError,
     blowup_schedule,
@@ -39,8 +49,9 @@ from hassett.families import (
     feasible_representative,
     verify_keel_factorization,
 )
-from hassett.jsonio import canonical_line
+from hassett.jsonio import Rendered, canonical_dumps, canonical_line
 from hassett.strata import (
+    _divisor_windows,
     contracted_divisors,
     divisor_tree,
     enumerate_boundary_divisors,
@@ -133,23 +144,53 @@ def _index_set(s) -> list[int]:
     return sorted(s)
 
 
+def _marking_tokens(n: int) -> tuple[str, ...]:
+    """Marking k's output token, ``str(k)``, the same in both forms."""
+    return tuple(map(str, range(1, n + 1)))
+
+
+def _joined(
+    rows: Sequence[Sequence[str]],
+    sep: str,
+    before: str = "",
+    after: str = "",
+    between: str = "\n",
+) -> Iterator[str]:
+    """Lazily, one piece: each row's tokens joined by ``sep`` and set
+    between ``before`` and ``after``, the rows joined by ``between``; no
+    piece for no rows. Each row is one ``str.join`` in C."""
+    if rows:
+        yield before + (after + between + before).join(map(sep.join, rows)) + after
+
+
+def _json_array(pieces: Iterable[str]) -> Rendered:
+    """The JSON array whose elements are the comma-joined pieces."""
+    return Rendered(chain("[", [",".join(pieces)], "]"))
+
+
+def _json_rows(rows: Sequence[Sequence[str]]) -> Rendered:
+    """Rows of tokens as a JSON array of arrays."""
+    return _json_array(_joined(rows, ",", "[", "]", ","))
+
+
 # ---------------------------------------------------------------------------
 # Verb handlers
 # ---------------------------------------------------------------------------
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    report = validate(_weights_from(args))
-    walls = report.walls  # sorted tuples, in canonical order
+    w = _weights_from(args)
+    report = validate(w, labels=_marking_tokens(w.n))
+    walls = report.walls  # token tuples, in canonical order
     obj = {
         "ok": report.ok,
         "violations": list(report.violations),
-        "walls": walls,
+        "walls": _json_rows(walls),
     }
     lines = chain(
         ["valid" if report.ok else "invalid"],
         (f"violation: {v}" for v in report.violations),
-        ("wall: " + " ".join(map(str, wall)) for wall in walls),
+        _joined(walls, " ", "wall: "),
     )
     _emit(args, obj, lines)
     return 0 if report.ok else 1
@@ -158,11 +199,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_signature(args: argparse.Namespace) -> int:
     w = _weights_from(args)
     require_valid(w)
-    ordered = _signature_sets(w, 3 if args.mode == "coarse" else 2)
-    obj = {"mode": args.mode, "sets": ordered}
+    min_size = 3 if args.mode == "coarse" else 2
+    ordered = _signature_sets(w, min_size, _marking_tokens(w.n))
+    obj = {"mode": args.mode, "sets": _json_rows(ordered)}
     lines = chain(
-        [f"{args.mode} signature: {len(ordered)} sets"],
-        (" ".join(map(str, s)) for s in ordered),
+        [f"{args.mode} signature: {len(ordered)} sets"], _joined(ordered, " ")
     )
     _emit(args, obj, lines)
     return 0
@@ -171,31 +212,39 @@ def _cmd_signature(args: argparse.Namespace) -> int:
 def _cmd_divisors(args: argparse.Namespace) -> int:
     w = _weights_from(args)
     require_valid(w)
-    divisors = enumerate_boundary_divisors(w)
-    items = []
-    for d in divisors:
-        entry = d.to_json_dict()
-        if args.trees:
+    if args.trees and args.format == "json":
+        items = []
+        for d in enumerate_boundary_divisors(w):
+            entry = d.to_json_dict()
             entry["tree"] = divisor_tree(w, d).to_json_dict()
-        items.append(entry)
-    obj = {"divisors": items}
-    lines = chain(
-        [f"{len(items)} boundary divisors"], map(_divisor_line, divisors)
+            items.append(entry)
+        _emit(args, {"divisors": items}, ())
+        return 0
+    # the text form has no trees
+    nodal, irreducible, pairs = _divisor_windows(w, _marking_tokens(w.n))
+    # each element as BoundaryDivisor.to_json_dict gives it, keys sorted
+    nodal_json = '{{"genus_split":[{},{}],"kind":"nodal","side":['
+    items = chain(
+        *(
+            _joined(sides, ",", nodal_json.format(*split), "]}", ",")
+            for split, sides in nodal
+        ),
+        ['{"kind":"irreducible"}'] if irreducible else [],
+        _joined(pairs, ",", '{"kind":"coincidence","pair":[', "]}", ","),
     )
-    _emit(args, obj, lines)
+    count = sum(len(sides) for _, sides in nodal) + irreducible + len(pairs)
+    nodal_text = " | genus split {}+{}"
+    lines = chain(
+        [f"{count} boundary divisors"],
+        *(
+            _joined(sides, " ", "nodal: side ", nodal_text.format(*split))
+            for split, sides in nodal
+        ),
+        ["irreducible node"] if irreducible else [],
+        _joined(pairs, " ", "coincidence: "),
+    )
+    _emit(args, {"divisors": _json_array(items)}, lines)
     return 0
-
-
-def _divisor_line(d) -> str:
-    if d.kind == "nodal":
-        return (
-            "nodal: side "
-            + " ".join(map(str, d.side))
-            + f" | genus split {d.genus_split[0]}+{d.genus_split[1]}"
-        )
-    if d.kind == "irreducible":
-        return "irreducible node"
-    return "coincidence: " + " ".join(map(str, d.pair))
 
 
 def _cmd_contract(args: argparse.Namespace) -> int:
@@ -286,18 +335,40 @@ def _cmd_factors_kapranov(args: argparse.Namespace) -> int:
     return 0
 
 
+def _centers_json(centers: Sequence[tuple[str, ...] | str]) -> str:
+    """A step's centers as the JSON array ``to_json_dict`` gives."""
+    if str in map(type, centers):  # named loci
+        return canonical_dumps([c if isinstance(c, str) else list(c) for c in centers])
+    # spans of point labels: p1...pn need no escaping
+    return "[" + "".join(_joined(centers, '","', '["', '"]', ",")) + "]"
+
+
+def _centers_text(centers: Sequence[tuple[str, ...] | str]) -> str:
+    if str in map(type, centers):  # named loci
+        return "; ".join(
+            c if isinstance(c, str) else "{" + " ".join(c) + "}" for c in centers
+        )
+    return "".join(_joined(centers, " ", "{", "}", "; "))
+
+
 def _cmd_schedule(args: argparse.Namespace) -> int:
     schedule = blowup_schedule(args.construction, args.n)
-    obj = schedule.to_json_dict()
+    # to_json_dict's keys, with the steps built from the label tuples
+    obj = {
+        "schema": SCHEDULE_SCHEMA,
+        "construction": schedule.construction,
+        "n": schedule.n,
+        "ambient": schedule.ambient,
+        "steps": _json_array(
+            f'{{"centers":{_centers_json(step.centers)},"step":{step.index}}}'
+            for step in schedule.steps
+        ),
+    }
     lines = chain(
         [f"{schedule.construction} on {schedule.ambient}, n={schedule.n}"],
         (
-            f"step {step['step']}: "
-            + "; ".join(
-                center if isinstance(center, str) else "{" + " ".join(center) + "}"
-                for center in step["centers"]
-            )
-            for step in obj["steps"]
+            f"step {step.index}: {_centers_text(step.centers)}"
+            for step in schedule.steps
         ),
     )
     _emit(args, obj, lines)

@@ -37,11 +37,12 @@ from .linear import Constraint, LinearSystem, solve_feasibility
 from .weights import (
     ONE,
     WeightData,
+    _check_pair,
     _meets_class_rows,
+    _same_chamber,
     _solve_over_classes,
     chamber_reduction_exists,
     chamber_signature,
-    fine_equivalent,
     require_valid,
 )
 
@@ -397,8 +398,11 @@ def signature_relabeling(
     where swapping two neighbours leaves the source's chamber.  Each
     run's slots go, in index order, to the target slots at the same
     positions, in index order.  The map is checked against the target's
-    signature before it is returned.
+    signature before it is returned.  Both data are checked comparable and
+    valid once, up front; the comparisons that build the map are between
+    permutations of them and check nothing again.
     """
+    _check_pair(target, source)
     n = source.n
 
     def by_weight(w: WeightData) -> tuple[list[int], WeightData]:
@@ -406,7 +410,7 @@ def signature_relabeling(
         return order, WeightData(w.genus, tuple(w.weights[j - 1] for j in order))
 
     (order_t, sorted_t), (order_s, sorted_s) = by_weight(target), by_weight(source)
-    if not fine_equivalent(sorted_t, sorted_s):
+    if not _same_chamber(sorted_t, sorted_s, 2):
         return None
 
     def swapped(p: int) -> WeightData:  # sorted positions p - 1 and p exchanged
@@ -414,7 +418,7 @@ def signature_relabeling(
         ws[p - 1], ws[p] = ws[p], ws[p - 1]
         return WeightData(source.genus, tuple(ws))
 
-    cuts = [p for p in range(1, n) if not fine_equivalent(swapped(p), sorted_s)]
+    cuts = [p for p in range(1, n) if not _same_chamber(swapped(p), sorted_s, 2)]
     sigma = [0] * n
     for lo, hi in zip([0] + cuts, cuts + [n]):
         for slot, image in zip(sorted(order_s[lo:hi]), sorted(order_t[lo:hi])):
@@ -429,11 +433,12 @@ def classify_with_relabeling(
     """The family member chamber-equivalent to w, with the slot map.
 
     Two passes over the family grid: first positional fine equivalence
-    (slot j against slot j, :func:`hassett.weights.fine_equivalent` on
-    class rows), then :func:`signature_relabeling`.  A datum matching one
-    family positionally and an earlier one only up to relabeling is
-    reported under the positional match, so canonical representatives
-    always classify as themselves.  The returned permutation maps
+    (slot j against slot j, on class rows; w is validated once here and
+    every representative by :func:`representative_weights`), then
+    :func:`signature_relabeling`.  A datum matching one family
+    positionally and an earlier one only up to relabeling is reported
+    under the positional match, so canonical representatives always
+    classify as themselves.  The returned permutation maps
     representative slots to slots of w (identity for positional matches).
     """
     if w.genus != 0:
@@ -442,7 +447,7 @@ def classify_with_relabeling(
     n = w.n
     reps = [(spec, representative_weights(spec)) for spec in family_grid(n)]
     for spec, rep in reps:
-        if fine_equivalent(rep, w):
+        if _same_chamber(rep, w, 2):
             return spec, tuple(range(1, n + 1))
     for spec, rep in reps:
         sigma = signature_relabeling(w, rep)

@@ -5,16 +5,55 @@ emitting dict was built, so every emitter in the package funnels through
 :func:`canonical_dumps`: sorted keys, no optional whitespace, ASCII-only
 escapes. Rationals are already lowest-term strings by the time they reach
 this layer (``Fraction`` normalizes on construction).
+
+The verbs that list sets (signatures, walls, divisors, blow-up centers)
+print arrays of hundreds of thousands of small integers. They build that
+text themselves, by joining each marking's token (``"1"``...``"n"``, made
+once) in C, and hand it over as a :class:`Rendered` value. Splicing is
+allowed only as a value of the top-level dict: its keys are still sorted
+and every other value is still encoded here, while a :class:`Rendered`
+anywhere else is not JSON-serializable and raises ``TypeError``, never
+quoted as a string.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
+
+
+class Rendered:
+    """Canonical JSON text to splice verbatim as one value of the
+    top-level dict given to :func:`canonical_dumps`, as string pieces that
+    are joined when the line is built, so text that is never printed is
+    never built; the iterable is consumed once. The caller vouches that
+    the pieces join to what :func:`canonical_dumps` would print for the
+    value they stand for."""
+
+    __slots__ = ("pieces",)
+
+    def __init__(self, pieces: Iterable[str]) -> None:
+        self.pieces = pieces
+
+
+def _dumps(obj: object) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
 def canonical_dumps(obj: object) -> str:
-    """Serialize to the canonical single-line JSON form."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    """Serialize to the canonical single-line JSON form; the values of a
+    top-level dict may be :class:`Rendered` (string keys only)."""
+    if isinstance(obj, dict) and any(isinstance(v, Rendered) for v in obj.values()):
+        parts = []
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"Rendered values need string keys, got {key!r}")
+            if isinstance(value, Rendered):
+                parts.append(f"{_dumps(key)}:" + "".join(value.pieces))
+            else:
+                parts.append(f"{_dumps(key)}:{_dumps(value)}")
+        return "{" + ",".join(parts) + "}"
+    return _dumps(obj)
 
 
 def canonical_line(obj: object) -> str:

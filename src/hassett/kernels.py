@@ -6,11 +6,17 @@ half-open window ``(lo, hi]`` and whose size lies in a range, as sorted
 1-based index tuples by size and then lexicographically: the canonical
 order every caller emits. Chamber signatures (``(-1, cap]``), walls
 (``(cap - 1, cap]``) and the sides and pairs of boundary divisors are such
-windows. ``find_subset_in_interval`` decides whether some index set has its
-sum in a window (the admissible-transposition test) and reports the first
-hit as a bitmask over the original index positions. Both are depth-first
-searches on an explicit stack, so their depth is bounded by memory, not by
-the interpreter's recursion limit.
+windows. Given a ``labels`` sequence it puts ``labels[k]`` in place of
+index k + 1 (the sets of whole-subtree blocks come from
+``combinations(labels[pos:], m)``), so a caller that prints the sets hands
+it each marking's output token (``"1"``...``"n"``) once and joins the
+token tuples it gets back, with no conversion per entry.
+
+``find_subset_in_interval`` decides whether some index set has its sum in
+a window (the admissible-transposition test) and reports the first hit as
+a bitmask over the original index positions. Both are depth-first searches
+on an explicit stack, so their depth is bounded by memory, not by the
+interpreter's recursion limit.
 
 Both take nonnegative integers (weights already scaled by a common
 denominator); a zero value is an ordinary entry.
@@ -22,7 +28,9 @@ replace them in one place.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import combinations
+from typing import TypeVar
 
 __all__ = [
     "BACKEND",
@@ -30,16 +38,24 @@ __all__ = [
     "find_subset_in_interval",
 ]
 
+Label = TypeVar("Label")
+
 #: The kernel implementation; benchmark records carry it so that runs of
 #: different implementations are never compared.
 BACKEND = "pure"
 
 
 def enumerate_small_subsets(
-    values: list[int], lo: int, hi: int, min_size: int, max_size: int
-) -> list[tuple[int, ...]]:
+    values: list[int],
+    lo: int,
+    hi: int,
+    min_size: int,
+    max_size: int,
+    labels: Sequence[Label] | None = None,
+) -> list[tuple[Label, ...]]:
     """The sorted 1-based index tuples T with ``lo < sum(T) <= hi`` and
-    ``min_size <= len(T) <= max_size``, by size and then lexicographically.
+    ``min_size <= len(T) <= max_size``, by size and then lexicographically;
+    with ``labels``, each index k + 1 reads ``labels[k]`` instead.
 
     One lexicographic depth-first search per size. A node that still needs
     m indices from position k on is cut when even the m largest values
@@ -49,7 +65,9 @@ def enumerate_small_subsets(
     in one step. Zero values are ordinary entries.
     """
     n = len(values)
-    out: list[tuple[int, ...]] = []
+    if labels is None:
+        labels = range(1, n + 1)
+    out: list[tuple[Label, ...]] = []
     if lo >= hi:
         return out
     # size r has no member when its r smallest values already pass hi, or
@@ -101,12 +119,16 @@ def enumerate_small_subsets(
             m = r - len(chosen)
             least, most = total + low[m][pos], total + high[m][pos]
             if least > lo and most <= hi:
-                rest = combinations(range(pos + 1, n + 1), m)
+                rest = combinations(labels[pos:], m)
                 out.extend(map(chosen.__add__, rest) if chosen else rest)
             elif m == 1:
                 a, b = lo - total, hi - total
                 out.extend(
-                    [chosen + (k + 1,) for k in range(pos, n) if a < values[k] <= b]
+                    [
+                        chosen + (labels[k],)
+                        for k in range(pos, n)
+                        if a < values[k] <= b
+                    ]
                 )
             else:
                 # live children pushed last-first, so the first is searched
@@ -114,7 +136,7 @@ def enumerate_small_subsets(
                 lows, highs = low[m - 1], high[m - 1]
                 stack.extend(
                     [
-                        (k + 1, chosen + (k + 1,), t)
+                        (k + 1, chosen + (labels[k],), t)
                         for k in range(n - m, pos - 1, -1)
                         if (t := total + values[k]) + lows[k + 1] <= hi
                         and t + highs[k + 1] > lo

@@ -10,9 +10,9 @@ collapsed side maps to a stratum of codimension at least two.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
 from . import kernels
 from .weights import (
@@ -256,49 +256,73 @@ def _genus0_side_stable(
     return len(side) >= 2 and side not in sig
 
 
-def enumerate_boundary_divisors(w: WeightData) -> list[BoundaryDivisor]:
-    """All one-node divisors (over genus splits) plus the irreducible-node
-    divisor for genus >= 1, plus all coincidence divisors.
+def _divisor_windows(
+    w: WeightData, labels: Sequence
+) -> tuple[list[tuple[tuple[int, int], list[tuple]]], bool, list[tuple]]:
+    """The boundary divisors of a valid datum as kernel windows, with
+    marking k read as ``labels[k - 1]``: the canonical sides of each genus
+    split ``(g1, g2)``, whether the irreducible-node divisor exists, and
+    the coincidence pairs, each part in the order of
+    :func:`enumerate_boundary_divisors`.
 
-    Deterministic order: nodal by (side genus, side size, side), then the
-    irreducible divisor, then coincidence pairs lexicographically.
-
-    Every family here is one window of the enumeration kernel over the
-    scaled weights, which yields it already in that order. A side S of
-    genus g_1 glued to its complement of genus g_2 is stable when each
-    genus-0 side holds two markings and weighs more than 1: with cap the
-    scaled 1 and total the scaled sum, a genus-0 S needs sum(S) > cap and a
-    genus-0 complement needs sum(S) <= total - cap - 1. With equal genera a
-    divisor has two sides and is kept under its canonical one: fewer
-    markings, or half the markings including marking 1.
+    A side S of genus g_1 glued to its complement of genus g_2 is stable
+    when each genus-0 side holds two markings and weighs more than 1: with
+    cap the scaled 1 and total the scaled sum, a genus-0 S needs
+    sum(S) > cap and a genus-0 complement needs sum(S) <= total - cap - 1.
+    With equal genera a divisor has two sides and is kept under its
+    canonical one: fewer markings, or half the markings including marking
+    1. Coincidence pairs are the pairs of weight at most 1 among the
+    positive-weight markings.
     """
-    require_valid(w)
     scaled, cap = w.scaled()
     n, total = w.n, sum(scaled)
-    out: list[BoundaryDivisor] = []
+    nodal = []
     for g1 in range(0, w.genus // 2 + 1):
         g2 = w.genus - g1
         lo, min_size = (cap, 2) if g1 == 0 else (-1, 0)
         hi, max_size = (total - cap - 1, n - 2) if g2 == 0 else (total, n)
         if g1 == g2:
             max_size = min(max_size, n // 2)
-        sides = kernels.enumerate_small_subsets(scaled, lo, hi, min_size, max_size)
+        sides = kernels.enumerate_small_subsets(
+            scaled, lo, hi, min_size, max_size, labels
+        )
         if g1 == g2 and n and n % 2 == 0:
             # the sides of n/2 markings come last, those holding marking 1
             # first among them
             half = bisect_left(sides, n // 2, key=len)
-            del sides[bisect_right(sides, 1, lo=half, key=itemgetter(0)):]
-        # fields passed by position (kind, side, genus_split): this runs once
-        # per divisor, and keyword arguments cost measurably more here
-        split = (g1, g2)
-        out.extend(BoundaryDivisor("nodal", side, split) for side in sides)
-    if w.genus >= 1:
-        out.append(BoundaryDivisor(kind="irreducible"))
-    out.extend(
-        BoundaryDivisor(kind="coincidence", pair=pair)
-        for pair in kernels.enumerate_small_subsets(scaled, -1, cap, 2, 2)
-        if scaled[pair[0] - 1] and scaled[pair[1] - 1]
+            first = labels[0]
+            cut = bisect_right(sides, False, lo=half, key=lambda s: s[0] != first)
+            del sides[cut:]
+        nodal.append(((g1, g2), sides))
+    positive = [k for k in range(n) if scaled[k]]
+    pairs = kernels.enumerate_small_subsets(
+        [scaled[k] for k in positive], -1, cap, 2, 2, [labels[k] for k in positive]
     )
+    return nodal, w.genus >= 1, pairs
+
+
+def enumerate_boundary_divisors(w: WeightData) -> list[BoundaryDivisor]:
+    """All one-node divisors (over genus splits) plus the irreducible-node
+    divisor for genus >= 1, plus all coincidence divisors.
+
+    Deterministic order: nodal by (side genus, side size, side), then the
+    irreducible divisor, then coincidence pairs lexicographically. Every
+    family is one window of the enumeration kernel over the scaled
+    weights, which yields it already in that order
+    (:func:`_divisor_windows`).
+    """
+    require_valid(w)
+    nodal, irreducible, pairs = _divisor_windows(w, range(1, w.n + 1))
+    # fields passed by position (kind, side, genus_split): this runs once
+    # per divisor, and keyword arguments cost measurably more here
+    out = [
+        BoundaryDivisor("nodal", side, split)
+        for split, sides in nodal
+        for side in sides
+    ]
+    if irreducible:
+        out.append(BoundaryDivisor(kind="irreducible"))
+    out.extend(BoundaryDivisor(kind="coincidence", pair=pair) for pair in pairs)
     return out
 
 

@@ -25,6 +25,7 @@ enumerates no subset.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
@@ -182,19 +183,23 @@ def _violations(w: WeightData) -> list[str]:
     return problems
 
 
-def validate(w: WeightData) -> ValidationReport:
+def validate(w: WeightData, *, labels: Sequence | None = None) -> ValidationReport:
     """Check the defining inequalities of a weight datum and list its walls.
 
     This is the only function that computes walls: one kernel pass over a
     valid datum for the sets of weight exactly 1, the window
     ``(cap - 1, cap]`` of the scaled weights, already in canonical order.
-    Callers that only need validity use :func:`require_valid`.
+    With ``labels``, marking k reads ``labels[k - 1]`` in the walls (see
+    :func:`hassett.kernels.enumerate_small_subsets`). Callers that only
+    need validity use :func:`require_valid`.
     """
     problems = _violations(w)
-    walls: tuple[tuple[int, ...], ...] = ()
+    walls: tuple[tuple, ...] = ()
     if not problems:
         scaled, cap = w.scaled()
-        walls = tuple(kernels.enumerate_small_subsets(scaled, cap - 1, cap, 2, w.n))
+        walls = tuple(
+            kernels.enumerate_small_subsets(scaled, cap - 1, cap, 2, w.n, labels)
+        )
     return ValidationReport(not problems, tuple(problems), walls)
 
 
@@ -209,16 +214,19 @@ def require_valid(w: WeightData) -> None:
         raise InvalidWeightDataError("; ".join(problems))
 
 
-def _signature_sets(w: WeightData, min_size: int = 2) -> list[tuple[int, ...]]:
+def _signature_sets(
+    w: WeightData, min_size: int = 2, labels: Sequence | None = None
+) -> list[tuple]:
     """The chamber signature as sorted 1-based index tuples, by size and
     then lexicographically: the sets of at least ``min_size`` markings
-    whose weights sum to at most 1.
+    whose weights sum to at most 1. With ``labels``, marking k reads
+    ``labels[k - 1]``.
 
     One kernel window ``(-1, cap]`` over the scaled weights; zero weights
     are ordinary entries and pad the sets like any other marking.
     """
     scaled, cap = w.scaled()
-    return kernels.enumerate_small_subsets(scaled, -1, cap, min_size, w.n)
+    return kernels.enumerate_small_subsets(scaled, -1, cap, min_size, w.n, labels)
 
 
 def chamber_signature(w: WeightData) -> frozenset[frozenset[int]]:
@@ -233,7 +241,9 @@ def chamber_signature(w: WeightData) -> frozenset[frozenset[int]]:
     return frozenset(map(frozenset, _signature_sets(w)))
 
 
-def _check_comparable(w1: WeightData, w2: WeightData) -> None:
+def _check_pair(w1: WeightData, w2: WeightData) -> None:
+    """Raise unless the data are comparable (``ValueError``) and both
+    valid (:class:`InvalidWeightDataError`)."""
     if w1.genus != w2.genus:
         raise ValueError(
             f"genus mismatch: {w1.genus} vs {w2.genus} "
@@ -241,11 +251,14 @@ def _check_comparable(w1: WeightData, w2: WeightData) -> None:
         )
     if w1.n != w2.n:
         raise ValueError(f"marking count mismatch: {w1.n} vs {w2.n}")
+    require_valid(w1)
+    require_valid(w2)
 
 
 def fine_equivalent(w1: WeightData, w2: WeightData) -> bool:
     """Equal chamber signatures: the two data define the same moduli problem.
     Decided on class rows by :func:`_same_chamber`."""
+    _check_pair(w1, w2)
     return _same_chamber(w1, w2, 2)
 
 
@@ -258,14 +271,13 @@ def coarse_equivalent_genus0(w1: WeightData, w2: WeightData) -> bool:
     """
     if w1.genus != 0 or w2.genus != 0:
         raise ValueError("coarse equivalence is a genus-0 notion")
+    _check_pair(w1, w2)
     return _same_chamber(w1, w2, 3)
 
 
 def reduction_exists(a: WeightData, b: WeightData) -> bool:
     """Pointwise a_i >= b_i: the contraction morphism from a's space to b's."""
-    _check_comparable(a, b)
-    require_valid(a)
-    require_valid(b)
+    _check_pair(a, b)
     return all(x >= y for x, y in zip(a.weights, b.weights))
 
 
@@ -399,8 +411,10 @@ def _meets_class_rows(
 
 
 def _same_chamber(w1: WeightData, w2: WeightData, min_size: int) -> bool:
-    """Whether two data, once checked comparable and valid, have equal
-    signatures on the sets of sizes >= min_size; no set is listed.
+    """Whether two data have equal signatures on the sets of sizes >=
+    min_size; no set is listed. Unchecked: the caller has made sure the
+    data are comparable and valid (:func:`_check_pair`), for instance by
+    checking them once before comparing permutations of them.
 
     The rows of one datum's chamber, over its classes of equal weight, are
     checked against the other (:func:`_meets_class_rows`). Each small set
@@ -409,9 +423,6 @@ def _same_chamber(w1: WeightData, w2: WeightData, min_size: int) -> bool:
     datum in the same chamber. The rows come from the datum with fewer
     type vectors.
     """
-    _check_comparable(w1, w2)
-    require_valid(w1)
-    require_valid(w2)
     c1, c2 = _slot_classes(w1), _slot_classes(w2)
     if prod(len(b) + 1 for b in c2) < prod(len(b) + 1 for b in c1):
         w1, w2, c1 = w2, w1, c2
@@ -423,9 +434,7 @@ def _mode_size(a: WeightData, b: WeightData, mode: str) -> int:
     """The smallest set size the mode compares, once the pair is checked."""
     if mode not in ("fine", "coarse"):
         raise ValueError(f"unknown mode {mode!r}")
-    _check_comparable(a, b)
-    require_valid(a)
-    require_valid(b)
+    _check_pair(a, b)
     if mode == "coarse" and a.genus != 0:
         raise ValueError("coarse equivalence is a genus-0 notion")
     return 2 if mode == "fine" else 3
@@ -450,7 +459,8 @@ def reduction_exists_up_to_equivalence(
     if witness is None:
         return None
     b_prime = WeightData(a.genus, witness)
-    if not (_same_chamber(b_prime, b, min_size) and reduction_exists(a, b_prime)):
+    # reduction_exists validates the witness before the unchecked comparison
+    if not (reduction_exists(a, b_prime) and _same_chamber(b_prime, b, min_size)):
         raise RuntimeError("reduction witness failed re-verification")
     return witness
 
@@ -486,8 +496,12 @@ def chamber_reduction_exists(
         return None
     x = WeightData(a.genus, witness[:n])
     y = WeightData(b.genus, witness[n:])
-    same = _same_chamber(x, a, min_size) and _same_chamber(y, b, min_size)
-    if not (same and reduction_exists(x, y)):
+    # reduction_exists validates the witnesses before the unchecked comparisons
+    if not (
+        reduction_exists(x, y)
+        and _same_chamber(x, a, min_size)
+        and _same_chamber(y, b, min_size)
+    ):
         raise RuntimeError("chamber reduction witness failed re-verification")
     return x, y
 

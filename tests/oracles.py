@@ -33,6 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 
 ONE = Fraction(1)
 
@@ -135,19 +136,27 @@ def brute_admissible(
 
 
 def naive_closure(gens: list[tuple[int, ...]], degree: int) -> set[tuple[int, ...]]:
-    """Group elements by repeated multiplication until stable."""
+    """Group elements by repeated multiplication of known elements until
+    stable, semi-naively: each round multiplies only the pairs with a
+    factor that was new in the previous round, in both orders, since every
+    product of two older elements was formed in an earlier round. The
+    fixed point is the same set, closed under all products, and no step
+    follows the generators the way breadth-first closure does."""
     elements = {tuple(range(degree))}
     elements.update(gens)
-    while True:
+    if degree < 2:  # the identity alone; itemgetter needs two indices
+        return elements
+    new = set(elements)
+    while new:
+        # itemgetter(*p)(q) is the product x -> q[p[x]]
         fresh = set()
-        for p in elements:
-            for q in elements:
-                r = tuple(q[p[x]] for x in range(degree))
-                if r not in elements:
-                    fresh.add(r)
-        if not fresh:
-            return elements
-        elements |= fresh
+        for p in new:
+            fresh.update(map(itemgetter(*p), elements))
+        for q in elements:
+            fresh.update(map(itemgetter(*q), new))
+        new = fresh - elements
+        elements |= new
+    return elements
 
 
 def close_permutations(

@@ -13,18 +13,22 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hassett.cli as cli
 from hassett.autgroup import NOT_COVERED_MESSAGE
 from hassett.families import (
+    CONSTRUCTIONS,
     FamilySpec,
+    blowup_schedule,
     family_conditions,
     keel_spec,
     representative_weights,
 )
+from hassett.jsonio import canonical_line
 from hassett.linear import evaluate
-from hassett.strata import StableTree
-from hassett.weights import WeightData, chamber_signature
+from hassett.strata import StableTree, enumerate_boundary_divisors
+from hassett.weights import WeightData, _signature_sets, chamber_signature, validate
 from tests.oracles import brute_nodal_divisors, brute_signature, naive_closure
 from tests.test_signature_props import weight_data
 
@@ -332,6 +336,96 @@ class TestScheduleVerb:
     def test_unknown_construction_is_usage_error(self):
         rc, _, _ = run_cli("schedule", "qblu", "5")
         assert rc == 2
+
+
+WEIGHT_VALUES = [F(0), F(1), F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(3, 4), F(1, 5), F(1, 7)]
+
+
+@st.composite
+def any_weight_data(draw):
+    """Genus 0-3 and up to ten weights in [0, 1] with zeros, valid or not;
+    each draw has one to three distinct values."""
+    values = draw(st.lists(st.sampled_from(WEIGHT_VALUES), min_size=1, max_size=3))
+    weights = draw(st.lists(st.sampled_from(values), max_size=10))
+    return WeightData(draw(st.integers(0, 3)), tuple(weights))
+
+
+def _datum_argv(w: WeightData) -> list[str]:
+    return ["--genus", str(w.genus), "--weights", ",".join(map(str, w.weights))]
+
+
+def _both_forms(*argv: str) -> tuple[tuple[int, str], tuple[int, str]]:
+    rc, out, _ = run_cli(*argv, "--format", "json")
+    rc_text, text, _ = run_cli(*argv, "--format", "text")
+    return (rc, out), (rc_text, text)
+
+
+def _text(lines) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def _divisor_line(d) -> str:
+    if d.kind == "nodal":
+        side = " ".join(map(str, d.side))
+        return f"nodal: side {side} | genus split {d.genus_split[0]}+{d.genus_split[1]}"
+    if d.kind == "irreducible":
+        return "irreducible node"
+    return "coincidence: " + " ".join(map(str, d.pair))
+
+
+class TestRenderedOutput:
+    """The set-listing verbs join marking tokens themselves; their stdout
+    equals canonical_line of the engine's integer tuples and objects, and
+    the text lines built from them."""
+
+    @given(any_weight_data())
+    @settings(max_examples=300, deadline=None)
+    def test_signature_validate_divisors(self, w):
+        report = validate(w)
+        expected = {
+            "ok": report.ok,
+            "violations": list(report.violations),
+            "walls": report.walls,
+        }
+        lines = ["valid" if report.ok else "invalid"]
+        lines += [f"violation: {v}" for v in report.violations]
+        lines += ["wall: " + " ".join(map(str, wall)) for wall in report.walls]
+        code = 0 if report.ok else 1
+        assert _both_forms("validate", *_datum_argv(w)) == (
+            (code, canonical_line(expected)), (code, _text(lines))
+        )
+        if not report.ok:
+            return
+        for mode, min_size in (("fine", 2), ("coarse", 3)):
+            sets = _signature_sets(w, min_size)
+            lines = [f"{mode} signature: {len(sets)} sets"]
+            lines += [" ".join(map(str, s)) for s in sets]
+            assert _both_forms("signature", "--mode", mode, *_datum_argv(w)) == (
+                (0, canonical_line({"mode": mode, "sets": sets})), (0, _text(lines))
+            )
+        divisors = enumerate_boundary_divisors(w)
+        lines = [f"{len(divisors)} boundary divisors", *map(_divisor_line, divisors)]
+        expected = {"divisors": [d.to_json_dict() for d in divisors]}
+        assert _both_forms("divisors", *_datum_argv(w)) == (
+            (0, canonical_line(expected)), (0, _text(lines))
+        )
+
+    @pytest.mark.parametrize("construction", CONSTRUCTIONS)
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_schedule_matches_to_json_dict(self, construction, n):
+        obj = blowup_schedule(construction, n).to_json_dict()
+        lines = [f"{construction} on {obj['ambient']}, n={n}"]
+        lines += [
+            f"step {step['step']}: "
+            + "; ".join(
+                c if isinstance(c, str) else "{" + " ".join(c) + "}"
+                for c in step["centers"]
+            )
+            for step in obj["steps"]
+        ]
+        assert _both_forms("schedule", construction, str(n)) == (
+            (0, canonical_line(obj)), (0, _text(lines))
+        )
 
 
 class TestVerifyL1Verb:
@@ -721,6 +815,57 @@ STDOUT_SHA256 = {
 }
 
 
+# exit code and stdout sha256 as (JSON, text) of the shapes at the edges
+# of the set-listing verbs
+EDGE_SHAPES = {
+    # an empty signature
+    ("signature", "--genus", "0", "--weights", "1,1,1"): (
+        0,
+        "b136bb955a83c45b4d04deb23fb5c59964c5afcd602bdfed4d00e6610baa7c49",
+        "39dbb6465dc253ecf5873c741d698ba29a813cda6299ac35b314fadc526028de",
+    ),
+    # a datum with no divisors
+    ("divisors", "--genus", "0", "--weights", "1,1,1"): (
+        0,
+        "37d80affccb53a5df2d4f3d6d0294b2f17982abfa4d6f41be570d250a0e09d39",
+        "2c0d0fbb9be887ea1b60f09b00e7c321e710446677ad0a00be3fad50b73598d5",
+    ),
+    # genus one: the irreducible entry between the nodal and the
+    # coincidence divisors, and a zero weight left out of the pairs
+    ("divisors", "--genus", "1", "--weights", "1/2,1/3,0,1/4"): (
+        0,
+        "fd039086d9042e0b9128ccf2d81347dc4232f5d9454a75b929c975b2b28cb7c5",
+        "75e530c6f3b6eacb340661634a3e522f6490088c717d408fd94573f66143497b",
+    ),
+    ("divisors", "--trees", "--genus", "1", "--weights", "1/2,1/3,0,1/4"): (
+        0,
+        "76f6619ce63f5a08f92f76c733ce53d86e0a7532b9d0be5a8576c61978eef571",
+        "75e530c6f3b6eacb340661634a3e522f6490088c717d408fd94573f66143497b",
+    ),
+    # invalid data: the report, no walls, exit 1
+    ("validate", "--genus", "0", "--weights", "1/2,3/2,0,1/4"): (
+        1,
+        "bceb4397a87991bb906bd7699d49d751e2bb8a7a93ac17fafc7adb4e15100ed1",
+        "d07bc711d8b5c75eefc557771b52244c5dc511825e644b520044f84d51d1b116",
+    ),
+    ("validate", "--genus", "0", "--weights", "1,1,1"): (
+        0,
+        "755d1ed0ae2a6efc6fb4b6e03370861cdbe16076c510b8a19bb82516e2305cc9",
+        "009d962905920ad0e3ff46c6987fad36418982deb81796fd1f58e326d167c268",
+    ),
+    ("schedule", "kblu", "5"): (
+        0,
+        "a27be8d2316b60632f085cc158e74a32c693714d8757df6bdde66d2178d252ae",
+        "63732b56712a25252cd3d846b2e5177028be94989aca13b30fa24925446c258c",
+    ),
+    ("schedule", "kblusym", "5"): (
+        0,
+        "c3f90fdac3b29739ac77fc6e0f768954b0b823caac6f81f7a20b8168c1ba3bd5",
+        "883a092cafa217d30665c1c9bb6773c24a165c74a3258d6cd68a25578a416da0",
+    ),
+}
+
+
 class TestStdoutPinned:
     """Stdout digests of the set-listing verbs, of the Fourier-Motzkin
     verbs (``feasible``, ``factors-kapranov``, ``verify-l1``) and of the
@@ -739,6 +884,14 @@ class TestStdoutPinned:
         assert rc == 0, err
         expected = STDOUT_SHA256[argv][form == "text"]
         assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+    @pytest.mark.parametrize("argv", list(EDGE_SHAPES), ids=" ".join)
+    @pytest.mark.parametrize("form", ["json", "text"])
+    def test_edge_shape_digest(self, argv, form):
+        rc, out, err = run_cli(*argv, "--format", form)
+        exit_code, *digests = EDGE_SHAPES[argv]
+        assert rc == exit_code, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[form == "text"]
 
 
 PARSER_CASES = [

@@ -394,6 +394,15 @@ class TestClassify:
         b = WeightData(0, (F(1, 2),) * 3 + (F(1), F(1)))
         assert signature_relabeling(a, b) is None
 
+    def test_signature_relabeling_rejects_different_marking_counts(self):
+        # a slot map between data of different sizes does not exist
+        five = WeightData(0, (F(1, 3),) * 3 + (F(2, 3), F(1)))
+        six = WeightData(0, five.weights + (F(1),))
+        with pytest.raises(ValueError, match="marking count mismatch"):
+            signature_relabeling(six, five)
+        with pytest.raises(ValueError, match="marking count mismatch"):
+            signature_relabeling(five, six)
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_random_relabelings_classify_back(self, data):

@@ -115,6 +115,52 @@ class TestEnumerateSmallSubsets:
         assert sets == [tuple(range(1, 1102))]
 
 
+def relabeled(sets, labels):
+    return [tuple(labels[k - 1] for k in s) for s in sets]
+
+
+class TestLabels:
+    """Entry k + 1 of every tuple reads labels[k]; nothing else changes."""
+
+    @given(
+        st.lists(st.integers(0, 12), max_size=9),
+        st.integers(-4, 40),
+        st.integers(-4, 40),
+        st.integers(-1, 10),
+        st.integers(-1, 10),
+        st.data(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_labels_map_the_default_output(self, values, lo, hi, min_size, max_size, data):
+        # repeated and non-string labels too: the kernel only places them
+        label = st.one_of(st.text(max_size=3), st.integers(-3, 3))
+        labels = data.draw(st.lists(label, min_size=len(values), max_size=len(values)))
+        args = (values, lo, hi, min_size, max_size)
+        assert kernels.enumerate_small_subsets(*args, labels) == relabeled(
+            kernels.enumerate_small_subsets(*args), labels
+        )
+
+    def test_zero_values_and_empty_windows(self):
+        tokens = ("a", "b", "c")
+        assert kernels.enumerate_small_subsets([0, 2, 0], 1, 2, 1, 3, tokens) == [
+            ("b",), ("a", "b"), ("b", "c"), ("a", "b", "c")
+        ]
+        assert kernels.enumerate_small_subsets([0, 0, 0], -1, 0, 0, 3, tokens) == [
+            (), ("a",), ("b",), ("c",), ("a", "b"), ("a", "c"), ("b", "c"),
+            ("a", "b", "c"),
+        ]
+        assert kernels.enumerate_small_subsets([1, 2, 3], 3, 3, 0, 3, tokens) == []
+        assert kernels.enumerate_small_subsets([1, 2, 3], 5, 2, 0, 3, tokens) == []
+        assert kernels.enumerate_small_subsets([], -1, 0, 0, 0, ()) == [()]
+
+    def test_window_deeper_than_the_recursion_limit(self):
+        tokens = tuple(map(str, range(1, 1103)))
+        sets = kernels.enumerate_small_subsets(
+            [1] * 1101 + [3000], 1100, 1101, 1101, 1102, tokens
+        )
+        assert sets == [tokens[:1101]]
+
+
 class TestFindSubsetInInterval:
     def test_decision_matches_brute_force(self):
         rng = random.Random(911)

@@ -7,7 +7,11 @@ import pytest
 
 import hassett.weights as weights_module
 from hassett import kernels
-from hassett.families import classify_with_relabeling, kapranov_weights
+from hassett.families import (
+    classify_with_relabeling,
+    kapranov_weights,
+    signature_relabeling,
+)
 from hassett.weights import (
     InvalidWeightDataError,
     WeightData,
@@ -170,6 +174,32 @@ class TestEquivalence:
     def test_genus_mismatch_is_an_error(self):
         with pytest.raises(ValueError):
             fine_equivalent(wd(0, 1, 1, 1, 1), wd(1, 1, 1, 1, 1))
+
+    @pytest.mark.parametrize(
+        "check", [fine_equivalent, coarse_equivalent_genus0, signature_relabeling]
+    )
+    def test_invalid_data_are_rejected_on_either_side(self, check):
+        good = wd(0, "1/3", "1/3", "1/3", "2/3", 1)
+        for bad in (wd(0, "1/3", "1/3", "1/3", "2/3", "3/2"), wd(0, 0, 0, 0, 0, 1)):
+            for pair in ((good, bad), (bad, good)):
+                with pytest.raises(InvalidWeightDataError):
+                    check(*pair)
+
+    def test_each_datum_is_validated_once(self, monkeypatch):
+        # the comparisons inside a relabeling search run on permutations of
+        # data already checked; its final set check lists both signatures,
+        # validating each datum once more
+        calls = []
+        violations = weights_module._violations
+        monkeypatch.setattr(
+            weights_module, "_violations", lambda w: calls.append(w) or violations(w)
+        )
+        w = kapranov_weights(2, 3, 12)
+        shuffled = WeightData(0, w.weights[::-1])
+        assert fine_equivalent(w, w)
+        assert len(calls) == 2
+        assert signature_relabeling(shuffled, w) is not None
+        assert len(calls) == 2 + 4
 
 
 class TestReduction:
