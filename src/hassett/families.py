@@ -40,6 +40,7 @@ from .weights import (
     _check_pair,
     _meets_class_rows,
     _same_chamber,
+    _slot_classes,
     _solve_over_classes,
     chamber_reduction_exists,
     chamber_signature,
@@ -486,6 +487,12 @@ def factors_kapranov(w: WeightData) -> bool:
     Both reduction checks range over whole coarse chambers, so the
     answer depends only on the coarse chamber of w and is in particular
     invariant under fine equivalence.
+
+    One slot per class of equal weight is enough. Swapping two slots i, j
+    of equal weight fixes w and swaps the targets at i and j, and a check
+    over whole chambers commutes with relabeling both data, so slots i and
+    j get the same answer. The classes are tried heaviest first; the order
+    decides only which check succeeds first, never the answer.
     """
     if w.genus != 0:
         raise ValueError("the factorization predicate is defined for genus 0")
@@ -496,8 +503,11 @@ def factors_kapranov(w: WeightData) -> bool:
     classical = WeightData(0, (ONE,) * n)
     if chamber_reduction_exists(classical, w, "coarse") is None:
         return False
-    for slot in range(1, n + 1):
-        target = _kapranov_point_target(n, slot)
+    heaviest_first = sorted(
+        _slot_classes(w), key=lambda block: w.weights[block[0] - 1], reverse=True
+    )
+    for block in heaviest_first:
+        target = _kapranov_point_target(n, block[0])
         if chamber_reduction_exists(w, target, "coarse") is not None:
             return True
     return False

@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import combinations, permutations
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from hassett.linear import evaluate
 from hassett.weights import (
     WeightData,
     _meets_class_rows,
+    _slot_classes,
     chamber_reduction_exists,
     chamber_signature,
     fine_equivalent,
@@ -40,6 +42,7 @@ from hassett.weights import (
     validate,
 )
 from tests.oracles import backtrack_relabeling, brute_signature, fingerprint_relabeling
+from tests.test_cli import FACTORS_FALSE
 
 
 def brute_coarse_sets(w: WeightData) -> set[frozenset[int]]:
@@ -479,7 +482,81 @@ class TestSignatureRelabeling:
             assert got is not None
 
 
+def every_slot_factors_kapranov(w: WeightData) -> bool:
+    """The predicate with one reduction check per slot: the reference for
+    the one-check-per-weight-class loop. It calls the engine, so it lives
+    here and not among the engine-free oracles."""
+    n = w.n
+    classical = WeightData(0, (F(1),) * n)
+    if chamber_reduction_exists(classical, w, "coarse") is None:
+        return False
+    return any(
+        chamber_reduction_exists(w, families._kapranov_point_target(n, slot), "coarse")
+        is not None
+        for slot in range(1, n + 1)
+    )
+
+
 class TestFactorsKapranov:
+    @pytest.mark.parametrize("n", range(5, 10))
+    def test_agrees_with_the_every_slot_loop(self, n):
+        rng = Random(n)
+        answers = set()
+        for spec in family_grid(n):
+            rep = representative_weights(spec)
+            shuffled = WeightData(0, tuple(rng.sample(rep.weights, n)))
+            for w in (rep, shuffled):
+                expected = every_slot_factors_kapranov(w)
+                assert factors_kapranov(w) is expected, (spec, w.weights)
+                answers.add(expected)
+        if n > 5:
+            assert answers == {True, False}
+
+    def test_agrees_with_the_every_slot_loop_on_the_cli_false_datum(self):
+        w = WeightData(0, tuple(map(F, FACTORS_FALSE[-1].split(","))))
+        assert factors_kapranov(w) is every_slot_factors_kapranov(w) is False
+
+    @pytest.mark.parametrize("n", range(5, 9))
+    def test_slots_of_equal_weight_get_the_same_answer(self, n):
+        # the fact that lets factors_kapranov try one slot per weight class
+        answers = set()
+        for spec in family_grid(n):
+            rep = representative_weights(spec)
+            for block in _slot_classes(rep):
+                if len(block) < 2:
+                    continue
+                i, j = block[0], block[-1]
+                found_i, found_j = (
+                    chamber_reduction_exists(
+                        rep, families._kapranov_point_target(n, slot), "coarse"
+                    )
+                    is not None
+                    for slot in (i, j)
+                )
+                assert found_i == found_j, (spec, i, j)
+                answers.add(found_i)
+        assert answers == {True, False}
+
+    def test_one_reduction_check_per_weight_class(self, monkeypatch):
+        calls = []
+
+        def counting(a, b, mode="fine"):
+            calls.append(b)
+            return chamber_reduction_exists(a, b, mode)
+
+        monkeypatch.setattr(families, "chamber_reduction_exists", counting)
+        for n in range(5, 9):
+            for spec in family_grid(n):
+                rep = representative_weights(spec)
+                calls.clear()
+                factors_kapranov(rep)
+                assert len(calls) <= 1 + len(_slot_classes(rep)), spec
+        calls.clear()
+        assert factors_kapranov(kapranov_weights(2, 2, 10)) is True
+        # the classical check, then the full-weight class
+        assert len(calls) == 2
+        assert calls[1] == families._kapranov_point_target(10, 9)
+
     def test_kapranov_member_factors(self):
         w = WeightData(0, (F(1, 3),) * 3 + (F(2, 3), F(1)))
         assert factors_kapranov(w) is True
