@@ -188,8 +188,11 @@ def is_admissible(
     Both routes work on the integers of :meth:`WeightData.scaled`: the
     enumeration compares ``s_i + sum(T) <= cap`` with
     ``s_j + sum(T) <= cap`` packet by packet, without the kernel's
-    windows.
+    windows. The datum is validated first, so invalid data raise
+    :class:`~hassett.weights.InvalidWeightDataError` before any index
+    check.
     """
+    require_valid(w)
     n = w.n
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"marking indices must lie in 1..{n}")

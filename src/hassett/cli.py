@@ -267,7 +267,6 @@ def _cmd_contract(args: argparse.Namespace) -> int:
 
 def _cmd_admissible(args: argparse.Namespace) -> int:
     w = _weights_from(args)
-    require_valid(w)
     ok, witness = is_admissible(w, args.i, args.j, exclude_ij=args.strict_atrans)
     obj = {
         "admissible": ok,

@@ -108,17 +108,6 @@ class FamilySpec:
             return f"sym:k={self.k},n={self.n}"
         return f"keel:h={self.h},n={self.n}"
 
-    def to_json_dict(self) -> dict:
-        out: dict = {"family": self.family, "n": self.n}
-        if self.family == FAMILY_KAPRANOV:
-            out["r"], out["s"] = self.params
-        elif self.family == FAMILY_SYM:
-            out["k"] = self.params[0]
-        else:
-            out["h"] = self.params[0]
-        out["notation"] = self.notation()
-        return out
-
     @classmethod
     def from_notation(cls, text: str) -> "FamilySpec":
         """Inverse of :meth:`notation`, with full range validation.

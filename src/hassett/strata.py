@@ -4,7 +4,9 @@ A one-node degeneration is recorded by the markings on one side together
 with a genus split; a coincidence divisor records two positive-weight
 markings allowed to collide. Trees are canonicalized so enumeration is
 deterministic, and reduction morphisms report exactly the divisors whose
-collapsed side maps to a stratum of codimension at least two.
+collapsed side maps to a stratum of codimension at least two: the genus-0
+sides I with b_I <= 1 < a_I holding at least three markings of positive
+target weight, read off the target's chamber signature in one pass.
 """
 
 from __future__ import annotations
@@ -247,15 +249,6 @@ class BoundaryDivisor:
         return {"kind": "coincidence", "pair": self.pair}
 
 
-def _genus0_side_stable(
-    sig: frozenset[frozenset[int]], side: frozenset[int]
-) -> bool:
-    """A genus-0 side with one node is stable iff it carries more than
-    weight 1, i.e. at least two markings forming a set outside the
-    chamber signature."""
-    return len(side) >= 2 and side not in sig
-
-
 def _divisor_windows(
     w: WeightData, labels: Sequence
 ) -> tuple[list[tuple[tuple[int, int], list[tuple]]], bool, list[tuple]]:
@@ -348,39 +341,37 @@ def contracted_divisors(a: WeightData, b: WeightData) -> list[Contraction]:
     """Nodal divisors of the source whose degree-losing side maps to a
     stratum of codimension at least two under the target weights.
 
-    A genus-0 side loses positive degree when its target weight drops to
-    at most 1. With exactly two positive-weight markings the image is the
-    coincidence divisor of that pair (nothing is contracted); with three
-    or more, the image is a deeper stratum and the divisor is contracted.
-    Sides of positive genus never lose degree.
+    Only a genus-0 side S loses degree, when its target weight drops to at
+    most 1, so the candidates are the sets of ``chamber_signature(b)``.
+    S is reported when the divisor exists for the source and at least
+    three of its markings keep positive target weight; with exactly two,
+    the image is the coincidence divisor of that pair and nothing is
+    contracted. The divisor exists when a_S > 1 and the other side is
+    stable. A side of positive genus with one node always is. In genus 0
+    it is too: b is valid, so b weighs more than 2 in all, the other side
+    more than 1 under b, and so under a.
+
+    Each contraction carries the divisor under its canonical side: S
+    itself in positive genus; in genus 0 the side with fewer markings, or
+    at n/2 markings the side holding marking 1. Output is sorted by
+    (|S|, sorted S).
     """
     if not reduction_exists(a, b):
         raise ValueError("no reduction morphism: target weights must be "
                          "pointwise at most the source weights")
-    sig_b = chamber_signature(b)
+    scaled, cap = a.scaled()
+    n, split = a.n, (0, a.genus)
+    full, positive = frozenset(range(1, n + 1)), frozenset(b.positive_indices())
     out: list[Contraction] = []
-    for d in enumerate_boundary_divisors(a):
-        if d.kind != "nodal":
+    for side in chamber_signature(b):
+        if len(side & positive) < 3 or sum(scaled[m - 1] for m in side) <= cap:
             continue
-        assert d.side is not None and d.genus_split is not None
-        full = frozenset(range(1, a.n + 1))
-        near = frozenset(d.side)
-        for side, g_side in (
-            (near, d.genus_split[0]),
-            (full - near, d.genus_split[1]),
-        ):
-            if g_side != 0:
-                continue
-            if _genus0_side_stable(sig_b, side):
-                continue  # still stable under the target
-            positive = [m for m in side if b.weights[m - 1] > 0]
-            if len(positive) >= 3:
-                out.append(
-                    Contraction(
-                        divisor=d, collapsed_side=side, collapsed_genus=g_side
-                    )
-                )
-    out.sort(key=lambda c: (len(c.collapsed_side), tuple(sorted(c.collapsed_side))))
+        canonical, excess = side, 2 * len(side) - n
+        if a.genus == 0 and (excess > 0 or (excess == 0 and 1 not in side)):
+            canonical = full - side
+        divisor = BoundaryDivisor("nodal", tuple(sorted(canonical)), split)
+        out.append(Contraction(divisor, side, 0))
+    out.sort(key=lambda c: (len(c.collapsed_side), sorted(c.collapsed_side)))
     return out
 
 

@@ -218,6 +218,41 @@ def brute_nodal_divisors(
     return out
 
 
+def brute_contractions(
+    a_weights: list[Fraction], b_weights: list[Fraction], genus: int
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Divisors contracted by the reduction from weights a to weights b, as
+    (collapsed side, canonical side) sorted tuples, ordered by the size of
+    the collapsed side and then lexicographically.
+
+    Every subset I is tried as the genus-0 side of a one-node curve whose
+    other side has genus ``genus``. The divisor exists for a when each
+    genus-0 side weighs more than 1 (the node counts as weight 1), and the
+    reduction collapses I when b_I <= 1 while I keeps at least three
+    markings of positive b-weight. The canonical side is the side of
+    smaller genus, ties broken by fewer markings, then lexicographically.
+    """
+    n = len(a_weights)
+    full = frozenset(range(1, n + 1))
+    out = []
+    for r in range(0, n + 1):
+        for side in combinations(range(1, n + 1), r):
+            comp = tuple(sorted(full - set(side)))
+            if sum((a_weights[i - 1] for i in side), Fraction(0)) <= ONE:
+                continue
+            if genus == 0 and sum((a_weights[i - 1] for i in comp), Fraction(0)) <= ONE:
+                continue
+            if sum((b_weights[i - 1] for i in side), Fraction(0)) > ONE:
+                continue
+            if sum(1 for i in side if b_weights[i - 1] > 0) < 3:
+                continue
+            canonical = side
+            if genus == 0 and (len(comp), comp) < (len(side), side):
+                canonical = comp
+            out.append((side, canonical))
+    return out
+
+
 def _mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """Apply p, then q."""
     return tuple(q[p[x]] for x in range(len(p)))

@@ -124,6 +124,17 @@ class TestIsAdmissible:
         with pytest.raises(ValueError):
             is_admissible(W_ZW, 1, 3)  # marking 1 has weight zero
 
+    def test_invalid_data_raise_before_any_answer(self):
+        # a weight above 1, and a negative genus: neither is a datum, so
+        # neither gets an admissibility answer or a witness
+        with pytest.raises(InvalidWeightDataError):
+            is_admissible(WeightData(2, (F(3, 2), F(1, 2), F(1, 3))), 1, 2)
+        with pytest.raises(InvalidWeightDataError):
+            is_admissible(WeightData(-1, (F(1, 2), F(1, 3), F(1, 5))), 1, 2)
+        # validation comes before the index checks
+        with pytest.raises(InvalidWeightDataError):
+            is_admissible(WeightData(-1, (F(1, 2), F(1, 3), F(1, 5))), 2, 2)
+
     def test_decision_invariant_under_relabeling_other_markings(self):
         rng = random.Random(20260817)
         for _ in range(60):

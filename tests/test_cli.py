@@ -223,6 +223,38 @@ class TestContractVerb:
             (1, 2, 3)
         ]
 
+    # stdout digests (json, text) taken before contractions were read off
+    # the target's chamber signature: the benchmark's twelve weights 1 to
+    # twelve weights 1/4 (715 contractions), and a genus-2 pair with zero
+    # weights (168 contractions)
+    DIGESTS = {
+        "quarter": (
+            (0, ["1"] * 12),
+            (0, ["1/4"] * 12),
+            "6d287403054964a724ec4cdbd5fcb3eaf0f75e472e73961f7f9decbe451a4093",
+            "42204a84dd55de0ff24a5a5cf08a06c7899a1bf4c0f0d1dbfce6be861d5463d3",
+        ),
+        "genus2-zeros": (
+            (2, ["1", "1", "1/2", "1/2", "0", "1/3", "1", "1/2", "0"]),
+            (2, ["1/3", "1/4", "1/4", "1/4", "0", "1/6", "1/2", "1/4", "0"]),
+            "04d3864044107cc66f5e9ed4487ba7697cfce40aab5aa6a2477eb69734c35dfa",
+            "0ca659375d5b77e5ba25acc072ee70e7d51bf4c283a851221ae8abe51969ae2c",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(DIGESTS))
+    @pytest.mark.parametrize("form", ["json", "text"])
+    def test_stdout_digest(self, tmp_path, name, form):
+        source, target, *digests = self.DIGESTS[name]
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        self._write(a, *source)
+        self._write(b, *target)
+        rc, out, err = run_cli(
+            "contract", "--from", str(a), "--to", str(b), "--format", form
+        )
+        assert rc == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[form == "text"]
+
     def test_missing_reduction_is_usage_error(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         self._write(a, 0, ["1/3", "1/3", "1/3", "2/3", "1"])

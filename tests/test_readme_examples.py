@@ -1,8 +1,10 @@
-"""The README's command-line examples, run through the CLI byte for byte.
+"""The README's examples: command lines run through the CLI byte for byte,
+and every ``python`` block executed.
 
 Each ``$ hassett ...`` line in README.md is followed by its stdout line.
 Examples whose output is abbreviated with an ellipsis are skipped; a
-trailing ``# exit N`` comment states a non-zero exit status.
+trailing ``# exit N`` comment states a non-zero exit status. A Python
+block passes when it runs to the end, its own ``assert`` lines included.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ def _examples() -> list[tuple[list[str], int, str]]:
 
 
 EXAMPLES = _examples()
+PYTHON_BLOCKS = re.findall(
+    r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S
+)
 
 
 def test_examples_are_found():
@@ -48,3 +53,12 @@ def test_readme_example(argv, exit_code, expected):
         rc = cli.main(argv)
     assert rc == exit_code
     assert out.getvalue() == expected
+
+
+def test_python_blocks_are_found():
+    assert len(PYTHON_BLOCKS) == 1
+
+
+@pytest.mark.parametrize("source", PYTHON_BLOCKS, ids=lambda s: s.splitlines()[0])
+def test_readme_python_block(source):
+    exec(compile(source, str(README), "exec"), {"__name__": "readme_example"})

@@ -16,7 +16,7 @@ from hassett.strata import (
     vertex_degree,
 )
 from hassett.weights import WeightData
-from tests.oracles import brute_nodal_divisors
+from tests.oracles import brute_contractions, brute_nodal_divisors
 
 W_EXAMPLE = WeightData(genus=0, weights=(F(1, 3), F(1, 3), F(1, 3), F(2, 3), F(1)))
 W_HALF = WeightData(genus=0, weights=(F(1, 2), F(1, 2), F(1, 2), F(1), F(1)))
@@ -311,3 +311,39 @@ def test_census_conservation_under_reduction(pair):
     # divisor of its two-marked collapsed side, or is contracted
     assert nodal_a == nodal_b + (coinc_b - coinc_a) + contracted
     assert coinc_a <= coinc_b
+
+
+weight_with_zero = st.fractions(min_value=0, max_value=1, max_denominator=6)
+
+
+@st.composite
+def dominated_pair(draw):
+    """A valid source datum and a valid target drawn slotwise below it:
+    genus 0-3, up to nine markings, zero weights allowed on either side."""
+    genus = draw(st.integers(min_value=0, max_value=3))
+    # genus 0 collapses nothing below five markings, and small data are
+    # mostly invalid there
+    n = draw(st.integers(min_value=5 if genus == 0 else 0, max_value=9))
+    a_ws = tuple(draw(weight_with_zero) for _ in range(n))
+    # each target weight keeps its source weight or drops to a fraction of
+    # it, so targets stay valid yet light enough to collapse sides
+    b_ws = tuple(
+        ai * draw(st.sampled_from([F(1), F(1, 2), F(1, 3), F(1, 4), F(0)]))
+        for ai in a_ws
+    )
+    for ws in (a_ws, b_ws):
+        assume(2 * genus - 2 + sum(ws) > 0 and (n > 0 or genus >= 2))
+    return WeightData(genus, a_ws), WeightData(genus, b_ws)
+
+
+@given(dominated_pair())
+@settings(max_examples=400, deadline=None)
+def test_contractions_match_the_subset_definition(pair):
+    a, b = pair
+    got = contracted_divisors(a, b)
+    assert [
+        (tuple(sorted(c.collapsed_side)), c.divisor.side) for c in got
+    ] == brute_contractions(list(a.weights), list(b.weights), a.genus)
+    for c in got:
+        assert c.collapsed_genus == 0
+        assert c.divisor.kind == "nodal" and c.divisor.genus_split == (0, a.genus)
