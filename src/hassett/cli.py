@@ -51,9 +51,9 @@ from hassett.families import (
 )
 from hassett.jsonio import Rendered, canonical_dumps, canonical_line
 from hassett.strata import (
+    _divisor_tree,
     _divisor_windows,
     contracted_divisors,
-    divisor_tree,
     enumerate_boundary_divisors,
 )
 from hassett.weights import (
@@ -216,7 +216,7 @@ def _cmd_divisors(args: argparse.Namespace) -> int:
         items = []
         for d in enumerate_boundary_divisors(w):
             entry = d.to_json_dict()
-            entry["tree"] = divisor_tree(w, d).to_json_dict()
+            entry["tree"] = _divisor_tree(w, d).to_json_dict()
             items.append(entry)
         _emit(args, {"divisors": items}, ())
         return 0

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
-from .linear import Constraint, LinearSystem, solve_feasibility
+from .linear import Constraint, LinearSystem
 from .weights import (
     ONE,
     WeightData,
@@ -335,27 +335,20 @@ def feasible_representative(spec: FamilySpec) -> WeightData:
     of :func:`_block_rows` plus the weight box and validity rows, in one
     variable per slot block, then re-checks the point against every
     condition row.  The condition system is invariant under permuting
-    slots within each block, so this decides the per-slot system (see
-    :func:`hassett.weights._solve_over_classes`).  If the block rows come
-    back infeasible, the per-slot system of :func:`family_conditions` is
-    still solved directly.  Raises :class:`InfeasibleFamilyError` when no
-    solution exists.
+    slots within each block, so the block rows are feasible exactly when
+    the per-slot system of :func:`family_conditions` is (see
+    :func:`hassett.weights._solve_over_classes`): infeasible block rows
+    settle the per-slot question too.  Raises
+    :class:`InfeasibleFamilyError` when no solution exists.
     """
-    n = spec.n
     blocks = _slot_blocks(spec)
     weights = _solve_over_classes(
         blocks, _block_rows(spec) + _box_and_validity_rows(blocks)
     )
     if weights is None:
-        slots = [(slot,) for slot in range(1, n + 1)]
-        full_rows = family_conditions(spec).constraints + tuple(
-            _box_and_validity_rows(slots)
+        raise InfeasibleFamilyError(
+            f"condition system for {spec.notation()} is infeasible"
         )
-        weights = solve_feasibility(LinearSystem(n, full_rows))
-        if weights is None:
-            raise InfeasibleFamilyError(
-                f"condition system for {spec.notation()} is infeasible"
-            )
     w = WeightData(0, weights)
     require_valid(w)
     if not _meets_class_rows(w, blocks, _block_rows(spec)):
@@ -385,11 +378,12 @@ def signature_relabeling(
     (weight, slot) lines up any relabeling that exists, and one exists
     exactly when the sorted data are fine-equivalent.  The source's
     classes of interchangeable slots are then runs of that order, cut
-    where swapping two neighbours leaves the source's chamber.  Each
-    run's slots go, in index order, to the target slots at the same
-    positions, in index order.  The map is checked against the target's
-    signature before it is returned.  Both data are checked comparable and
-    valid once, up front; the comparisons that build the map are between
+    where swapping two neighbours of different weight leaves the
+    source's chamber (equal ones swap to the same datum).  Each run's
+    slots go, in index order, to the target slots at the same positions,
+    in index order.  The map is checked against the target's signature
+    before it is returned.  Both data are checked comparable and valid
+    once, up front; the comparisons that build the map are between
     permutations of them and check nothing again.
     """
     _check_pair(target, source)
@@ -408,7 +402,9 @@ def signature_relabeling(
         ws[p - 1], ws[p] = ws[p], ws[p - 1]
         return WeightData(source.genus, tuple(ws))
 
-    cuts = [p for p in range(1, n) if not _same_chamber(swapped(p), sorted_s, 2)]
+    weights = sorted_s.weights
+    cuts = [p for p in range(1, n) if weights[p - 1] != weights[p]
+            and not _same_chamber(swapped(p), sorted_s, 2)]
     sigma = [0] * n
     for lo, hi in zip([0] + cuts, cuts + [n]):
         for slot, image in zip(sorted(order_s[lo:hi]), sorted(order_t[lo:hi])):
@@ -473,9 +469,10 @@ def factors_kapranov(w: WeightData) -> bool:
     projective space: some slot i admits reduction morphisms
     classical -> w -> (full weight at i, all others light).
 
-    Both reduction checks range over whole coarse chambers, so the
-    answer depends only on the coarse chamber of w and is in particular
-    invariant under fine equivalence.
+    The first arrow always exists: the classical datum dominates every
+    valid datum pointwise (Hassett, Adv. Math. 173, 2003, Thm 4.1). The
+    second is checked over whole coarse chambers, so the answer depends
+    only on the coarse chamber of w and is invariant under fine equivalence.
 
     One slot per class of equal weight is enough. Swapping two slots i, j
     of equal weight fixes w and swaps the targets at i and j, and a check
@@ -489,9 +486,6 @@ def factors_kapranov(w: WeightData) -> bool:
         raise ValueError(f"needs at least five markings, got {w.n}")
     require_valid(w)
     n = w.n
-    classical = WeightData(0, (ONE,) * n)
-    if chamber_reduction_exists(classical, w, "coarse") is None:
-        return False
     heaviest_first = sorted(
         _slot_classes(w), key=lambda block: w.weights[block[0] - 1], reverse=True
     )

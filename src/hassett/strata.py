@@ -378,6 +378,11 @@ def contracted_divisors(a: WeightData, b: WeightData) -> list[Contraction]:
 def divisor_tree(w: WeightData, d: BoundaryDivisor) -> StableTree:
     """The dual graph of a divisor's generic member."""
     require_valid(w)
+    return _divisor_tree(w, d)
+
+
+def _divisor_tree(w: WeightData, d: BoundaryDivisor) -> StableTree:
+    """:func:`divisor_tree` for a datum the caller has validated."""
     all_marks = tuple(range(1, w.n + 1))
     if d.kind == "nodal":
         assert d.side is not None and d.genus_split is not None

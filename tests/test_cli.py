@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hassett.cli as cli
+from hassett import weights as weights_module
 from hassett.autgroup import NOT_COVERED_MESSAGE
 from hassett.families import (
     CONSTRUCTIONS,
@@ -196,6 +197,25 @@ class TestDivisorsVerb:
         for entry in obj["divisors"]:
             tree = StableTree.from_json_dict(entry["tree"])
             assert tree.to_json_dict() == entry["tree"]
+
+    @pytest.mark.parametrize("form", ["json", "text"])
+    def test_one_datum_is_validated_at_most_twice(self, monkeypatch, form):
+        # the verb and the divisor enumeration check the datum; the trees
+        # of its 381 divisors do not check it again
+        calls = []
+
+        def counting(w):
+            calls.append(w)
+            return violations(w)
+
+        violations = weights_module._violations
+        monkeypatch.setattr(weights_module, "_violations", counting)
+        rc, out, _ = run_cli(
+            "divisors", "--genus", "0", "--weights", ",".join(["1/3"] * 10),
+            "--trees", "--format", form,
+        )
+        assert rc == 0 and out
+        assert 1 <= len(calls) <= 2
 
 
 class TestContractVerb:

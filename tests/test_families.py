@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hassett import families
@@ -29,7 +29,7 @@ from hassett.families import (
     sym_spec,
     verify_keel_factorization,
 )
-from hassett.linear import evaluate
+from hassett.linear import LinearSystem, evaluate, solve_feasibility
 from hassett.weights import (
     WeightData,
     _meets_class_rows,
@@ -267,6 +267,42 @@ class TestRepresentatives:
         with pytest.raises(InfeasibleFamilyError):
             feasible_representative(bogus)
 
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_block_verdict_matches_the_per_slot_verdict(self, n):
+        # The block rows decide the per-slot system of family_conditions,
+        # so infeasible block rows need no per-slot solve. Specs built
+        # directly, each parameter within three of its range; the per-slot
+        # systems have up to 2^n rows, so n stays small.
+        def verdict(solve):
+            try:
+                return "feasible" if solve() is not None else "infeasible"
+            except InfeasibleFamilyError:
+                return "infeasible"
+            except ValueError as exc:
+                return str(exc)
+
+        specs = [
+            FamilySpec("kapranov", n, (r, s))
+            for r in range(-2, n + 1)
+            for s in range(-2, n - r + 2)
+        ]
+        specs += [FamilySpec("sym", n, (k,)) for k in range(-2, n)]
+        specs += [FamilySpec("keel", n, (h,)) for h in range(-3, 2 * n - 5)]
+        in_range = {spec.notation() for spec in family_grid(n)}
+        slots = [(slot,) for slot in range(1, n + 1)]
+        seen = set()
+        for spec in specs:
+            if spec.notation() in in_range:
+                continue
+            per_slot = verdict(lambda: solve_feasibility(LinearSystem(
+                n,
+                family_conditions(spec).constraints
+                + tuple(families._box_and_validity_rows(slots)),
+            )))
+            assert verdict(lambda: feasible_representative(spec)) == per_slot, spec
+            seen.add(per_slot)
+        assert {"feasible", "infeasible"} <= seen
+
 
 SPECS_5_8 = [spec for n in range(5, 9) for spec in family_grid(n)]
 
@@ -481,6 +517,30 @@ class TestSignatureRelabeling:
         if shuffled:
             assert got is not None
 
+    @pytest.mark.parametrize("n", range(5, 9))
+    def test_equal_weight_neighbours_are_not_swapped(self, monkeypatch, n):
+        # swapping two equal weights gives back the same datum, so no
+        # chamber comparison is spent on it
+        calls = []
+
+        def counting(w1, w2, min_size):
+            calls.append((w1, w2))
+            return same_chamber(w1, w2, min_size)
+
+        same_chamber = families._same_chamber
+        monkeypatch.setattr(families, "_same_chamber", counting)
+        rng = Random(n)
+        for spec in family_grid(n):
+            rep = representative_weights(spec)
+            shuffled = WeightData(0, tuple(rng.sample(rep.weights, n)))
+            calls.clear()
+            assert signature_relabeling(shuffled, rep) is not None
+            ordered = sorted(rep.weights)
+            steps = sum(a != b for a, b in zip(ordered, ordered[1:]))
+            # the sorted-chamber check, then one swap per change of weight
+            assert len(calls) == 1 + steps, spec
+            assert all(w1 != w2 for w1, w2 in calls[1:]), spec
+
 
 def every_slot_factors_kapranov(w: WeightData) -> bool:
     """The predicate with one reduction check per slot: the reference for
@@ -550,12 +610,27 @@ class TestFactorsKapranov:
                 rep = representative_weights(spec)
                 calls.clear()
                 factors_kapranov(rep)
-                assert len(calls) <= 1 + len(_slot_classes(rep)), spec
+                assert len(calls) <= len(_slot_classes(rep)), spec
         calls.clear()
         assert factors_kapranov(kapranov_weights(2, 2, 10)) is True
-        # the classical check, then the full-weight class
-        assert len(calls) == 2
-        assert calls[1] == families._kapranov_point_target(10, 9)
+        # the full-weight class only
+        assert calls == [families._kapranov_point_target(10, 9)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_the_classical_datum_reduces_onto_every_valid_datum(self, data):
+        # the first arrow of the chain, which factors_kapranov does not solve
+        n = data.draw(st.integers(min_value=5, max_value=9))
+        value = st.fractions(min_value=F(1, 12), max_value=1, max_denominator=12)
+        values = data.draw(st.lists(value, min_size=1, max_size=3))
+        zeros = data.draw(st.integers(min_value=0, max_value=2))
+        weights = [F(0)] * zeros + data.draw(
+            st.lists(st.sampled_from(values), min_size=n - zeros, max_size=n - zeros)
+        )
+        w = WeightData(0, tuple(data.draw(st.permutations(weights))))
+        assume(validate(w).ok)
+        classical = WeightData(0, (F(1),) * n)
+        assert chamber_reduction_exists(classical, w, "coarse") is not None
 
     def test_kapranov_member_factors(self):
         w = WeightData(0, (F(1, 3),) * 3 + (F(2, 3), F(1)))

@@ -1,5 +1,5 @@
 """Every import in the package is used in its module or listed in its
-``__all__``."""
+``__all__``, and every private definition is referenced in the package."""
 
 import ast
 from pathlib import Path
@@ -45,3 +45,42 @@ def test_an_unused_import_is_found(tmp_path):
         encoding="utf-8",
     )
     assert unused_imports(path) == ["prod"]
+
+
+def unreferenced_private_names(paths) -> list[str]:
+    """Private functions, classes and methods (one leading underscore)
+    that no name, attribute or import anywhere in ``paths`` refers to."""
+    defined: set[str] = set()
+    referenced: set[str] = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced |= {alias.name for alias in node.names}
+    return sorted(defined - referenced)
+
+
+def test_every_private_definition_is_referenced():
+    assert unreferenced_private_names(sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_an_unreferenced_private_definition_is_found(tmp_path):
+    first, second = tmp_path / "first.py", tmp_path / "second.py"
+    first.write_text(
+        "def _imported(): pass\n"
+        "def _orphan(): pass\n"
+        "class _Box:\n"
+        "    def _read(self): pass\n"
+        "    def _stale(self): pass\n"
+        "    def __len__(self): return 0\n"
+        "def public(): return _Box()._read()\n",
+        encoding="utf-8",
+    )
+    second.write_text("from first import _imported\n", encoding="utf-8")
+    assert unreferenced_private_names([first, second]) == ["_orphan", "_stale"]

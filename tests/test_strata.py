@@ -15,7 +15,7 @@ from hassett.strata import (
     is_stable,
     vertex_degree,
 )
-from hassett.weights import WeightData
+from hassett.weights import InvalidWeightDataError, WeightData
 from tests.oracles import brute_contractions, brute_nodal_divisors
 
 W_EXAMPLE = WeightData(genus=0, weights=(F(1, 3), F(1, 3), F(1, 3), F(2, 3), F(1)))
@@ -248,6 +248,11 @@ class TestEnumerateBoundaryDivisors:
                   WeightData(genus=2, weights=(F(1, 2), F(1, 2)))):
             for d in enumerate_boundary_divisors(w):
                 assert is_stable(w, divisor_tree(w, d))
+
+    def test_divisor_tree_validates_its_datum(self):
+        d = enumerate_boundary_divisors(classical(5))[0]
+        with pytest.raises(InvalidWeightDataError):
+            divisor_tree(WeightData(genus=0, weights=(F(1, 3),) * 5), d)
 
     def test_zero_weights_do_not_make_coincidence_divisors(self):
         w = WeightData(genus=0, weights=(F(0), F(0), F(1), F(1), F(1)))
