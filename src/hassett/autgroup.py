@@ -129,7 +129,7 @@ class AutDescription:
 
 
 def _witness_candidates(
-    scaled: list[int], i: int, j: int, lo: int, hi: int, exclude_ij: bool
+    scaled: tuple[int, ...], i: int, j: int, lo: int, hi: int, exclude_ij: bool
 ):
     """Packets in canonical reporting order, as sorted index tuples.
 
@@ -185,7 +185,7 @@ def is_admissible(
     violating packet in canonical order.  The decision runs through the
     subset-sum kernel; the witness comes from independent enumeration,
     and a disagreement between the two routes raises ``RuntimeError``.
-    Both routes work on the integers of :meth:`WeightData.scaled`: the
+    Both routes work on the integers of :attr:`WeightData.integer_form`: the
     enumeration compares ``s_i + sum(T) <= cap`` with
     ``s_j + sum(T) <= cap`` packet by packet, without the kernel's
     windows. The datum is validated first, so invalid data raise
@@ -198,14 +198,13 @@ def is_admissible(
         raise ValueError(f"marking indices must lie in 1..{n}")
     if i == j:
         raise ValueError("the two markings must differ")
-    a_i, a_j = w.weights[i - 1], w.weights[j - 1]
-    if a_i == 0 or a_j == 0:
+    scaled, cap = w.integer_form
+    s_i, s_j = scaled[i - 1], scaled[j - 1]
+    if s_i == 0 or s_j == 0:
         raise ValueError("admissibility is defined for positive weights only")
-    if a_i == a_j:
+    if s_i == s_j:
         return True, None
 
-    scaled, cap = w.scaled()
-    s_i, s_j = scaled[i - 1], scaled[j - 1]
     pool = [scaled[k - 1] for k in range(1, n + 1) if k != i and k != j]
     # Half-open violation window (lo, hi] for plain packet sums.
     lo, hi = cap - max(s_i, s_j), cap - min(s_i, s_j)
@@ -248,9 +247,10 @@ def admissible_generators(
     the two values and the multiset of the remaining weights.
     """
     require_valid(w)
-    by_value: dict[Fraction, list[int]] = {}
+    scaled = w.integer_form[0]
+    by_value: dict[int, list[int]] = {}
     for k in w.positive_indices():
-        by_value.setdefault(w.weights[k - 1], []).append(k)
+        by_value.setdefault(scaled[k - 1], []).append(k)
     gens = []
     for first, second in combinations_with_replacement(by_value.values(), 2):
         if first is second:

@@ -8,7 +8,10 @@ constraints before being handed back.
 
 Internally every row is scaled once to coprime integers and stays a
 tuple of ints through elimination, reduced by its gcd after each
-combination; ``Fraction`` appears again only in back-substitution.
+combination; ``Fraction`` appears again only in back-substitution, where
+the witness is built. :func:`evaluate` scales the point once to a common
+denominator and checks each original constraint by an integer dot
+product.
 
 Intended for the small systems arising from chamber conditions (a dozen
 variables, tens of constraints). No floating point anywhere.
@@ -42,14 +45,6 @@ class Constraint:
         if self.rel not in RELATIONS:
             raise ValueError(f"unknown relation {self.rel!r}")
 
-    def holds_at(self, point: tuple[Fraction, ...]) -> bool:
-        lhs = sum((c * x for c, x in zip(self.coeffs, point)), Fraction(0))
-        if self.rel == "<=":
-            return lhs <= self.bound
-        if self.rel == "<":
-            return lhs < self.bound
-        return lhs == self.bound
-
 
 @dataclass(frozen=True)
 class LinearSystem:
@@ -65,11 +60,31 @@ class LinearSystem:
                 )
 
 
+def _common_scale(values: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Integers s_i and the common denominator d with values[i] = s_i / d."""
+    d = lcm(*(q.denominator for q in values))
+    return [q.numerator * (d // q.denominator) for q in values], d
+
+
 def evaluate(system: LinearSystem, point: tuple[Fraction, ...]) -> bool:
-    """Exact check of every constraint at the point."""
+    """Exact check of every constraint at the point, in integers: with
+    x = X / d and a row scaled to integers C . x rel B, the row reads
+    C . X rel B * d."""
     if len(point) != system.num_vars:
         raise ValueError("point dimension does not match the system")
-    return all(c.holds_at(point) for c in system.constraints)
+    xs, d = _common_scale(point)
+    for c in system.constraints:
+        *coeffs, bound = _common_scale((*c.coeffs, c.bound))[0]
+        lhs, rhs = sum(a * x for a, x in zip(coeffs, xs)), bound * d
+        if c.rel == "<=":
+            holds = lhs <= rhs
+        elif c.rel == "<":
+            holds = lhs < rhs
+        else:
+            holds = lhs == rhs
+        if not holds:
+            return False
+    return True
 
 
 # internal normal form: coeffs . x <= bound with coprime integer coeffs

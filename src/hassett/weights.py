@@ -3,8 +3,12 @@ equivalences, reduction and forgetful criteria.
 
 A weight datum is a genus g >= 0 together with rational weights
 a_1, ..., a_n, each in [0, 1], subject to 2g - 2 + sum(a_i) > 0 (strict);
-for n = 0 this forces g >= 2. All arithmetic is exact: weights are
-:class:`fractions.Fraction` and decimal strings are rejected at the parser.
+for n = 0 this forces g >= 2. All arithmetic is exact: weights are parsed
+into :class:`fractions.Fraction` (decimal strings are rejected), and each
+datum is scaled once to integers s_i = a_i * D over the common denominator
+D of its weights (:attr:`WeightData.integer_form`). Validity, slot classes,
+chamber types and class-row checks all run on those integers; ``Fraction``
+returns only to print a violation and in reduction witnesses.
 
 The *chamber signature* of a datum is the family of index sets
 S (|S| >= 2) whose weights sum to at most 1. Two data with equal signatures
@@ -28,6 +32,7 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, product
 from math import lcm, prod
 
@@ -132,20 +137,29 @@ class WeightData:
 
     def positive_indices(self) -> tuple[int, ...]:
         """1-based indices of the strictly positive weights."""
-        return tuple(i for i, w in enumerate(self.weights, start=1) if w > 0)
+        return tuple(i for i, s in enumerate(self.integer_form[0], start=1) if s > 0)
 
     def zero_indices(self) -> tuple[int, ...]:
         """1-based indices of the zero weights."""
-        return tuple(i for i, w in enumerate(self.weights, start=1) if w == 0)
+        return tuple(i for i, s in enumerate(self.integer_form[0], start=1) if s == 0)
+
+    @cached_property
+    def integer_form(self) -> tuple[tuple[int, ...], int]:
+        """Integer weights s_i and the common denominator D > 0 with
+        a_i = s_i / D, computed once per datum. Within one datum equal
+        weights have equal integers, and a_i <= 1 reads s_i <= D."""
+        d = lcm(*(a.denominator for a in self.weights))
+        return tuple(a.numerator * (d // a.denominator) for a in self.weights), d
 
     def scaled(self) -> tuple[list[int], int]:
-        """Integer weights and the cap D with a_i = s_i / D.
+        """Integer weights and the cap D with a_i = s_i / D, as a fresh list
+        of :attr:`integer_form`, which a caller may change.
 
         Subset conditions sum(S) <= 1 become integer conditions
         sum(s_i) <= D, which is what the kernels consume.
         """
-        d = lcm(*(w.denominator for w in self.weights)) if self.weights else 1
-        return [int(w * d) for w in self.weights], d
+        ints, d = self.integer_form
+        return list(ints), d
 
 
 @dataclass(frozen=True)
@@ -165,18 +179,23 @@ class ValidationReport:
 
 
 def _violations(w: WeightData) -> list[str]:
-    """The defining inequalities the datum breaks, in O(n)."""
+    """The defining inequalities the datum breaks, in O(n), decided on the
+    integer form: 0 <= s_i <= D and (2g - 2) * D + sum(s_i) > 0."""
     problems: list[str] = []
     if w.genus < 0:
         problems.append(f"genus must be nonnegative, got {w.genus}")
-    for i, a in enumerate(w.weights, start=1):
-        if not (0 <= a <= 1):
-            problems.append(f"weight {i} = {format_rational(a)} is outside [0, 1]")
+    scaled, d = w.integer_form
+    for i, s in enumerate(scaled, start=1):
+        if not (0 <= s <= d):
+            problems.append(
+                f"weight {i} = {format_rational(w.weights[i - 1])} is outside [0, 1]"
+            )
     if w.genus >= 0:
-        slack = 2 * w.genus - 2 + w.total
+        slack = (2 * w.genus - 2) * d + sum(scaled)
         if slack <= 0:
             problems.append(
-                f"2g - 2 + sum(weights) = {format_rational(slack)} must be positive"
+                "2g - 2 + sum(weights) = "
+                f"{format_rational(Fraction(slack, d))} must be positive"
             )
         if w.n == 0 and w.genus < 2:
             problems.append("a datum with no markings needs genus >= 2")
@@ -289,8 +308,8 @@ def _slot_classes(*data: WeightData) -> tuple[tuple[int, ...], ...]:
     set is in a datum's signature depends only on its *type*: its count of
     slots in each class.
     """
-    groups: dict[tuple[Fraction, ...], list[int]] = {}
-    for slot, key in enumerate(zip(*(w.weights for w in data)), start=1):
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for slot, key in enumerate(zip(*(w.integer_form[0] for w in data)), start=1):
         groups.setdefault(key, []).append(slot)
     return tuple(map(tuple, groups.values()))
 
@@ -307,7 +326,7 @@ def _chamber_types(
     signature: subsets of small sets stay small, supersets of big sets stay
     big. One pass over the prod(|class| + 1) type vectors.
     """
-    scaled, cap = w.scaled()
+    scaled, cap = w.integer_form
     values = [scaled[block[0] - 1] for block in classes]
     maximal: list[tuple[int, ...]] = []
     minimal: list[tuple[int, ...]] = []
@@ -386,9 +405,10 @@ def _meets_class_rows(
     holds on all its supports exactly when it holds at the extreme ones:
     the largest sum takes the |k| largest weights of a class with positive
     k and the |k| smallest of one with negative k, the smallest sum the
-    reverse. Both are read off each class's sorted weights.
+    reverse. Both are read off each class's sorted weights, in integers:
+    a sum reaching D * bound reads sum * q against p * D for bound = p/q.
     """
-    scaled, d = w.scaled()
+    scaled, d = w.integer_form
     runs = []  # per class: sums of its k smallest and of its k largest weights
     for block in classes:
         ordered = sorted(scaled[slot - 1] for slot in block)
@@ -403,9 +423,14 @@ def _meets_class_rows(
             elif k < 0:
                 high -= smallest[-k]
                 low -= largest[-k]
-        bound = row.bound * d
-        holds = {"<=": high <= bound, "<": high < bound, "=": low == high == bound}
-        if not holds[row.rel]:
+        bound, q = row.bound.numerator * d, row.bound.denominator
+        if row.rel == "<=":
+            holds = high * q <= bound
+        elif row.rel == "<":
+            holds = high * q < bound
+        else:
+            holds = low == high and high * q == bound
+        if not holds:
             return False
     return True
 
@@ -509,12 +534,13 @@ def chamber_reduction_exists(
 def forgetful_defined(w: WeightData, keep: frozenset[int] | set[int]) -> bool:
     """Whether dropping the markings outside ``keep`` leaves a valid datum.
 
-    The criterion is 2g - 2 + sum of the kept weights > 0; with it the
-    forgetful morphism onto the smaller space exists.
+    The criterion is 2g - 2 + sum of the kept weights > 0, checked as
+    (2g - 2) * D + sum of their integers > 0; with it the forgetful
+    morphism onto the smaller space exists.
     """
     require_valid(w)
     kept = frozenset(keep)
     if not kept <= set(range(1, w.n + 1)):
         raise ValueError(f"keep set {sorted(kept)} is not a subset of 1..{w.n}")
-    total = sum((w.weights[i - 1] for i in kept), Fraction(0))
-    return 2 * w.genus - 2 + total > 0
+    scaled, d = w.integer_form
+    return (2 * w.genus - 2) * d + sum(scaled[i - 1] for i in kept) > 0

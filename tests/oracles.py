@@ -14,6 +14,11 @@ stable, and ``close_permutations`` closes breadth-first under a size limit.
 by a Schreier-Sims chain, without listing it. The package accepts only
 transposition generators and takes the order from the orbits.
 
+``reference_violations`` and ``reference_scaled`` state validity and the
+integer form of a datum over ``Fraction`` values, as the package did
+before it scaled each datum once to integers; ``row_holds`` checks one
+linear row at a point by ``Fraction`` arithmetic.
+
 ``signature_antichains`` lists the maximal small and minimal big sets
 that pin a signature; the package lists their types over weight classes.
 
@@ -33,9 +38,49 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from operator import itemgetter
 
 ONE = Fraction(1)
+
+
+def _rational_text(q: Fraction) -> str:
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def reference_violations(genus: int, weights: list[Fraction]) -> list[str]:
+    """The violation messages of a datum, computed on Fraction values."""
+    problems: list[str] = []
+    if genus < 0:
+        problems.append(f"genus must be nonnegative, got {genus}")
+    for i, a in enumerate(weights, start=1):
+        if not (0 <= a <= 1):
+            problems.append(f"weight {i} = {_rational_text(a)} is outside [0, 1]")
+    if genus >= 0:
+        slack = 2 * genus - 2 + sum(weights, Fraction(0))
+        if slack <= 0:
+            problems.append(
+                f"2g - 2 + sum(weights) = {_rational_text(slack)} must be positive"
+            )
+        if not weights and genus < 2:
+            problems.append("a datum with no markings needs genus >= 2")
+    return problems
+
+
+def reference_scaled(weights: list[Fraction]) -> tuple[list[int], int]:
+    """Integers s_i and the lcm d of the denominators, a_i = s_i / d."""
+    d = lcm(*(a.denominator for a in weights)) if weights else 1
+    return [int(a * d) for a in weights], d
+
+
+def row_holds(coeffs, rel: str, bound, point) -> bool:
+    """Whether sum(coeffs[i] * point[i]) rel bound, rel one of <=, <, =."""
+    lhs = sum((c * x for c, x in zip(coeffs, point)), Fraction(0))
+    if rel == "<=":
+        return lhs <= bound
+    if rel == "<":
+        return lhs < bound
+    return lhs == bound
 
 
 def brute_signature(weights: list[Fraction]) -> set[frozenset[int]]:

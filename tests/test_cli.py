@@ -6,6 +6,7 @@ import argparse
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -23,6 +24,7 @@ from hassett.families import (
     FamilySpec,
     blowup_schedule,
     family_conditions,
+    family_grid,
     keel_spec,
     representative_weights,
 )
@@ -1017,3 +1019,121 @@ class TestProcessEntryPoint:
         _, out, _ = run_cli("aut", *DEL_PEZZO)
         assert proc.returncode == 0
         assert proc.stdout == out
+
+
+def _shuffled(w: WeightData, seed: str) -> WeightData:
+    order = list(w.weights)
+    random.Random(seed).shuffle(order)
+    return WeightData(w.genus, tuple(order))
+
+
+def _transcript_digest(argvs) -> str:
+    """sha256 over exit code, stdout and stderr of each run, in order."""
+    digest = hashlib.sha256()
+    for argv in argvs:
+        rc, out, err = run_cli(*argv)
+        digest.update(f"{rc}\0{out}\0{err}\0".encode())
+    return digest.hexdigest()
+
+
+def _datum_runs(tmp_path, verb: str, data) -> list[list[str]]:
+    """``verb`` on each datum, read from a file, in both output forms."""
+    runs = []
+    for index, w in enumerate(data):
+        path = tmp_path / f"w{index}.json"
+        path.write_text(json.dumps(w.to_json_dict()), encoding="utf-8")
+        runs += (
+            [verb, "--input", str(path), "--format", form] for form in ("json", "text")
+        )
+    return runs
+
+
+def _grid_data(n: int) -> list[WeightData]:
+    """Every family_grid representative at n, each followed by a seeded
+    shuffle of it."""
+    data = []
+    for spec in family_grid(n):
+        rep = representative_weights(spec)
+        data += [rep, _shuffled(rep, spec.notation())]
+    return data
+
+
+INVALID_DATA = [
+    WeightData(-1, (F(1, 2), F(1, 3))),
+    WeightData(-2, ()),
+    WeightData(0, ()),
+    WeightData(1, ()),
+    WeightData(0, (F(-1, 3), F(1), F(4, 3), F(1, 2))),
+    WeightData(0, (F(1, 2), F(3, 2), F(0), F(1, 4))),
+    WeightData(0, (F(1, 3), F(1, 6), F(1, 2))),
+    WeightData(0, (F(0), F(0), F(0))),
+    WeightData(1, (F(0), F(-5, 7))),
+    WeightData(0, (F(2), F(-1), F(-1, 6), F(7, 6), F(1, 4))),
+    WeightData(3, (F(-2),) * 5),
+]
+
+GENUS_ZERO_DIGESTS = {
+    ('classify', 5): "1ed2b1f3a03570335e8db9161474f55624dad8f960cac3f5370b76b0d1847341",
+    ('classify', 6): "9b1363543ca042a2b56f2d97bc1a447c6a483ea9fd2b1b6396506baf9f2da15f",
+    ('classify', 7): "d6ddfda2f9ee1a23590cb4ed9dfbbe5d20f1e031f565e91abd19f6b01986864c",
+    ('classify', 8): "a0aa9053c3cc5f552880e8b7f4aaadcde65ab2d8ac0b8cf7e2f05649f11ecc85",
+    ('classify', 9): "4659936564ec33e117609a18c86195d35ff1cb7ff414b7807121eb75f56e7f1e",
+    ('classify', 10): "769ed2a1bd06829c76fe41b8468a4ac5bec020edfc61a402cbc19d9c4ea1fb59",
+    ('aut', 5): "894262312705ab640cbae5493ce017475197ac6f4100ce1470092f9012330d63",
+    ('aut', 6): "30707cfb6d331b70b05e9f6ff6291f38411ac0db0bff439b08c98a62e18ff04e",
+    ('aut', 7): "65f5f6b92e93a4447d27045d161f598607330e225ca94bb8052ea91571f76d4e",
+    ('aut', 8): "394224fadddb34c3fe53e3658b0157732081a7e99a27f91e75febc230a5f267b",
+    ('aut', 9): "906a0d49266280245d22a55ce3d663412e3bf03f2fd57167464006be5ed84f29",
+    ('aut', 10): "fae38c15e0b99338e4e1ce90ca0bc84eea98a435e6dc368cb510b3993473e53a",
+    ('factors-kapranov', 5): "65305245f022e21006a738d554ddd87e010c34b3bbe58987fd11369c9cf2a2f0",
+    ('factors-kapranov', 6): "38b05539b2e910015839a60ed0779eeb7cfebd8ce37736809983258377fbd407",
+    ('factors-kapranov', 7): "d69b17ca097f546b100c5fa8bdb1a68b2b68d156a5261270c819b04617b0afe0",
+    ('factors-kapranov', 8): "2e6a0192f441c74e12a2a7db9de4dd4834938334a64cd0de1fa614f7b10f755c",
+    ('factors-kapranov', 9): "aff8c432e5550a7fb730457104a9d25662e6c9d90c85099865c022a3367bc420",
+    ('factors-kapranov', 10): "713e99db9bd13845743db4ee729bc066daf2b5806958673394bb16a109c74fb1",
+    ('feasible', 5): "97d61a059ecba874af3087151c27260f37944682e32a94147841776591985396",
+    ('feasible', 6): "8bc9f870292ae214489ef439bc9cb64de2a4f2ff8d113b987ae75ea4c922f148",
+    ('feasible', 7): "0e7e65285042edd4a0542deda333b451ee7c38d857249c55f7717bd2d062447b",
+    ('feasible', 8): "d02bbe32fbbc6bb8bd7f38615f6d0e411c595532b727a5727145b44deaa058be",
+    ('feasible', 9): "1ff42ccc9a964ef0e1b83cfa2d8ae51436905995f03d92263395d99386177090",
+    ('feasible', 10): "7b4a9773b75217733163528248061e44d13c88d200317ceeb49ab7c69e412c57",
+    ('verify-l1', 5): "11f2d166cf95f78f1ebc56ff4b677fc1c24db2de5d0b23e683fc956d360e20b8",
+    ('verify-l1', 6): "8c39a8ac09238859027028dbd0f537989c074bee20d131d450e038fe8de1a255",
+    ('verify-l1', 7): "e986115a6dc9825af5b1cc5e8b5ceebeb077200407076350e87613d07c494cbe",
+    ('verify-l1', 8): "0952809b2e71a68b8a4b84cbf27b449bcbcf4eddd6ef0fc98b9ec1f76d822737",
+    ('verify-l1', 9): "4bfb5086ebce2536eb4e4fb131cbe4f3af4e101481751d68d1260989a2fc3933",
+    ('verify-l1', 10): "f3a16e6e38e515f7d6ca806567e19f7f19ed90a169bf6eaf2fea560ddf6767e1",
+    'validate': "d0f89c012d0ec4a6e373dcda702fad776e658b0a8dff43e67210cca246a2b81e",
+}
+
+
+class TestGenusZeroDispatchPinned:
+    """Exit codes, stdout and stderr of the genus-zero family verbs, in both
+    output forms, pinned as one digest per verb and n: ``classify``,
+    ``aut`` and ``factors-kapranov`` on every family representative and a
+    seeded shuffle of it, ``feasible`` on every family notation,
+    ``verify-l1``, and ``validate`` on invalid data."""
+
+    @pytest.mark.parametrize("verb", ["classify", "aut", "factors-kapranov"])
+    @pytest.mark.parametrize("n", range(5, 11))
+    def test_family_representatives(self, tmp_path, verb, n):
+        runs = _datum_runs(tmp_path, verb, _grid_data(n))
+        assert _transcript_digest(runs) == GENUS_ZERO_DIGESTS[verb, n]
+
+    @pytest.mark.parametrize("n", range(5, 11))
+    def test_feasible_notations(self, n):
+        runs = [
+            ["feasible", spec.notation(), "--format", form]
+            for spec in family_grid(n)
+            for form in ("json", "text")
+        ]
+        assert _transcript_digest(runs) == GENUS_ZERO_DIGESTS["feasible", n]
+
+    @pytest.mark.parametrize("n", range(5, 11))
+    def test_verify_l1(self, n):
+        runs = [["verify-l1", str(n), "--format", form] for form in ("json", "text")]
+        assert _transcript_digest(runs) == GENUS_ZERO_DIGESTS["verify-l1", n]
+
+    def test_validate_invalid_data(self, tmp_path):
+        runs = _datum_runs(tmp_path, "validate", INVALID_DATA)
+        assert _transcript_digest(runs) == GENUS_ZERO_DIGESTS["validate"]

@@ -8,6 +8,7 @@ import pytest
 
 from hassett import linear
 from hassett.linear import Constraint, LinearSystem, evaluate, solve_feasibility
+from oracles import row_holds
 
 
 def le(coeffs, bound):
@@ -247,5 +248,47 @@ class TestValidation:
             Constraint((F(1),), ">=", F(0))
 
     def test_evaluate_dimension_check(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^point dimension does not match the system$"):
             evaluate(LinearSystem(2, ()), (F(0),))
+
+
+def mixed_number(rng):
+    """An int or a Fraction, zero about a third of the time."""
+    if rng.random() < 0.3:
+        return rng.choice([0, F(0)])
+    if rng.random() < 0.5:
+        return rng.randint(-5, 5)
+    return random_fraction(rng, span=7, denom_max=9)
+
+
+class TestEvaluate:
+    """The integer check agrees with the Fraction row check."""
+
+    def test_matches_fraction_row_check(self):
+        rng = random.Random(20)
+        for trial in range(3000):
+            nv = rng.randint(0, 5)
+            point = tuple(mixed_number(rng) for _ in range(nv))
+            rows = []
+            for _ in range(rng.randint(0, 4)):
+                coeffs = tuple(mixed_number(rng) for _ in range(nv))
+                value = sum((c * x for c, x in zip(coeffs, point)), F(0))
+                # bounds at, just above and just below the row's value
+                bound = value + rng.choice([0, 0, 1, -1, F(1, 7), F(-2, 9)])
+                if isinstance(bound, F) and bound.denominator == 1 and rng.random() < 0.5:
+                    bound = int(bound)
+                rows.append(Constraint(coeffs, rng.choice(linear.RELATIONS), bound))
+            system = LinearSystem(nv, tuple(rows))
+            expected = all(row_holds(r.coeffs, r.rel, r.bound, point) for r in rows)
+            assert evaluate(system, point) == expected, (trial, system, point)
+            for row in rows:
+                assert evaluate(LinearSystem(nv, (row,)), point) == row_holds(
+                    row.coeffs, row.rel, row.bound, point
+                ), (trial, row, point)
+
+    def test_empty_point(self):
+        for rel, bound, expected in [
+            ("<=", 0, True), ("<", 0, False), ("=", F(0), True),
+            ("<", F(1, 3), True), ("=", -1, False), ("<=", F(-1, 2), False),
+        ]:
+            assert evaluate(LinearSystem(0, (Constraint((), rel, bound),)), ()) is expected

@@ -4,6 +4,8 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hassett.weights as weights_module
 from hassett import kernels
@@ -28,7 +30,7 @@ from hassett.weights import (
     validate,
 )
 
-from oracles import brute_signature
+from oracles import brute_signature, reference_scaled, reference_violations
 
 
 def wd(genus, *weights):
@@ -367,3 +369,56 @@ class TestJson:
     def test_rejects_missing_keys(self):
         with pytest.raises(ValueError):
             WeightData.from_json_dict({"weights": ["1"]})
+
+
+# negative weights, weights above 1, zeros and mixed denominators
+any_weight = st.fractions(min_value=-2, max_value=3, max_denominator=12)
+
+
+@st.composite
+def datum_pairs(draw):
+    """Two data of one genus (negative included) and one marking count
+    (zero included), valid or not; the second often repeats the first's
+    values so that slot classes merge."""
+    n = draw(st.integers(0, 8))
+    values = draw(st.lists(any_weight, min_size=1, max_size=4))
+    first = draw(st.lists(st.sampled_from(values) | any_weight, min_size=n, max_size=n))
+    second = draw(st.lists(st.sampled_from(values) | any_weight, min_size=n, max_size=n))
+    genus = draw(st.integers(-2, 3))
+    return WeightData(genus, tuple(first)), WeightData(genus, tuple(second))
+
+
+class TestIntegerForm:
+    """The integer form decides what the Fraction values decide."""
+
+    @given(datum_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_violations_and_scaling_match_fraction_references(self, pair):
+        for w in pair:
+            weights = list(w.weights)
+            assert weights_module._violations(w) == reference_violations(w.genus, weights)
+            expected = reference_scaled(weights)
+            scaled, d = w.scaled()
+            assert (scaled, d) == expected
+            scaled.append(1)
+            scaled[0] += 1
+            assert w.scaled() == expected
+
+    @given(datum_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_slot_classes_group_equal_fraction_values(self, pair):
+        a, b = pair
+        groups = {}
+        for slot, key in enumerate(zip(a.weights, b.weights), start=1):
+            groups.setdefault(key, []).append(slot)
+        assert weights_module._slot_classes(a, b) == tuple(map(tuple, groups.values()))
+
+    @given(datum_pairs(), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_forgetful_criterion_matches_fraction_sum(self, pair, rng):
+        w = pair[0]
+        if reference_violations(w.genus, list(w.weights)):
+            return
+        keep = {k for k in range(1, w.n + 1) if rng.random() < 0.5}
+        total = sum((w.weights[k - 1] for k in keep), F(0))
+        assert forgetful_defined(w, keep) == (2 * w.genus - 2 + total > 0)
