@@ -40,7 +40,6 @@ from .weights import (
     _check_pair,
     _meets_class_rows,
     _same_chamber,
-    _slot_classes,
     _solve_over_classes,
     chamber_reduction_exists,
     chamber_signature,
@@ -487,7 +486,7 @@ def factors_kapranov(w: WeightData) -> bool:
     require_valid(w)
     n = w.n
     heaviest_first = sorted(
-        _slot_classes(w), key=lambda block: w.weights[block[0] - 1], reverse=True
+        w.weight_classes, key=lambda block: w.weights[block[0] - 1], reverse=True
     )
     for block in heaviest_first:
         target = _kapranov_point_target(n, block[0])

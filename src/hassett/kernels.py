@@ -46,7 +46,7 @@ BACKEND = "pure"
 
 
 def enumerate_small_subsets(
-    values: list[int],
+    values: Sequence[int],
     lo: int,
     hi: int,
     min_size: int,

@@ -60,10 +60,11 @@ class LinearSystem:
                 )
 
 
-def _common_scale(values: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    """Integers s_i and the common denominator d with values[i] = s_i / d."""
+def _common_scale(values: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
+    """Integers s_i and the common denominator d > 0 with values[i] = s_i / d,
+    d the lcm of the denominators (1 for no values)."""
     d = lcm(*(q.denominator for q in values))
-    return [q.numerator * (d // q.denominator) for q in values], d
+    return tuple(q.numerator * (d // q.denominator) for q in values), d
 
 
 def evaluate(system: LinearSystem, point: tuple[Fraction, ...]) -> bool:
@@ -103,13 +104,9 @@ def _reduced(coeffs: tuple[int, ...], bound: int, strict: bool) -> _Row:
 def _integer_row(
     coeffs: tuple[Fraction, ...], bound: Fraction, strict: bool
 ) -> _Row:
-    """Scale a rational row by the lcm of its denominators, then reduce."""
-    mult = lcm(*(q.denominator for q in coeffs), bound.denominator)
-    return _reduced(
-        tuple(q.numerator * (mult // q.denominator) for q in coeffs),
-        bound.numerator * (mult // bound.denominator),
-        strict,
-    )
+    """Scale a rational row to integers (:func:`_common_scale`), then reduce."""
+    ints = _common_scale((*coeffs, bound))[0]
+    return _reduced(ints[:-1], ints[-1], strict)
 
 
 def _normalize(system: LinearSystem) -> list[_Row]:

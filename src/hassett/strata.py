@@ -267,7 +267,7 @@ def _divisor_windows(
     1. Coincidence pairs are the pairs of weight at most 1 among the
     positive-weight markings.
     """
-    scaled, cap = w.scaled()
+    scaled, cap = w.integer_form
     n, total = w.n, sum(scaled)
     nodal = []
     for g1 in range(0, w.genus // 2 + 1):
@@ -359,7 +359,7 @@ def contracted_divisors(a: WeightData, b: WeightData) -> list[Contraction]:
     if not reduction_exists(a, b):
         raise ValueError("no reduction morphism: target weights must be "
                          "pointwise at most the source weights")
-    scaled, cap = a.scaled()
+    scaled, cap = a.integer_form
     n, split = a.n, (0, a.genus)
     full, positive = frozenset(range(1, n + 1)), frozenset(b.positive_indices())
     out: list[Contraction] = []

@@ -20,24 +20,25 @@ equal weight (across every datum involved): a set's membership in a
 signature depends only on its type, its count of slots per class, so
 there is one row per maximal-small or minimal-big type and one column per
 class, never one per subset or per slot. Reductions up to equivalence
-solve such rows by exact linear feasibility. Equivalence checks the rows
-of one datum's chamber against the other datum, each row at the largest
-and smallest sums its supports reach (:func:`_meets_class_rows`), and
-enumerates no subset.
+solve such rows by exact linear feasibility. Equivalence checks the types
+of one datum's chamber against the other datum, each at the largest or
+smallest sum its supports reach, stops at the first type that fails, and
+enumerates no subset (:func:`_same_chamber`).
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, product
-from math import lcm, prod
+from math import prod
+from operator import getitem, mul
 
 from hassett import kernels
-from hassett.linear import Constraint, LinearSystem, solve_feasibility
+from hassett.linear import Constraint, LinearSystem, _common_scale, solve_feasibility
 
 __all__ = [
     "InvalidWeightDataError",
@@ -146,20 +147,18 @@ class WeightData:
     @cached_property
     def integer_form(self) -> tuple[tuple[int, ...], int]:
         """Integer weights s_i and the common denominator D > 0 with
-        a_i = s_i / D, computed once per datum. Within one datum equal
-        weights have equal integers, and a_i <= 1 reads s_i <= D."""
-        d = lcm(*(a.denominator for a in self.weights))
-        return tuple(a.numerator * (d // a.denominator) for a in self.weights), d
+        a_i = s_i / D, computed once per datum; a tuple, so no reader can
+        change it. Within one datum equal weights have equal integers, and
+        a_i <= 1 reads s_i <= D. Subset conditions sum(S) <= 1 become
+        sum(s_i) <= D, which is what the kernels consume."""
+        return _common_scale(self.weights)
 
-    def scaled(self) -> tuple[list[int], int]:
-        """Integer weights and the cap D with a_i = s_i / D, as a fresh list
-        of :attr:`integer_form`, which a caller may change.
-
-        Subset conditions sum(S) <= 1 become integer conditions
-        sum(s_i) <= D, which is what the kernels consume.
-        """
-        ints, d = self.integer_form
-        return list(ints), d
+    @cached_property
+    def weight_classes(self) -> tuple[tuple[int, ...], ...]:
+        """The 1-based slots grouped by equal weight, numbered in order of
+        each class's first slot (:func:`_slot_classes` of this datum alone),
+        computed once per datum."""
+        return _slot_classes(self)
 
 
 @dataclass(frozen=True)
@@ -215,7 +214,7 @@ def validate(w: WeightData, *, labels: Sequence | None = None) -> ValidationRepo
     problems = _violations(w)
     walls: tuple[tuple, ...] = ()
     if not problems:
-        scaled, cap = w.scaled()
+        scaled, cap = w.integer_form
         walls = tuple(
             kernels.enumerate_small_subsets(scaled, cap - 1, cap, 2, w.n, labels)
         )
@@ -244,7 +243,7 @@ def _signature_sets(
     One kernel window ``(-1, cap]`` over the scaled weights; zero weights
     are ordinary entries and pad the sets like any other marking.
     """
-    scaled, cap = w.scaled()
+    scaled, cap = w.integer_form
     return kernels.enumerate_small_subsets(scaled, -1, cap, min_size, w.n, labels)
 
 
@@ -314,38 +313,73 @@ def _slot_classes(*data: WeightData) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, groups.values()))
 
 
-def _chamber_types(
+def _chamber_type_stream(
     w: WeightData, classes: tuple[tuple[int, ...], ...], min_size: int
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """The maximal-small and minimal-big types of sizes >= min_size.
+) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """The maximal-small and minimal-big types of sizes >= min_size, as
+    (type, big) pairs, lazily and in no fixed order, so a caller can stop
+    at the first type it rejects.
 
     A type counts members per class of ``classes``, which must refine w's
     classes of equal weight. A set is maximal small (minimal big) exactly
     when its type is: adding a slot of class c moves the type by one in
     column c. Together with nonnegativity these two antichains pin the
     signature: subsets of small sets stay small, supersets of big sets stay
-    big. One pass over the prod(|class| + 1) type vectors.
+    big.
+
+    The largest class j is solved for, not enumerated. Fix the counts r of
+    the other classes, with total T, and let v be class j's integer weight.
+    A type with k < |class j| slots of class j is maximal small only if one
+    more is too many, so v > 0 and k = (D - T) // v; one with k > 0 is
+    minimal big only if one fewer is small, so v > 0 and k = (D - T) // v
+    + 1. Otherwise k is 0 or |class j|, or the count that brings the size
+    to min_size (where every big type is minimal). Each candidate is
+    checked in full, so a pass visits only the prod(|class| + 1) count
+    vectors of the other classes.
     """
+    if not classes:
+        return
     scaled, cap = w.integer_form
     values = [scaled[block[0] - 1] for block in classes]
+    sizes = [len(block) for block in classes]
+    j = sizes.index(max(sizes))
+    m_j, v_j = sizes[j], values[j]
+    rest = values[:j] + values[j + 1:]
+    for r in product(*(range(m + 1) for m in sizes[:j] + sizes[j + 1:])):
+        size_r, total_r = sum(r), sum(map(mul, r, rest))
+        candidates = {0, m_j, min_size - size_r}
+        if v_j and total_r <= cap:
+            q = (cap - total_r) // v_j
+            candidates.update((q, q + 1))
+        for k in candidates:
+            size = size_r + k
+            if not (0 <= k <= m_j and size >= min_size):
+                continue
+            t = r[:j] + (k,) + r[j:]
+            total = total_r + k * v_j
+            if total <= cap:
+                # maximal: one more slot of any class not full is too many
+                room = cap - total
+                if all(v > room for c, m, v in zip(t, sizes, values) if c < m):
+                    yield t, False
+            else:
+                # minimal: one slot fewer of any class present is small again
+                excess = total - cap
+                if size == min_size or all(v >= excess for c, v in zip(t, values) if c):
+                    yield t, True
+
+
+def _chamber_types(
+    w: WeightData, classes: tuple[tuple[int, ...], ...], min_size: int
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The maximal-small and minimal-big types of sizes >= min_size, as
+    two lists, each in the lexicographic order of the type vectors
+    (:func:`_chamber_type_stream`)."""
     maximal: list[tuple[int, ...]] = []
     minimal: list[tuple[int, ...]] = []
-    for t in product(*(range(len(block) + 1) for block in classes)):
-        size = sum(t)
-        if size < min_size:
-            continue
-        total = sum(k * v for k, v in zip(t, values))
-        if total <= cap:
-            if all(
-                k == len(block) or total + v > cap
-                for k, block, v in zip(t, classes, values)
-            ):
-                maximal.append(t)
-        elif size == min_size or all(
-            k == 0 or total - v <= cap for k, v in zip(t, values)
-        ):
-            minimal.append(t)
-    return maximal, minimal
+    for t, big in _chamber_type_stream(w, classes, min_size):
+        (minimal if big else maximal).append(t)
+    return sorted(maximal), sorted(minimal)
 
 
 def _solve_over_classes(
@@ -396,6 +430,20 @@ def _chamber_rows(
     return rows
 
 
+def _class_runs(
+    w: WeightData, classes: tuple[tuple[int, ...], ...]
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Per class, the sums of its k smallest and of its k largest integer
+    weights of w, for k = 0..|class|, as two lists of runs."""
+    scaled = w.integer_form[0]
+    lows, highs = [], []
+    for block in classes:
+        ordered = sorted([scaled[slot - 1] for slot in block])
+        lows.append(list(accumulate(ordered, initial=0)))
+        highs.append(list(accumulate(reversed(ordered), initial=0)))
+    return lows, highs
+
+
 def _meets_class_rows(
     w: WeightData, classes: tuple[tuple[int, ...], ...], rows: list[Constraint]
 ) -> bool:
@@ -408,15 +456,11 @@ def _meets_class_rows(
     reverse. Both are read off each class's sorted weights, in integers:
     a sum reaching D * bound reads sum * q against p * D for bound = p/q.
     """
-    scaled, d = w.integer_form
-    runs = []  # per class: sums of its k smallest and of its k largest weights
-    for block in classes:
-        ordered = sorted(scaled[slot - 1] for slot in block)
-        runs.append((list(accumulate(ordered, initial=0)),
-                     list(accumulate(reversed(ordered), initial=0))))
+    d = w.integer_form[1]
+    lows, highs = _class_runs(w, classes)
     for row in rows:
         high = low = 0
-        for k, (smallest, largest) in zip(row.coeffs, runs):
+        for k, smallest, largest in zip(row.coeffs, lows, highs):
             if k > 0:
                 high += largest[k]
                 low += smallest[k]
@@ -441,18 +485,32 @@ def _same_chamber(w1: WeightData, w2: WeightData, min_size: int) -> bool:
     data are comparable and valid (:func:`_check_pair`), for instance by
     checking them once before comparing permutations of them.
 
-    The rows of one datum's chamber, over its classes of equal weight, are
-    checked against the other (:func:`_meets_class_rows`). Each small set
-    lies in a maximal-small one and each big set contains a minimal-big
-    one, and weights are nonnegative; so meeting those rows puts the other
-    datum in the same chamber. The rows come from the datum with fewer
-    type vectors.
+    The types of one datum's chamber, over its classes of equal weight,
+    are checked against the other, each at its extreme supports as in
+    :func:`_meets_class_rows`: every support of a maximal-small type must
+    be small (its largest sum at most D), every support of a minimal-big
+    type big (its smallest sum above D). Each small set lies in a
+    maximal-small one and each big set contains a minimal-big one, and
+    weights are nonnegative; so passing those checks puts the other datum
+    in the same chamber. The chamber's box and validity rows hold for any
+    valid datum and are not checked. The types come from the datum with
+    fewer type vectors, and the first failing type ends the comparison.
+    Equal data (equal integer forms) are in one chamber without a check.
     """
-    c1, c2 = _slot_classes(w1), _slot_classes(w2)
+    if w1.integer_form == w2.integer_form:
+        return True
+    c1, c2 = w1.weight_classes, w2.weight_classes
     if prod(len(b) + 1 for b in c2) < prod(len(b) + 1 for b in c1):
         w1, w2, c1 = w2, w1, c2
-    rows = _chamber_rows(w1, c1, min_size, [ONE] * len(c1))
-    return _meets_class_rows(w2, c1, rows)
+    d = w2.integer_form[1]
+    lows, highs = _class_runs(w2, c1)
+    for t, big in _chamber_type_stream(w1, c1, min_size):
+        if big:
+            if sum(map(getitem, lows, t)) <= d:
+                return False
+        elif sum(map(getitem, highs, t)) > d:
+            return False
+    return True
 
 
 def _mode_size(a: WeightData, b: WeightData, mode: str) -> int:

@@ -397,12 +397,8 @@ class TestIntegerForm:
         for w in pair:
             weights = list(w.weights)
             assert weights_module._violations(w) == reference_violations(w.genus, weights)
-            expected = reference_scaled(weights)
-            scaled, d = w.scaled()
-            assert (scaled, d) == expected
-            scaled.append(1)
-            scaled[0] += 1
-            assert w.scaled() == expected
+            scaled, d = reference_scaled(weights)
+            assert w.integer_form == (tuple(scaled), d)
 
     @given(datum_pairs())
     @settings(max_examples=300, deadline=None)
@@ -412,6 +408,10 @@ class TestIntegerForm:
         for slot, key in enumerate(zip(a.weights, b.weights), start=1):
             groups.setdefault(key, []).append(slot)
         assert weights_module._slot_classes(a, b) == tuple(map(tuple, groups.values()))
+        alone = {}
+        for slot, value in enumerate(a.weights, start=1):
+            alone.setdefault(value, []).append(slot)
+        assert a.weight_classes == tuple(map(tuple, alone.values()))
 
     @given(datum_pairs(), st.randoms(use_true_random=False))
     @settings(max_examples=200, deadline=None)
