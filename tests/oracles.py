@@ -21,8 +21,6 @@ linear row at a point by ``Fraction`` arithmetic.
 
 ``signature_antichains`` lists the maximal small and minimal big sets
 that pin a signature; the package lists their types over weight classes.
-``reference_chamber_types`` lists those types by visiting every type
-vector in lexicographic order, where the package solves for one class.
 
 ``backtrack_relabeling`` searches the fingerprint-respecting slot
 bijections for one that carries a signature onto another, and
@@ -39,7 +37,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import lcm
 from operator import itemgetter
 
@@ -73,34 +71,6 @@ def reference_scaled(weights: list[Fraction]) -> tuple[list[int], int]:
     """Integers s_i and the lcm d of the denominators, a_i = s_i / d."""
     d = lcm(*(a.denominator for a in weights)) if weights else 1
     return [int(a * d) for a in weights], d
-
-
-def reference_chamber_types(
-    values: list[Fraction], sizes: list[int], min_size: int
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """The maximal-small and minimal-big type vectors of sizes >= min_size,
-    each list in lexicographic order. Column c counts slots of a class of
-    ``sizes[c]`` slots of weight ``values[c]``; a type is small when its
-    weight is at most 1. Every type vector is visited."""
-
-    def small(t):
-        return sum((k * v for k, v in zip(t, values)), Fraction(0)) <= 1
-
-    def moved(t, c, step):
-        return t[:c] + (t[c] + step,) + t[c + 1:]
-
-    maximal, minimal = [], []
-    for t in product(*(range(m + 1) for m in sizes)):
-        if sum(t) < min_size:
-            continue
-        if small(t):
-            if all(not small(moved(t, c, 1)) for c in range(len(t)) if t[c] < sizes[c]):
-                maximal.append(t)
-        elif sum(t) == min_size or all(
-            small(moved(t, c, -1)) for c in range(len(t)) if t[c] > 0
-        ):
-            minimal.append(t)
-    return maximal, minimal
 
 
 def row_holds(coeffs, rel: str, bound, point) -> bool:

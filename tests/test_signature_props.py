@@ -17,12 +17,7 @@ from hassett.weights import (
     fine_equivalent,
     validate,
 )
-from tests.oracles import (
-    brute_signature,
-    brute_walls,
-    reference_chamber_types,
-    signature_antichains,
-)
+from tests.oracles import brute_signature, brute_walls, signature_antichains
 
 small_fraction = st.builds(
     F, st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=6)
@@ -125,22 +120,12 @@ def test_chamber_types_match_antichain_oracle(data, min_size):
 
     maximal, minimal = signature_antichains(list(w.weights), min_size)
     got_maximal, got_minimal = _chamber_types(w, classes, min_size)
-    assert sorted(got_maximal) == project(maximal)
-    assert sorted(got_minimal) == project(minimal)
-
-
-@given(classed_data(), st.sampled_from([2, 3]))
-@settings(max_examples=300, deadline=None)
-def test_chamber_types_match_the_pass_over_every_type_vector(data, min_size):
-    # solving for the largest class must miss no type and list none twice;
-    # the lists come in lexicographic order, the order the rows are built in
-    w, other = data
-    classes = _slot_classes(w, other)
-    values = [w.weights[block[0] - 1] for block in classes]
-    expected = reference_chamber_types(values, [len(block) for block in classes], min_size)
-    assert _chamber_types(w, classes, min_size) == expected
+    # in lexicographic order, the order the chamber rows are built in
+    assert got_maximal == project(maximal)
+    assert got_minimal == project(minimal)
+    # solving for the largest class lists no type twice
     streamed = [t for t, _ in _chamber_type_stream(w, classes, min_size)]
-    assert len(streamed) == len(set(streamed)) == len(expected[0]) + len(expected[1])
+    assert len(streamed) == len(set(streamed)) == len(got_maximal) + len(got_minimal)
 
 
 @st.composite
