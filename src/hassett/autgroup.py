@@ -19,15 +19,17 @@ from all of them, so a packet may contain the swapped pair's own members
 (whose weights then count twice in the compared sums, once inside the
 packet and once as the anchor).  The alternative reading
 (``exclude_ij``) draws packets strictly away from the swapped pair.
-Admissibility is decided through the subset-sum kernel on half-open
-violation windows (1 - max(a_i, a_j) - shift, 1 - min(a_i, a_j) - shift],
-one window per way a packet can touch the pair; the reported witness
-packet is recomputed independently by direct enumeration in canonical
-order (packets avoiding the swapped pair first, ordered by size then
-lexicographically).  The enumeration skips every packet size whose
-smallest and largest possible sums, read off prefix sums of the sorted
-other weights and shifted by the touched members, cannot meet the window;
-skipped packets never violate, so the first witness is unchanged.
+Either way a packet violates exactly when its sum lies in the half-open
+window (1 - max(a_i, a_j), 1 - min(a_i, a_j)], so admissibility is one
+subset-sum kernel query for a packet of at least two markings in that
+window, drawn from every marking, or from the other markings under
+``exclude_ij``.  The reported witness packet is recomputed independently
+by direct enumeration in canonical order (packets avoiding the swapped
+pair first, ordered by size then lexicographically).  The enumeration
+skips every packet size whose smallest and largest possible sums, read
+off prefix sums of the sorted other weights and shifted by the touched
+members, cannot meet the window; skipped packets never violate, so the
+first witness is unchanged.
 
 The decision depends only on the two swapped values and the multiset of
 the other weights, which is the same for every pair of markings carrying
@@ -35,19 +37,24 @@ those two values.  :func:`admissible_generators` therefore decides each
 unordered pair of weight values once and lists every marking pair with
 that value pair.
 
-For the strictly-away reading the admissibility relation on
-positive-weight markings is provably transitive: a violating packet for
-the outer pair either already violates an inner pair, or exchanging the
-middle marking for an endpoint shifts its sum into an inner violation
-window, whose union is the outer window.  For the default reading the
-test suite probes transitivity empirically; the implementation never
-relies on it and always generates the group from the pairwise swaps.
+The admissibility relation on positive-weight markings is provably
+transitive under both readings.  Under the literal reading the packet
+sums do not depend on the pair, and the window of an outer pair is the
+union of its inner windows: for a_i < a_k < a_j, (1 - a_j, 1 - a_i] is
+the union of (1 - a_j, 1 - a_k] and (1 - a_k, 1 - a_i]; when a_k lies
+outside [a_i, a_j], one of the two windows of the pairs through k
+already contains the outer one.  For the strictly-away reading a
+violating packet for the outer pair either already violates an inner
+pair, or exchanging the middle marking for an endpoint shifts its sum
+into an inner violation window, whose union is the outer window.  The
+test suite probes transitivity under both readings; the implementation
+never relies on it and always generates the group from the pairwise
+swaps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import (
     accumulate,
     combinations,
@@ -58,7 +65,7 @@ from itertools import (
 from . import kernels
 from .families import classify_with_relabeling
 from .perms import PermGroup, generate_group, transposition
-from .weights import WeightData, coarse_equivalent_genus0, require_valid
+from .weights import ONE, WeightData, coarse_equivalent_genus0, require_valid
 
 __all__ = [
     "NOT_COVERED_MESSAGE",
@@ -70,8 +77,6 @@ __all__ = [
 ]
 
 NOT_COVERED_MESSAGE = "no theorem in scope covers this weight datum"
-
-ONE = Fraction(1)
 
 
 class NotCoveredError(Exception):
@@ -182,13 +187,16 @@ def is_admissible(
     are drawn strictly away from {i, j}.
 
     Returns ``(True, None)`` or ``(False, witness)`` with the first
-    violating packet in canonical order.  The decision runs through the
-    subset-sum kernel; the witness comes from independent enumeration,
-    and a disagreement between the two routes raises ``RuntimeError``.
-    Both routes work on the integers of :attr:`WeightData.integer_form`: the
-    enumeration compares ``s_i + sum(T) <= cap`` with
-    ``s_j + sum(T) <= cap`` packet by packet, without the kernel's
-    windows. The datum is validated first, so invalid data raise
+    violating packet in canonical order.  The decision is one subset-sum
+    kernel query: is there a packet of at least two markings, drawn from
+    every marking (or from the others under ``exclude_ij``), whose sum
+    lies in the window (cap - max(s_i, s_j), cap - min(s_i, s_j)]?  The
+    witness comes from independent enumeration, and a disagreement
+    between the two routes raises ``RuntimeError``.  Both routes work on
+    the integers of :attr:`WeightData.integer_form`: the enumeration
+    compares ``s_i + sum(T) <= cap`` with ``s_j + sum(T) <= cap`` packet
+    by packet, without the kernel's window. The datum is validated
+    first, so invalid data raise
     :class:`~hassett.weights.InvalidWeightDataError` before any index
     check.
     """
@@ -205,25 +213,14 @@ def is_admissible(
     if s_i == s_j:
         return True, None
 
-    pool = [scaled[k - 1] for k in range(1, n + 1) if k != i and k != j]
-    # Half-open violation window (lo, hi] for plain packet sums.
+    # Half-open violation window (lo, hi] for packet sums; under the
+    # literal reading a packet's sum counts its own members of {i, j}.
     lo, hi = cap - max(s_i, s_j), cap - min(s_i, s_j)
-    windows = [(lo, hi, 2)]
-    if not exclude_ij:
-        # Packets containing i, j, or both shift the compared sums by the
-        # contained members; each case is one translated window over the
-        # same pool, with the size floor reduced by the fixed members.
-        for shift, floor in (
-            (s_i, 1),
-            (s_j, 1),
-            (s_i + s_j, 0),
-        ):
-            windows.append((lo - shift, hi - shift, floor))
-    violated = any(
-        kernels.find_subset_in_interval(pool, w_lo, w_hi, size) != -1
-        for w_lo, w_hi, size in windows
-    )
-    if not violated:
+    if exclude_ij:
+        values = [s for k, s in enumerate(scaled, start=1) if k not in (i, j)]
+    else:
+        values = list(scaled)
+    if kernels.find_subset_in_interval(values, lo, hi, 2) == -1:
         return True, None
     for packet in _witness_candidates(scaled, i, j, lo, hi, exclude_ij):
         total = sum(scaled[k - 1] for k in packet)
@@ -300,7 +297,7 @@ def _symmetric_group(n: int) -> PermGroup:
 
 def _genus_zero(w: WeightData) -> AutDescription:
     n = w.n
-    if any(a == 0 for a in w.weights):
+    if w.zero_indices():
         raise NotCoveredError(
             "zero weights in genus zero are outside every covered theorem"
         )

@@ -140,10 +140,6 @@ def _domain_error(args: argparse.Namespace, kind: str, message: str, **extra) ->
     return 1
 
 
-def _index_set(s) -> list[int]:
-    return sorted(s)
-
-
 def _marking_tokens(n: int) -> tuple[str, ...]:
     """Marking k's output token, ``str(k)``, the same in both forms."""
     return tuple(map(str, range(1, n + 1)))
@@ -257,7 +253,7 @@ def _cmd_contract(args: argparse.Namespace) -> int:
     lines = [f"{len(contractions)} contracted divisors"]
     lines.extend(
         "collapse side "
-        + " ".join(map(str, _index_set(c.collapsed_side)))
+        + " ".join(map(str, sorted(c.collapsed_side)))
         + f" | genus {c.collapsed_genus}"
         for c in contractions
     )
@@ -270,14 +266,14 @@ def _cmd_admissible(args: argparse.Namespace) -> int:
     ok, witness = is_admissible(w, args.i, args.j, exclude_ij=args.strict_atrans)
     obj = {
         "admissible": ok,
-        "witness": None if witness is None else _index_set(witness),
+        "witness": None if witness is None else sorted(witness),
     }
     if ok:
         lines = [f"swap {args.i} {args.j}: admissible"]
     else:
         lines = [
             f"swap {args.i} {args.j}: not admissible; witness packet "
-            + " ".join(map(str, _index_set(witness)))
+            + " ".join(map(str, sorted(witness)))
         ]
     _emit(args, obj, lines)
     return 0

@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 ONE = Fraction(1)
+MINUS_ONE = Fraction(-1)
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -369,19 +370,6 @@ def _chamber_type_stream(
                     yield t, True
 
 
-def _chamber_types(
-    w: WeightData, classes: tuple[tuple[int, ...], ...], min_size: int
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """The maximal-small and minimal-big types of sizes >= min_size, as
-    two lists, each in the lexicographic order of the type vectors
-    (:func:`_chamber_type_stream`)."""
-    maximal: list[tuple[int, ...]] = []
-    minimal: list[tuple[int, ...]] = []
-    for t, big in _chamber_type_stream(w, classes, min_size):
-        (minimal if big else maximal).append(t)
-    return sorted(maximal), sorted(minimal)
-
-
 def _solve_over_classes(
     classes: tuple[tuple[int, ...], ...], rows: list[Constraint]
 ) -> tuple[Fraction, ...] | None:
@@ -414,7 +402,9 @@ def _chamber_rows(
     """Rows over class columns cutting out w's chamber (sizes >= min_size).
 
     Per class c: 0 <= x_c <= caps[c]; then validity, one row per
-    maximal-small type (sum <= 1) and one per minimal-big type (sum > 1).
+    maximal-small type (sum <= 1) and one per minimal-big type (sum > 1),
+    in the order of :func:`_chamber_type_stream`; the solver's answer does
+    not depend on the order of rows.
     """
     m = len(classes)
     rows: list[Constraint] = []
@@ -424,9 +414,11 @@ def _chamber_rows(
         rows.append(Constraint(unit, "<=", cap))
     total = tuple(-len(block) for block in classes)
     rows.append(Constraint(total, "<", Fraction(2 * w.genus - 2)))
-    maximal, minimal = _chamber_types(w, classes, min_size)
-    rows += [Constraint(t, "<=", ONE) for t in maximal]
-    rows += [Constraint(tuple(-k for k in t), "<", -ONE) for t in minimal]
+    for t, big in _chamber_type_stream(w, classes, min_size):
+        if big:
+            rows.append(Constraint(tuple(-k for k in t), "<", MINUS_ONE))
+        else:
+            rows.append(Constraint(t, "<=", ONE))
     return rows
 
 
@@ -537,7 +529,7 @@ def reduction_exists_up_to_equivalence(
     """
     min_size = _mode_size(a, b, mode)
     classes = _slot_classes(a, b)
-    caps = [min(a.weights[block[0] - 1], ONE) for block in classes]
+    caps = [a.weights[block[0] - 1] for block in classes]
     witness = _solve_over_classes(classes, _chamber_rows(b, classes, min_size, caps))
     if witness is None:
         return None

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hassett import autgroup
+from hassett import autgroup, kernels
 from hassett.autgroup import (
     NOT_COVERED_MESSAGE,
     NotCoveredError,
@@ -196,10 +196,10 @@ class TestOracleAgreement:
         )
 
     def test_transitivity_probe(self):
-        # Swapping is an equivalence in every sampled case, under both
-        # readings; the implementation never assumes this and always works
-        # from pairwise generators, so a failure here would flag the data,
-        # not the engine.
+        # Swapping is provably an equivalence under both readings (see the
+        # autgroup module docstring); the implementation never assumes this
+        # and always works from pairwise generators, so a failure here
+        # flags the engine's decisions.
         rng = random.Random(99)
         for _ in range(120):
             n = rng.randint(4, 7)
@@ -305,6 +305,37 @@ class TestOneDecisionPerValuePair:
         expected |= {frozenset((a,)) for a in positive if weights.count(a) >= 2}
         assert len(calls) == len(expected)
         assert set(calls) == expected
+
+
+class TestOneKernelWindow:
+    @pytest.mark.parametrize(
+        "w, i, j",
+        [
+            # distinct values, admissible under both readings
+            (WeightData(2, (F(1, 4), F(1, 3), F(1), F(1))), 1, 2),
+            (W_G3, 4, 5),
+            # under the literal reading, violated only by packets touching i, j
+            (W_G3, 1, 3),
+            # violated away from the pair
+            (W_ZW, 3, 6),
+            # equal values never reach the kernel
+            (W_G3, 1, 2),
+        ],
+    )
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_one_kernel_call_per_decision(self, monkeypatch, w, i, j, flag):
+        calls = []
+        kernel = kernels.find_subset_in_interval
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(kernels, "find_subset_in_interval", counting)
+        assert is_admissible(w, i, j, flag) == brute_admissible(
+            list(w.weights), i, j, exclude_ij=flag
+        )
+        assert len(calls) == (w.weights[i - 1] != w.weights[j - 1])
 
 
 class TestPinnedGroupOrders:

@@ -5,6 +5,8 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hassett import linear
 from hassett.linear import Constraint, LinearSystem, evaluate, solve_feasibility
@@ -236,6 +238,35 @@ class TestLargeCoefficients:
         )
         rows = linear._normalize(LinearSystem(2, small + big))
         assert linear._compress(rows) == [((1, -1), 1, True), ((1, 2), 3, False)]
+
+
+@st.composite
+def shuffled_systems(draw):
+    """A system whose rows mix <=, < and = and repeat coefficient vectors,
+    some scaled, with the same rows in a second, permuted order."""
+    nv = draw(st.integers(min_value=1, max_value=4))
+    coeff = st.integers(min_value=-3, max_value=3)
+    vectors = draw(st.lists(st.tuples(*[coeff] * nv), min_size=1, max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        scale = draw(st.integers(min_value=1, max_value=3))
+        rows.append(
+            Constraint(
+                tuple(F(scale * c) for c in draw(st.sampled_from(vectors))),
+                draw(st.sampled_from(linear.RELATIONS)),
+                draw(st.fractions(min_value=-4, max_value=4, max_denominator=4)),
+            )
+        )
+    return LinearSystem(nv, tuple(rows)), draw(st.permutations(rows))
+
+
+class TestRowOrder:
+    @given(shuffled_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_any_row_order_gives_the_same_answer(self, systems):
+        system, permuted = systems
+        again = LinearSystem(system.num_vars, tuple(permuted))
+        assert solve_feasibility(again) == solve_feasibility(system)
 
 
 class TestValidation:
