@@ -24,12 +24,13 @@ window (1 - max(a_i, a_j), 1 - min(a_i, a_j)], so admissibility is one
 subset-sum kernel query for a packet of at least two markings in that
 window, drawn from every marking, or from the other markings under
 ``exclude_ij``.  The reported witness packet is recomputed independently
-by direct enumeration in canonical order (packets avoiding the swapped
-pair first, ordered by size then lexicographically).  The enumeration
-skips every packet size whose smallest and largest possible sums, read
-off prefix sums of the sorted other weights and shifted by the touched
-members, cannot meet the window; skipped packets never violate, so the
-first witness is unchanged.
+by one pruned walk, by size then lexicographically, over two pools: the
+markings away from the swapped pair, then, under the literal reading
+only, all markings.  When no away packet violates, every violating
+packet touches the pair, so the second pass's first hit is the first
+touching packet, as canonical order (away packets first) asks.  The walk
+skips every size whose smallest and largest possible sums, read off
+prefix sums of the pool's sorted weights, cannot meet the window.
 
 The decision depends only on the two swapped values and the multiset of
 the other weights, which is the same for every pair of markings carrying
@@ -133,46 +134,25 @@ class AutDescription:
         }
 
 
-def _witness_candidates(
-    scaled: tuple[int, ...], i: int, j: int, lo: int, hi: int, exclude_ij: bool
-):
-    """Packets in canonical reporting order, as sorted index tuples.
-
-    Packets drawn away from {i, j} come first, by size then
-    lexicographically; under the default literal reading the packets
-    touching i or j follow, in the same order.  A size is skipped when no
-    packet of that size can sum into the window (lo, hi]: the smallest
-    sum of that many other weights, shifted by the touched members of
-    {i, j}, lies above hi, or the largest lies at or below lo.
-    """
-    n = len(scaled)
-    others = [x for x in range(1, n + 1) if x != i and x != j]
-    ordered = sorted(scaled[x - 1] for x in others)
+def _first_packet(
+    scaled: tuple[int, ...], pool: list[int], s_i: int, s_j: int, cap: int
+) -> tuple[int, ...] | None:
+    """First packet of at least two markings of ``pool``, by size then
+    lexicographically, on which ``s_i + sum <= cap`` and
+    ``s_j + sum <= cap`` disagree, or ``None``.  A size is skipped when the
+    prefix sums of the pool's sorted weights show that no packet of that
+    size sums into the violation window (cap - max, cap - min]."""
+    lo, hi = cap - max(s_i, s_j), cap - min(s_i, s_j)
+    ordered = sorted(scaled[k - 1] for k in pool)
     least = list(accumulate(ordered, initial=0))
     most = list(accumulate(reversed(ordered), initial=0))
-    s_i, s_j = scaled[i - 1], scaled[j - 1]
-
-    def may_land(size: int, shift: int) -> bool:
-        return (
-            0 <= size <= len(others)
-            and least[size] + shift <= hi
-            and most[size] + shift > lo
-        )
-
-    for size in range(2, len(others) + 1):
-        if may_land(size, 0):
-            yield from combinations(others, size)
-    if exclude_ij:
-        return
-    for size in range(2, n + 1):
-        if (
-            may_land(size - 1, s_i)
-            or may_land(size - 1, s_j)
-            or may_land(size - 2, s_i + s_j)
-        ):
-            for combo in combinations(range(1, n + 1), size):
-                if i in combo or j in combo:
-                    yield combo
+    for size in range(2, len(pool) + 1):
+        if least[size] <= hi and most[size] > lo:
+            for packet in combinations(pool, size):
+                total = sum(scaled[k - 1] for k in packet)
+                if (s_i + total <= cap) != (s_j + total <= cap):
+                    return packet
+    return None
 
 
 def is_admissible(
@@ -187,18 +167,22 @@ def is_admissible(
     are drawn strictly away from {i, j}.
 
     Returns ``(True, None)`` or ``(False, witness)`` with the first
-    violating packet in canonical order.  The decision is one subset-sum
-    kernel query: is there a packet of at least two markings, drawn from
-    every marking (or from the others under ``exclude_ij``), whose sum
-    lies in the window (cap - max(s_i, s_j), cap - min(s_i, s_j)]?  The
-    witness comes from independent enumeration, and a disagreement
-    between the two routes raises ``RuntimeError``.  Both routes work on
-    the integers of :attr:`WeightData.integer_form`: the enumeration
-    compares ``s_i + sum(T) <= cap`` with ``s_j + sum(T) <= cap`` packet
-    by packet, without the kernel's window. The datum is validated
-    first, so invalid data raise
-    :class:`~hassett.weights.InvalidWeightDataError` before any index
-    check.
+    violating packet in canonical order: packets away from {i, j} first,
+    then those touching them, each by size then lexicographically.  The
+    decision is one subset-sum kernel query: is there a packet of at least
+    two markings, drawn from every marking (or from the others under
+    ``exclude_ij``), whose sum lies in the window
+    (cap - max(s_i, s_j), cap - min(s_i, s_j)]?  The witness comes from an
+    independent walk over two pools: the others, then all markings under
+    the literal reading.  Once the others hold no violating packet, the
+    first violating packet among all markings touches the pair, so it is
+    the first touching packet in canonical order.  A disagreement between
+    the two routes raises ``RuntimeError``.  Both routes work on the
+    integers of :attr:`WeightData.integer_form`: the walk compares
+    ``s_i + sum(T) <= cap`` with ``s_j + sum(T) <= cap`` packet by packet,
+    without the kernel's window.  The datum is validated first, so invalid
+    data raise :class:`~hassett.weights.InvalidWeightDataError` before any
+    index check.
     """
     require_valid(w)
     n = w.n
@@ -213,18 +197,17 @@ def is_admissible(
     if s_i == s_j:
         return True, None
 
-    # Half-open violation window (lo, hi] for packet sums; under the
-    # literal reading a packet's sum counts its own members of {i, j}.
+    # Packets away from the pair first; under the literal reading all
+    # markings follow, and the kernel decides over the last pool.
+    others = [k for k in range(1, n + 1) if k != i and k != j]
+    pools = [others] if exclude_ij else [others, list(range(1, n + 1))]
     lo, hi = cap - max(s_i, s_j), cap - min(s_i, s_j)
-    if exclude_ij:
-        values = [s for k, s in enumerate(scaled, start=1) if k not in (i, j)]
-    else:
-        values = list(scaled)
+    values = [scaled[k - 1] for k in pools[-1]]
     if kernels.find_subset_in_interval(values, lo, hi, 2) == -1:
         return True, None
-    for packet in _witness_candidates(scaled, i, j, lo, hi, exclude_ij):
-        total = sum(scaled[k - 1] for k in packet)
-        if (s_i + total <= cap) != (s_j + total <= cap):
+    for pool in pools:
+        packet = _first_packet(scaled, pool, s_i, s_j, cap)
+        if packet is not None:
             return False, frozenset(packet)
     raise RuntimeError(
         "subset-sum kernel reported a violation but enumeration found none"

@@ -100,7 +100,7 @@ def _load_weight_file(path: str) -> WeightData:
             payload = json.load(handle)
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise _UsageError(f"{path} is not JSON: {exc}") from exc
     try:
         return WeightData.from_json_dict(payload)

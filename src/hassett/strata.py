@@ -149,20 +149,33 @@ class StableTree:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "StableTree":
+    def from_json_dict(cls, data: object) -> "StableTree":
+        """Read :meth:`to_json_dict`'s form; malformed input raises
+        ``ValueError``."""
+        if not isinstance(data, dict):
+            raise ValueError("a stable tree must be a JSON object")
         if data.get("schema") != TREE_SCHEMA:
             raise ValueError(f"expected schema {TREE_SCHEMA!r}")
-        return cls(
-            vertex_genera=tuple(v["genus"] for v in data["vertices"]),
-            edges=tuple(tuple(e) for e in data["edges"]),
-            marking_at=tuple(
-                (int(m), v) for m, v in data.get("markings", {}).items()
-            ),
-            clusters=tuple(
-                tuple(tuple(cls) for cls in classes)
-                for classes in data.get("clusters", [])
-            ),
-        )
+        try:
+            genera = tuple(v["genus"] for v in data["vertices"])
+            markings = data.get("markings", {})
+            if not all(type(g) is int for g in genera):
+                raise TypeError("vertex genus must be an integer")
+            if not all(isinstance(m, str) for m in markings):
+                raise TypeError("marking keys must be integer strings")
+            return cls(
+                vertex_genera=genera,
+                edges=tuple(tuple(e) for e in data["edges"]),
+                marking_at=tuple((int(m), v) for m, v in markings.items()),
+                clusters=tuple(
+                    tuple(tuple(cls) for cls in classes)
+                    for classes in data.get("clusters", [])
+                ),
+            )
+        except KeyError as exc:
+            raise ValueError(f"stable tree is missing key {exc}") from exc
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed stable tree: {exc}") from exc
 
 
 def _check_ambient(w: WeightData, t: StableTree) -> None:

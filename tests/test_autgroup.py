@@ -338,6 +338,54 @@ class TestOneKernelWindow:
         assert len(calls) == (w.weights[i - 1] != w.weights[j - 1])
 
 
+class TestTwoPasses:
+    """The witness walk: packets away from the pair, then all markings."""
+
+    def test_away_packet_beats_an_earlier_sized_touching_packet(self):
+        # Window (8, 9] in twelfths.  Away from {1, 2} only 3 + 4 + 5 =
+        # 5 + 3 + 1 lands, on the top edge, and it is the smallest sum of
+        # three others; the touching packet {2, 3} = 4 + 5 lands at size 2
+        # but comes after every away packet.
+        w = WeightData.from_strings(2, "1/4,1/3,5/12,1/4,1/12".split(","))
+        for flag in (False, True):
+            assert is_admissible(w, 1, 2, flag) == (False, frozenset({3, 4, 5}))
+            assert brute_admissible(list(w.weights), 1, 2, flag) == (
+                False,
+                frozenset({3, 4, 5}),
+            )
+
+    def test_touching_packet_only_under_the_literal_reading(self):
+        # Window (5, 6] in eighths: no packet of {3, 4, 5, 6} lands, and
+        # {1, 6} = 3 + 3 is the first packet of all markings that does.
+        w = WeightData.from_strings(2, "3/8,1/4,1/8,1,1/2,3/8".split(","))
+        assert is_admissible(w, 1, 2) == (False, frozenset({1, 6}))
+        assert is_admissible(w, 1, 2, exclude_ij=True) == (True, None)
+        for flag in (False, True):
+            assert is_admissible(w, 1, 2, flag) == brute_admissible(
+                list(w.weights), 1, 2, flag
+            )
+
+    def test_seeded_touching_witnesses_match_oracle(self):
+        # Pairs whose first violating packet touches the pair, each checked
+        # against the brute oracle under both readings.
+        rng = random.Random(2026)
+        touching = 0
+        while touching < 300:
+            n = rng.randint(4, 9)
+            d = rng.choice((6, 8, 12))
+            weights = tuple(F(rng.randint(1, d), d) for _ in range(n))
+            i, j = rng.sample(range(1, n + 1), 2)
+            want = brute_admissible(list(weights), i, j)
+            if want[0] or not want[1] & {i, j}:
+                continue
+            w = WeightData(rng.randint(1, 3), weights)
+            assert is_admissible(w, i, j) == want, (weights, i, j)
+            assert is_admissible(w, i, j, exclude_ij=True) == brute_admissible(
+                list(weights), i, j, exclude_ij=True
+            ), (weights, i, j)
+            touching += 1
+
+
 class TestPinnedGroupOrders:
     def test_higher_genus_order_confirmed_by_closure(self):
         d = aut_group(W_G3)

@@ -604,6 +604,25 @@ class TestInputHandling:
         rc, _, err = run_cli("validate", "--input", str(path))
         assert rc == 2 and "not JSON" in err
 
+    @pytest.mark.parametrize("slot", ["--input", "--from", "--to"])
+    def test_too_deeply_nested_json_file(self, tmp_path, slot):
+        # nesting past the decoder's recursion limit is a usage error, not
+        # a RecursionError traceback
+        deep, good = tmp_path / "deep.json", tmp_path / "good.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        good.write_text(
+            json.dumps({"genus": 0, "weights": ["1"] * 5}), encoding="utf-8"
+        )
+        if slot == "--input":
+            argv = ["validate", "--input", str(deep)]
+        else:
+            files = {"--from": good, "--to": good, slot: deep}
+            argv = ["contract", "--from", str(files["--from"]),
+                    "--to", str(files["--to"])]
+        rc, out, err = run_cli(*argv)
+        assert (rc, out) == (2, "")
+        assert f"error: {deep} is not JSON" in err
+
     @pytest.mark.parametrize("verb", ["validate", "signature", "divisors", "aut"])
     @pytest.mark.parametrize("genus", [1, 2])
     @pytest.mark.parametrize("form", ["json", "text"])

@@ -1,5 +1,6 @@
 """Dual graphs, stability, boundary divisors, and contraction behavior."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -175,6 +176,65 @@ class TestTreeStructure:
         )
         blob = t.to_json_dict()
         assert blob["schema"] == "stable-tree/1"
+        assert StableTree.from_json_dict(blob) == t
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"vertices": None},  # the key is dropped below
+            {"vertices": [{}]},
+            {"vertices": [{"genus": "0"}, {"genus": 0}]},
+            {"vertices": [{"genus": 1.5}, {"genus": 0}]},
+            {"vertices": [0, 0]},
+            {"edges": None},
+            {"edges": [0]},
+            {"markings": {"x": 0}},
+            {"markings": {None: 0}},
+            {"markings": {1.5: 0}},
+            {"markings": [1]},
+            {"markings": {"1": "0"}},
+            {"clusters": [1, 1]},
+        ],
+    )
+    def test_malformed_json_raises_value_error(self, change):
+        blob = StableTree(
+            vertex_genera=(1, 0), edges=((0, 1),), marking_at=((1, 0), (2, 1))
+        ).to_json_dict()
+        blob.update(change)
+        blob = {key: value for key, value in blob.items() if value is not None}
+        with pytest.raises(ValueError):
+            StableTree.from_json_dict(blob)
+
+    def test_non_object_json_raises_value_error(self):
+        blob = StableTree(vertex_genera=(2,), edges=(), marking_at=()).to_json_dict()
+        for data in ([blob], 3, "stable-tree/1", None):
+            with pytest.raises(ValueError):
+                StableTree.from_json_dict(data)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_json_round_trip_random_trees(self, data):
+        # a random connected graph: a spanning tree plus extra edges and
+        # self-loops, markings scattered, some coincident at a vertex
+        nv = data.draw(st.integers(1, 5))
+        genera = data.draw(st.lists(st.integers(0, 3), min_size=nv, max_size=nv))
+        vertex = st.integers(0, nv - 1)
+        edges = [(data.draw(st.integers(0, v - 1)), v) for v in range(1, nv)]
+        edges += data.draw(st.lists(st.tuples(vertex, vertex), max_size=3))
+        n = data.draw(st.integers(0, 6))
+        at = data.draw(st.lists(vertex, min_size=n, max_size=n))
+        clusters = [[] for _ in range(nv)]
+        for v in range(nv):
+            here = [m for m in range(1, n + 1) if at[m - 1] == v]
+            if len(here) >= 2 and data.draw(st.booleans()):
+                clusters[v].append(tuple(here[:2]))
+        t = StableTree(
+            vertex_genera=tuple(genera),
+            edges=tuple(edges),
+            marking_at=tuple((m, at[m - 1]) for m in range(1, n + 1)),
+            clusters=tuple(map(tuple, clusters)),
+        )
+        blob = json.loads(json.dumps(t.to_json_dict()))
         assert StableTree.from_json_dict(blob) == t
 
     def test_total_genus(self):
