@@ -5,10 +5,12 @@ single-shot. Results go to standard output; JSON output is canonical
 (sorted keys, no optional whitespace, lowest-term rationals), so identical
 inputs produce byte-identical bytes.
 
-The verbs that list sets (``signature``, ``validate``, ``divisors`` and
-``schedule``) ask the engine's windows for tuples of marking tokens
-(``"1"``...``"n"``, or the schedule's point labels) and build both output
-forms by joining those tokens, in C, once per set; the JSON text reaches
+The verbs that list sets (``signature``, ``validate`` and ``divisors``)
+hand the engine's kernel windows and each marking's output token
+(``"1"``...``"n"``) to :func:`hassett.kernels.render_small_subsets`, which
+builds the form asked for straight from the window search, with no tuple
+per set; ``schedule`` joins the point-label tuples of its centers, in C,
+once per center. The JSON text reaches
 :func:`~hassett.jsonio.canonical_line` as a
 :class:`~hassett.jsonio.Rendered` value, and no integer is encoded one by
 one. Only ``divisors --trees`` in JSON builds divisor objects, for their
@@ -32,6 +34,7 @@ import sys
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 
+from hassett import kernels
 from hassett.autgroup import (
     NOT_COVERED_MESSAGE,
     NotCoveredError,
@@ -59,10 +62,11 @@ from hassett.strata import (
 from hassett.weights import (
     InvalidWeightDataError,
     WeightData,
-    _signature_sets,
+    _signature_window,
+    _violations,
+    _wall_window,
     format_rational,
     require_valid,
-    validate,
 )
 
 
@@ -164,9 +168,30 @@ def _json_array(pieces: Iterable[str]) -> Rendered:
     return Rendered(chain("[", [",".join(pieces)], "]"))
 
 
-def _json_rows(rows: Sequence[Sequence[str]]) -> Rendered:
-    """Rows of tokens as a JSON array of arrays."""
-    return _json_array(_joined(rows, ",", "[", "]", ","))
+def _rows(
+    windows: Iterable[tuple], sep: str, before: str, after: str, between: str
+) -> tuple[list[str], int]:
+    """The sets of kernel windows as text, and how many there are: each
+    set's tokens joined by ``sep`` and set between ``before`` and
+    ``after``, the sets joined by ``between``
+    (:func:`hassett.kernels.render_small_subsets`). The text comes as
+    fragments to concatenate, ``between`` first, so that it is copied
+    only into the line that holds it."""
+    fragments, count = [], 0
+    for window in windows:
+        text, rows = kernels.render_small_subsets(
+            *window, sep=sep, rowsep=after + between + before
+        )
+        if rows:
+            fragments += (between, before, text, after)
+            count += rows
+    return fragments, count
+
+
+def _json_rows(fragments: list[str]) -> Rendered:
+    """The JSON array of the elements that :func:`_rows` (with ``between``
+    a comma) lists."""
+    return Rendered(["[", *fragments[1:], "]"])
 
 
 # ---------------------------------------------------------------------------
@@ -176,31 +201,32 @@ def _json_rows(rows: Sequence[Sequence[str]]) -> Rendered:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     w = _weights_from(args)
-    report = validate(w, labels=_marking_tokens(w.n))
-    walls = report.walls  # token tuples, in canonical order
-    obj = {
-        "ok": report.ok,
-        "violations": list(report.violations),
-        "walls": _json_rows(walls),
-    }
-    lines = chain(
-        ["valid" if report.ok else "invalid"],
-        (f"violation: {v}" for v in report.violations),
-        _joined(walls, " ", "wall: "),
-    )
+    problems = _violations(w)
+    windows = [] if problems else [_wall_window(w, _marking_tokens(w.n))]
+    if args.format == "json":
+        walls, _ = _rows(windows, ",", "[", "]", ",")
+        obj = {"ok": not problems, "violations": problems, "walls": _json_rows(walls)}
+        lines: list[str] = []
+    else:
+        walls, _ = _rows(windows, " ", "wall: ", "", "\n")
+        head = ["invalid" if problems else "valid"]
+        head += [f"violation: {v}" for v in problems]
+        obj, lines = None, ["".join(["\n".join(head), *walls])]
     _emit(args, obj, lines)
-    return 0 if report.ok else 1
+    return 1 if problems else 0
 
 
 def _cmd_signature(args: argparse.Namespace) -> int:
     w = _weights_from(args)
     require_valid(w)
     min_size = 3 if args.mode == "coarse" else 2
-    ordered = _signature_sets(w, min_size, _marking_tokens(w.n))
-    obj = {"mode": args.mode, "sets": _json_rows(ordered)}
-    lines = chain(
-        [f"{args.mode} signature: {len(ordered)} sets"], _joined(ordered, " ")
-    )
+    windows = [_signature_window(w, min_size, _marking_tokens(w.n))]
+    if args.format == "json":
+        sets, _ = _rows(windows, ",", "[", "]", ",")
+        obj, lines = {"mode": args.mode, "sets": _json_rows(sets)}, []
+    else:
+        sets, count = _rows(windows, " ", "", "", "\n")
+        obj, lines = None, ["".join([f"{args.mode} signature: {count} sets", *sets])]
     _emit(args, obj, lines)
     return 0
 
@@ -218,28 +244,32 @@ def _cmd_divisors(args: argparse.Namespace) -> int:
         return 0
     # the text form has no trees
     nodal, irreducible, pairs = _divisor_windows(w, _marking_tokens(w.n))
-    # each element as BoundaryDivisor.to_json_dict gives it, keys sorted
-    nodal_json = '{{"genus_split":[{},{}],"kind":"nodal","side":['
-    items = chain(
-        *(
-            _joined(sides, ",", nodal_json.format(*split), "]}", ",")
-            for split, sides in nodal
-        ),
-        ['{"kind":"irreducible"}'] if irreducible else [],
-        _joined(pairs, ",", '{"kind":"coincidence","pair":[', "]}", ","),
-    )
-    count = sum(len(sides) for _, sides in nodal) + irreducible + len(pairs)
-    nodal_text = " | genus split {}+{}"
-    lines = chain(
-        [f"{count} boundary divisors"],
-        *(
-            _joined(sides, " ", "nodal: side ", nodal_text.format(*split))
-            for split, sides in nodal
-        ),
-        ["irreducible node"] if irreducible else [],
-        _joined(pairs, " ", "coincidence: "),
-    )
-    _emit(args, {"divisors": _json_array(items)}, lines)
+    if args.format == "json":
+        # each element as BoundaryDivisor.to_json_dict gives it, keys sorted
+        sep, between = ",", ","
+        side = ('{{"genus_split":[{},{}],"kind":"nodal","side":[', "]}}")
+        node, pair = '{"kind":"irreducible"}', ('{"kind":"coincidence","pair":[', "]}")
+    else:
+        sep, between = " ", "\n"
+        side = ("nodal: side ", " | genus split {}+{}")
+        node, pair = "irreducible node", ("coincidence: ", "")
+    items, count = [], 0
+    for split, windows in nodal:
+        more, rows = _rows(
+            windows, sep, side[0].format(*split), side[1].format(*split), between
+        )
+        items += more
+        count += rows
+    if irreducible:
+        items += (between, node)
+        count += 1
+    more, rows = _rows([pairs], sep, *pair, between)
+    items += more
+    count += rows
+    if args.format == "json":
+        _emit(args, {"divisors": _json_rows(items)}, ())
+    else:
+        _emit(args, None, ["".join([f"{count} boundary divisors", *items])])
     return 0
 
 

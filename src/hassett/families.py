@@ -76,6 +76,38 @@ class FamilySpec:
     n: int
     params: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        """The ranges :meth:`from_notation` accepts, checked however the
+        spec is built, so no family computation sees a parameter outside
+        them."""
+        n, arity = self.n, {FAMILY_KAPRANOV: 2, FAMILY_SYM: 1, FAMILY_KEEL: 1}
+        if arity.get(self.family) != len(self.params):
+            raise ValueError(
+                f"not a family member: {self.family!r} with parameters {self.params!r}"
+            )
+        if self.family == FAMILY_KAPRANOV:
+            r, s = self.params
+            if n < 4:
+                raise ValueError(f"Kapranov family needs n >= 4, got {n}")
+            if not (1 <= r <= n - 3):
+                raise ValueError(f"parameter r={r} outside 1..{n - 3} for n={n}")
+            if not (1 <= s <= n - r - 2):
+                raise ValueError(
+                    f"parameter s={s} outside 1..{n - r - 2} for r={r}, n={n}"
+                )
+        elif self.family == FAMILY_SYM:
+            (k,) = self.params
+            if n < 5:
+                raise ValueError(f"symmetric Kapranov family needs n >= 5, got {n}")
+            if not (1 <= k <= n - 4):
+                raise ValueError(f"parameter k={k} outside 1..{n - 4} for n={n}")
+        else:
+            (h,) = self.params
+            if n < 5:
+                raise ValueError(f"Keel family needs n >= 5, got {n}")
+            if not (0 <= h <= 2 * n - 9):
+                raise ValueError(f"parameter h={h} outside 0..{2 * n - 9} for n={n}")
+
     @property
     def r(self) -> int:
         if self.family != FAMILY_KAPRANOV:
@@ -136,28 +168,14 @@ class FamilySpec:
 
 
 def kapranov_spec(r: int, s: int, n: int) -> FamilySpec:
-    if n < 4:
-        raise ValueError(f"Kapranov family needs n >= 4, got {n}")
-    if not (1 <= r <= n - 3):
-        raise ValueError(f"parameter r={r} outside 1..{n - 3} for n={n}")
-    if not (1 <= s <= n - r - 2):
-        raise ValueError(f"parameter s={s} outside 1..{n - r - 2} for r={r}, n={n}")
     return FamilySpec(FAMILY_KAPRANOV, n, (r, s))
 
 
 def sym_spec(k: int, n: int) -> FamilySpec:
-    if n < 5:
-        raise ValueError(f"symmetric Kapranov family needs n >= 5, got {n}")
-    if not (1 <= k <= n - 4):
-        raise ValueError(f"parameter k={k} outside 1..{n - 4} for n={n}")
     return FamilySpec(FAMILY_SYM, n, (k,))
 
 
 def keel_spec(h: int, n: int) -> FamilySpec:
-    if n < 5:
-        raise ValueError(f"Keel family needs n >= 5, got {n}")
-    if not (0 <= h <= 2 * n - 9):
-        raise ValueError(f"parameter h={h} outside 0..{2 * n - 9} for n={n}")
     return FamilySpec(FAMILY_KEEL, n, (h,))
 
 

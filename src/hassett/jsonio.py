@@ -8,8 +8,10 @@ this layer (``Fraction`` normalizes on construction).
 
 The verbs that list sets (signatures, walls, divisors, blow-up centers)
 print arrays of hundreds of thousands of small integers. They build that
-text themselves, by joining each marking's token (``"1"``...``"n"``, made
-once) in C, and hand it over as a :class:`Rendered` value. Splicing is
+text themselves from each marking's token (``"1"``...``"n"``, made once)
+and hand it over as a :class:`Rendered` value, whose pieces are joined
+with the rest of the line in one ``str.join``, so megabytes of listing
+are not copied once per enclosing bracket. Splicing is
 allowed only as a value of the top-level dict: its keys are still sorted
 and every other value is still encoded here, while a :class:`Rendered`
 anywhere else is not JSON-serializable and raises ``TypeError``, never
@@ -40,22 +42,33 @@ def _dumps(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
+def _pieces(obj: object) -> list[str]:
+    """The canonical form as string pieces, for the caller to join once:
+    a spliced value is never copied into a piece of its own."""
+    if not (isinstance(obj, dict) and any(isinstance(v, Rendered) for v in obj.values())):
+        return [_dumps(obj)]
+    pieces = []
+    for key, value in sorted(obj.items()):
+        if not isinstance(key, str):
+            raise TypeError(f"Rendered values need string keys, got {key!r}")
+        pieces += (",", _dumps(key), ":")
+        if isinstance(value, Rendered):
+            pieces.extend(value.pieces)
+        else:
+            pieces.append(_dumps(value))
+    pieces[0] = "{"  # the first key's comma opens the object
+    pieces.append("}")
+    return pieces
+
+
 def canonical_dumps(obj: object) -> str:
     """Serialize to the canonical single-line JSON form; the values of a
     top-level dict may be :class:`Rendered` (string keys only)."""
-    if isinstance(obj, dict) and any(isinstance(v, Rendered) for v in obj.values()):
-        parts = []
-        for key, value in sorted(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"Rendered values need string keys, got {key!r}")
-            if isinstance(value, Rendered):
-                parts.append(f"{_dumps(key)}:" + "".join(value.pieces))
-            else:
-                parts.append(f"{_dumps(key)}:{_dumps(value)}")
-        return "{" + ",".join(parts) + "}"
-    return _dumps(obj)
+    return "".join(_pieces(obj))
 
 
 def canonical_line(obj: object) -> str:
     """Canonical form with the trailing newline used on standard output."""
-    return canonical_dumps(obj) + "\n"
+    pieces = _pieces(obj)
+    pieces.append("\n")
+    return "".join(pieces)

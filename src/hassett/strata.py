@@ -11,7 +11,6 @@ target weight, read off the target's chamber signature in one pass.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -264,11 +263,12 @@ class BoundaryDivisor:
 
 def _divisor_windows(
     w: WeightData, labels: Sequence
-) -> tuple[list[tuple[tuple[int, int], list[tuple]]], bool, list[tuple]]:
-    """The boundary divisors of a valid datum as kernel windows, with
-    marking k read as ``labels[k - 1]``: the canonical sides of each genus
-    split ``(g1, g2)``, whether the irreducible-node divisor exists, and
-    the coincidence pairs, each part in the order of
+) -> tuple[list[tuple[tuple[int, int], list[tuple]]], bool, tuple]:
+    """The boundary divisors of a valid datum as kernel windows (argument
+    tuples of :func:`hassett.kernels.enumerate_small_subsets`), with
+    marking k read as ``labels[k - 1]``: the windows of canonical sides of
+    each genus split ``(g1, g2)``, whether the irreducible-node divisor
+    exists, and the window of coincidence pairs, each part in the order of
     :func:`enumerate_boundary_divisors`.
 
     A side S of genus g_1 glued to its complement of genus g_2 is stable
@@ -277,8 +277,9 @@ def _divisor_windows(
     sum(S) > cap and a genus-0 complement needs sum(S) <= total - cap - 1.
     With equal genera a divisor has two sides and is kept under its
     canonical one: fewer markings, or half the markings including marking
-    1. Coincidence pairs are the pairs of weight at most 1 among the
-    positive-weight markings.
+    1. Those half sides are one window over markings 2..n, marking 1 a
+    fixed prefix and the bounds shifted by its weight. Coincidence pairs
+    are the pairs of weight at most 1 among the positive-weight markings.
     """
     scaled, cap = w.integer_form
     n, total = w.n, sum(scaled)
@@ -287,23 +288,23 @@ def _divisor_windows(
         g2 = w.genus - g1
         lo, min_size = (cap, 2) if g1 == 0 else (-1, 0)
         hi, max_size = (total - cap - 1, n - 2) if g2 == 0 else (total, n)
-        if g1 == g2:
-            max_size = min(max_size, n // 2)
-        sides = kernels.enumerate_small_subsets(
-            scaled, lo, hi, min_size, max_size, labels
-        )
-        if g1 == g2 and n and n % 2 == 0:
-            # the sides of n/2 markings come last, those holding marking 1
-            # first among them
-            half = bisect_left(sides, n // 2, key=len)
-            first = labels[0]
-            cut = bisect_right(sides, False, lo=half, key=lambda s: s[0] != first)
-            del sides[cut:]
-        nodal.append(((g1, g2), sides))
+        if g1 == g2 and n % 2 == 0 and n:
+            half, first = n // 2, scaled[0]
+            windows = [
+                (scaled, lo, hi, min_size, min(max_size, half - 1), labels),
+                (
+                    scaled[1:], lo - first, hi - first,
+                    max(min_size, half) - 1, min(max_size, half) - 1,
+                    labels[1:], (labels[0],),
+                ),
+            ]
+        else:
+            if g1 == g2:
+                max_size = min(max_size, n // 2)
+            windows = [(scaled, lo, hi, min_size, max_size, labels)]
+        nodal.append(((g1, g2), windows))
     positive = [k for k in range(n) if scaled[k]]
-    pairs = kernels.enumerate_small_subsets(
-        [scaled[k] for k in positive], -1, cap, 2, 2, [labels[k] for k in positive]
-    )
+    pairs = ([scaled[k] for k in positive], -1, cap, 2, 2, [labels[k] for k in positive])
     return nodal, w.genus >= 1, pairs
 
 
@@ -313,8 +314,8 @@ def enumerate_boundary_divisors(w: WeightData) -> list[BoundaryDivisor]:
 
     Deterministic order: nodal by (side genus, side size, side), then the
     irreducible divisor, then coincidence pairs lexicographically. Every
-    family is one window of the enumeration kernel over the scaled
-    weights, which yields it already in that order
+    family is one or two windows of the enumeration kernel over the scaled
+    weights, which yield it already in that order
     (:func:`_divisor_windows`).
     """
     require_valid(w)
@@ -323,12 +324,16 @@ def enumerate_boundary_divisors(w: WeightData) -> list[BoundaryDivisor]:
     # per divisor, and keyword arguments cost measurably more here
     out = [
         BoundaryDivisor("nodal", side, split)
-        for split, sides in nodal
-        for side in sides
+        for split, windows in nodal
+        for window in windows
+        for side in kernels.enumerate_small_subsets(*window)
     ]
     if irreducible:
         out.append(BoundaryDivisor(kind="irreducible"))
-    out.extend(BoundaryDivisor(kind="coincidence", pair=pair) for pair in pairs)
+    out.extend(
+        BoundaryDivisor(kind="coincidence", pair=pair)
+        for pair in kernels.enumerate_small_subsets(*pairs)
+    )
     return out
 
 

@@ -202,24 +202,28 @@ def _violations(w: WeightData) -> list[str]:
     return problems
 
 
-def validate(w: WeightData, *, labels: Sequence | None = None) -> ValidationReport:
+def validate(w: WeightData) -> ValidationReport:
     """Check the defining inequalities of a weight datum and list its walls.
 
     This is the only function that computes walls: one kernel pass over a
     valid datum for the sets of weight exactly 1, the window
-    ``(cap - 1, cap]`` of the scaled weights, already in canonical order.
-    With ``labels``, marking k reads ``labels[k - 1]`` in the walls (see
-    :func:`hassett.kernels.enumerate_small_subsets`). Callers that only
-    need validity use :func:`require_valid`.
+    ``(cap - 1, cap]`` of the scaled weights (:func:`_wall_window`), already
+    in canonical order. Callers that only need validity use
+    :func:`require_valid`.
     """
     problems = _violations(w)
-    walls: tuple[tuple, ...] = ()
+    walls: tuple[tuple[int, ...], ...] = ()
     if not problems:
-        scaled, cap = w.integer_form
-        walls = tuple(
-            kernels.enumerate_small_subsets(scaled, cap - 1, cap, 2, w.n, labels)
-        )
+        walls = tuple(kernels.enumerate_small_subsets(*_wall_window(w)))
     return ValidationReport(not problems, tuple(problems), walls)
+
+
+def _wall_window(w: WeightData, labels: Sequence | None = None) -> tuple:
+    """The kernel arguments for the walls of a valid datum: the sets of at
+    least two markings weighing exactly 1, marking k read as
+    ``labels[k - 1]`` when labels are given."""
+    scaled, cap = w.integer_form
+    return scaled, cap - 1, cap, 2, w.n, labels
 
 
 def require_valid(w: WeightData) -> None:
@@ -233,19 +237,22 @@ def require_valid(w: WeightData) -> None:
         raise InvalidWeightDataError("; ".join(problems))
 
 
-def _signature_sets(
+def _signature_window(
     w: WeightData, min_size: int = 2, labels: Sequence | None = None
-) -> list[tuple]:
-    """The chamber signature as sorted 1-based index tuples, by size and
-    then lexicographically: the sets of at least ``min_size`` markings
-    whose weights sum to at most 1. With ``labels``, marking k reads
-    ``labels[k - 1]``.
-
-    One kernel window ``(-1, cap]`` over the scaled weights; zero weights
-    are ordinary entries and pad the sets like any other marking.
-    """
+) -> tuple:
+    """The kernel arguments for the chamber signature: the sets of at least
+    ``min_size`` markings whose weights sum to at most 1, the window
+    ``(-1, cap]`` of the scaled weights, marking k read as ``labels[k - 1]``
+    when labels are given. Zero weights are ordinary entries and pad the
+    sets like any other marking."""
     scaled, cap = w.integer_form
-    return kernels.enumerate_small_subsets(scaled, -1, cap, min_size, w.n, labels)
+    return scaled, -1, cap, min_size, w.n, labels
+
+
+def _signature_sets(w: WeightData, min_size: int = 2) -> list[tuple[int, ...]]:
+    """The chamber signature as sorted 1-based index tuples, by size and
+    then lexicographically (:func:`_signature_window`)."""
+    return kernels.enumerate_small_subsets(*_signature_window(w, min_size))
 
 
 def chamber_signature(w: WeightData) -> frozenset[frozenset[int]]:

@@ -464,6 +464,102 @@ class TestRenderedOutput:
             (0, canonical_line(expected)), (0, _text(lines))
         )
 
+    def test_no_walls_no_sets_no_divisors(self):
+        # three weights 1: every pair weighs 2, and no side has two markings
+        # on each of its two components
+        argv = ("--genus", "0", "--weights", "1,1,1")
+        assert _both_forms("validate", *argv) == (
+            (0, '{"ok":true,"violations":[],"walls":[]}\n'), (0, "valid\n")
+        )
+        assert _both_forms("signature", *argv) == (
+            (0, '{"mode":"fine","sets":[]}\n'), (0, "fine signature: 0 sets\n")
+        )
+        assert _both_forms("divisors", *argv) == (
+            (0, '{"divisors":[]}\n'), (0, "0 boundary divisors\n")
+        )
+
+
+def _expected_validate(w: WeightData) -> tuple[tuple[int, str], tuple[int, str]]:
+    report = validate(w)
+    obj = {"ok": report.ok, "violations": list(report.violations), "walls": report.walls}
+    lines = ["valid" if report.ok else "invalid"]
+    lines += [f"violation: {v}" for v in report.violations]
+    lines += ["wall: " + " ".join(map(str, wall)) for wall in report.walls]
+    code = 0 if report.ok else 1
+    return (code, canonical_line(obj)), (code, _text(lines))
+
+
+def _expected_signature(w: WeightData, mode: str) -> tuple[tuple[int, str], tuple[int, str]]:
+    sets = _signature_sets(w, 3 if mode == "coarse" else 2)
+    lines = [f"{mode} signature: {len(sets)} sets", *(" ".join(map(str, s)) for s in sets)]
+    return (0, canonical_line({"mode": mode, "sets": sets})), (0, _text(lines))
+
+
+def _expected_divisors(w: WeightData) -> tuple[tuple[int, str], tuple[int, str]]:
+    divisors = enumerate_boundary_divisors(w)
+    lines = [f"{len(divisors)} boundary divisors", *map(_divisor_line, divisors)]
+    obj = {"divisors": [d.to_json_dict() for d in divisors]}
+    return (0, canonical_line(obj)), (0, _text(lines))
+
+
+def _datum(genus: int, weights: str) -> WeightData:
+    return WeightData.from_strings(genus, weights.split(","))
+
+
+class TestListingBytes:
+    """The listing verbs' stdout, rendered from the window search, against
+    output assembled here from the library's tuples, in both forms."""
+
+    @pytest.mark.parametrize("mode", ["fine", "coarse"])
+    @pytest.mark.parametrize(
+        "genus, weights",
+        [
+            (0, "1/3,1/3,1/3,1/4,1/4,2/3,0"),
+            (0, ",".join(["1/7"] * 15)),
+            (1, "1/5,1/5,1/5,2/5,0,0,0"),
+        ],
+    )
+    def test_signature(self, mode, genus, weights):
+        w = _datum(genus, weights)
+        assert validate(w).ok
+        got = _both_forms("signature", "--mode", mode, *_datum_argv(w))
+        assert got == _expected_signature(w, mode)
+        assert got[0][1].count("],[") >= 2  # more than one set
+
+    @pytest.mark.parametrize(
+        "genus, weights, ok",
+        [
+            (0, "1/2,1/2,1/2,1/4,1/4,1/4,0", True),
+            (0, ",".join(["1/6"] * 13), True),
+            (0, "1/2,1/2,1/2", False),
+            (1, "3/2,1/2", False),
+        ],
+    )
+    def test_validate(self, genus, weights, ok):
+        w = _datum(genus, weights)
+        expected = _expected_validate(w)
+        assert (expected[0][0] == 0) is ok
+        assert _both_forms("validate", *_datum_argv(w)) == expected
+
+    def test_divisors_genus_zero_even_n_cuts_the_half_sides(self):
+        w = _datum(0, "1/3,1/3,1/3,1/3,1/3,1/3,1/2,1/2")
+        half = [d.side for d in enumerate_boundary_divisors(w) if d.side and len(d.side) == 4]
+        # the sides of four markings hold marking 1, one per divisor
+        assert half and all(side[0] == 1 for side in half)
+        assert len(half) == len({frozenset(range(1, 9)) - set(s) for s in half})
+        assert _both_forms("divisors", *_datum_argv(w)) == _expected_divisors(w)
+
+    @pytest.mark.parametrize("weights", ["1/2,1/3,1/4,0", "1/2,1/2,1/2", ""])
+    def test_divisors_genus_two_empty_side_and_irreducible_node(self, weights):
+        w = _datum(2, weights) if weights else WeightData(2, ())
+        divisors = enumerate_boundary_divisors(w)
+        assert any(d.kind == "nodal" and d.side == () for d in divisors)
+        assert any(d.kind == "irreducible" for d in divisors)
+        assert _both_forms("divisors", *_datum_argv(w)) == _expected_divisors(w)
+        assert _both_forms("divisors", "--trees", *_datum_argv(w))[1] == (
+            _expected_divisors(w)[1]
+        )
+
     @pytest.mark.parametrize("construction", CONSTRUCTIONS)
     @pytest.mark.parametrize("n", range(5, 13))
     def test_schedule_matches_to_json_dict(self, construction, n):

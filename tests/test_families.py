@@ -89,6 +89,66 @@ class TestKapranovWeights:
                     assert validate(kapranov_weights(r, s, n)).ok
 
 
+def unchecked_spec(family: str, n: int, params: tuple[int, ...]) -> FamilySpec:
+    """A spec past the constructor's range check: the row builders and the
+    solver take any parameters, and the verdict tests feed them some."""
+    spec = object.__new__(FamilySpec)
+    for name, value in (("family", family), ("n", n), ("params", params)):
+        object.__setattr__(spec, name, value)
+    return spec
+
+
+class TestFamilySpecRanges:
+    """A spec built directly raises the ValueError of its notation."""
+
+    @pytest.mark.parametrize(
+        "family, n, params",
+        [
+            ("sym", 6, (4,)),
+            ("sym", 6, (5,)),
+            ("sym", 6, (0,)),
+            ("sym", 4, (1,)),
+            ("kapranov", 6, (4, 1)),
+            ("kapranov", 6, (1, 4)),
+            ("kapranov", 6, (0, 1)),
+            ("kapranov", 3, (1, 1)),
+            ("keel", 6, (4,)),
+            ("keel", 6, (-1,)),
+            ("keel", 4, (0,)),
+        ],
+    )
+    def test_out_of_range_spec_raises_the_notation_error(self, family, n, params):
+        keys = {"kapranov": ("r", "s"), "sym": ("k",), "keel": ("h",)}[family]
+        text = f"{family}:" + ",".join(
+            [f"{key}={value}" for key, value in zip(keys, params)] + [f"n={n}"]
+        )
+        with pytest.raises(ValueError) as from_text:
+            FamilySpec.from_notation(text)
+        with pytest.raises(ValueError) as direct:
+            FamilySpec(family, n, params)
+        assert str(direct.value) == str(from_text.value)
+        assert type(direct.value) is ValueError
+
+    def test_sym_k4_and_k5_at_n6_no_longer_reach_the_families(self):
+        # unchecked, k=4 divides by zero in the closed form and k=5 gives
+        # negative weights, while the solver answers both
+        for k in (4, 5):
+            with pytest.raises(ValueError, match=f"parameter k={k} outside 1..2"):
+                FamilySpec("sym", 6, (k,))
+
+    def test_wrong_family_or_arity(self):
+        for family, params in (("sym", (1, 2)), ("kapranov", (1,)), ("blowup", (1,))):
+            with pytest.raises(ValueError, match="not a family member"):
+                FamilySpec(family, 6, params)
+
+    def test_in_range_specs_unchanged(self):
+        for n in range(4, 10):
+            for spec in family_grid(n):
+                again = FamilySpec(spec.family, spec.n, spec.params)
+                assert again == spec
+                assert FamilySpec.from_notation(spec.notation()) == spec
+
+
 def row_support(con):
     """Classify a condition row as a small-set or big-set threshold."""
     pos = {i + 1 for i, c in enumerate(con.coeffs) if c == 1}
@@ -189,7 +249,7 @@ class TestFamilyConditions:
     @pytest.mark.parametrize(
         "spec",
         [spec for n in range(5, 11) for spec in family_grid(n)]
-        + [FamilySpec("keel", 5, (3,))],
+        + [unchecked_spec("keel", 5, (3,))],
         ids=FamilySpec.notation,
     )
     def test_block_rows_are_projected_set_rows(self, spec):
@@ -263,15 +323,15 @@ class TestRepresentatives:
         # Bypassing the constructor range check (max h here is 1) yields a
         # well-formed system that forces single light slots above 1,
         # against the weight box — the solver must report infeasibility.
-        bogus = FamilySpec("keel", 5, (3,))
+        bogus = unchecked_spec("keel", 5, (3,))
         with pytest.raises(InfeasibleFamilyError):
             feasible_representative(bogus)
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_block_verdict_matches_the_per_slot_verdict(self, n):
         # The block rows decide the per-slot system of family_conditions,
-        # so infeasible block rows need no per-slot solve. Specs built
-        # directly, each parameter within three of its range; the per-slot
+        # so infeasible block rows need no per-slot solve. Specs built past
+        # the range check, each parameter within three of its range; the per-slot
         # systems have up to 2^n rows, so n stays small.
         def verdict(solve):
             try:
@@ -282,12 +342,12 @@ class TestRepresentatives:
                 return str(exc)
 
         specs = [
-            FamilySpec("kapranov", n, (r, s))
+            unchecked_spec("kapranov", n, (r, s))
             for r in range(-2, n + 1)
             for s in range(-2, n - r + 2)
         ]
-        specs += [FamilySpec("sym", n, (k,)) for k in range(-2, n)]
-        specs += [FamilySpec("keel", n, (h,)) for h in range(-3, 2 * n - 5)]
+        specs += [unchecked_spec("sym", n, (k,)) for k in range(-2, n)]
+        specs += [unchecked_spec("keel", n, (h,)) for h in range(-3, 2 * n - 5)]
         in_range = {spec.notation() for spec in family_grid(n)}
         slots = [(slot,) for slot in range(1, n + 1)]
         seen = set()

@@ -4,6 +4,7 @@ oracle against naive closure."""
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -159,6 +160,106 @@ class TestLabels:
             [1] * 1101 + [3000], 1100, 1101, 1101, 1102, tokens
         )
         assert sets == [tokens[:1101]]
+
+
+SEPARATORS = [(",", "],["), (" ", "\n")]
+
+
+def joined(rows, sep, rowsep):
+    return rowsep.join(sep.join(row) for row in rows)
+
+
+class TestRenderSmallSubsets:
+    """The text expansion is the tuple expansion joined, and counts its sets."""
+
+    @given(
+        st.lists(st.integers(0, 12), max_size=9),
+        st.integers(-4, 40),
+        st.integers(-4, 40),
+        st.integers(-1, 10),
+        st.integers(-1, 10),
+        st.sampled_from(SEPARATORS),
+        st.data(),
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_text_is_the_joined_tuples(
+        self, values, lo, hi, min_size, max_size, separators, data
+    ):
+        sep, rowsep = separators
+        # labels of several lengths, some of them equal
+        label = st.sampled_from(["1", "2", "10", "x", "abc", ""])
+        labels = data.draw(st.lists(label, min_size=len(values), max_size=len(values)))
+        prefix = tuple(data.draw(st.lists(label, max_size=2)))
+        args = (values, lo, hi, min_size, max_size, labels, prefix)
+        rows = kernels.enumerate_small_subsets(*args)
+        assert kernels.render_small_subsets(*args, sep=sep, rowsep=rowsep) == (
+            joined(rows, sep, rowsep), len(rows)
+        )
+
+    @pytest.mark.parametrize("sep, rowsep", SEPARATORS)
+    def test_edge_windows(self, sep, rowsep):
+        tokens = ("1", "2", "3", "4")
+        cases = [
+            ([0, 2, 0, 0], 1, 2, 1, 4),  # zero values pad every set
+            ([0, 0, 0, 0], -1, 0, 0, 4),  # the empty set first, then all
+            ([1, 2, 3, 4], -1, 0, 0, 4),  # the empty set alone
+            ([1, 2, 3, 4], 3, 3, 0, 4),  # lo == hi
+            ([1, 2, 3, 4], 5, 2, 0, 4),  # lo > hi
+            ([1, 2, 3, 4], 100, 200, 0, 4),  # no set reaches the window
+            ([1, 2, 3, 4], -1, 10, 5, 9),  # sizes past n
+            ([1, 2, 3, 4], -1, 10, -3, -1),  # negative sizes
+            ([1, 2, 3, 4], -1, 10, 3, 2),  # min_size > max_size
+        ]
+        for values, lo, hi, min_size, max_size in cases:
+            for prefix in ((), ("9",), ("8", "9")):
+                args = (values, lo, hi, min_size, max_size, tokens, prefix)
+                rows = kernels.enumerate_small_subsets(*args)
+                assert kernels.render_small_subsets(*args, sep=sep, rowsep=rowsep) == (
+                    joined(rows, sep, rowsep), len(rows)
+                ), args
+
+    def test_empty_row_and_no_rows_differ_by_count(self):
+        render = kernels.render_small_subsets
+        assert render([], -1, 0, 0, 0, (), sep=",", rowsep="],[") == ("", 1)
+        assert render([], 0, 5, 0, 0, (), sep=",", rowsep="],[") == ("", 0)
+        assert render([5], -1, 5, 0, 1, ("1",), sep=",", rowsep="],[") == ("],[1", 2)
+        assert render([5], -1, 5, 0, 0, ("1",), ("0",), sep=",", rowsep="],[") == ("0", 1)
+
+    def test_prefix_starts_every_set(self):
+        tokens = ("2", "3", "4")
+        assert kernels.enumerate_small_subsets([1, 1, 1], 0, 2, 1, 2, tokens, ("1",)) == [
+            ("1", "2"), ("1", "3"), ("1", "4"), ("1", "2", "3"), ("1", "2", "4"),
+            ("1", "3", "4"),
+        ]
+        assert kernels.render_small_subsets(
+            [1, 1, 1], 0, 2, 1, 2, tokens, ("1",), sep=" ", rowsep="\n"
+        ) == ("1 2\n1 3\n1 4\n1 2 3\n1 2 4\n1 3 4", 6)
+
+    def test_long_row_separator(self):
+        # the divisor JSON frames each side with a separator of 46 characters
+        rowsep = ']},{"genus_split":[0,0],"kind":"nodal","side":['
+        tokens = tuple(map(str, range(1, 13)))
+        args = ([3] * 6 + [1] * 6, 4, 20, 2, 6, tokens)
+        rows = kernels.enumerate_small_subsets(*args)
+        assert kernels.render_small_subsets(*args, sep=",", rowsep=rowsep) == (
+            joined(rows, ",", rowsep), len(rows)
+        )
+
+    def test_block_deeper_than_the_recursion_limit(self):
+        # one whole block of 1200 labels: its text is built 1200 levels up
+        tokens = tuple(map(str, range(1, 1202)))
+        text, count = kernels.render_small_subsets(
+            [1] * 1201, 1199, 1201, 1200, 1200, tokens, sep=" ", rowsep="\n"
+        )
+        rows = [" ".join(t for t in tokens if t != str(k)) for k in range(1201, 0, -1)]
+        assert count == 1201
+        assert text == "\n".join(rows)
+
+    def test_window_deeper_than_the_recursion_limit(self):
+        tokens = tuple(map(str, range(1, 1103)))
+        assert kernels.render_small_subsets(
+            [1] * 1101 + [3000], 1100, 1101, 1101, 1102, tokens, sep=",", rowsep="],["
+        ) == (",".join(tokens[:1101]), 1)
 
 
 class TestFindSubsetInInterval:
