@@ -236,7 +236,7 @@ class TestRenderSmallSubsets:
         ) == ("1 2\n1 3\n1 4\n1 2 3\n1 2 4\n1 3 4", 6)
 
     def test_long_row_separator(self):
-        # the divisor JSON frames each side with a separator of 46 characters
+        # the divisor JSON frames each side with a separator of 47 characters
         rowsep = ']},{"genus_split":[0,0],"kind":"nodal","side":['
         tokens = tuple(map(str, range(1, 13)))
         args = ([3] * 6 + [1] * 6, 4, 20, 2, 6, tokens)
