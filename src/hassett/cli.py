@@ -63,8 +63,7 @@ from hassett.weights import (
     InvalidWeightDataError,
     WeightData,
     _signature_window,
-    _violations,
-    _wall_window,
+    _wall_windows,
     format_rational,
     require_valid,
 )
@@ -201,8 +200,7 @@ def _json_rows(fragments: list[str]) -> Rendered:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     w = _weights_from(args)
-    problems = _violations(w)
-    windows = [] if problems else [_wall_window(w, _marking_tokens(w.n))]
+    problems, windows = _wall_windows(w, _marking_tokens(w.n))
     if args.format == "json":
         walls, _ = _rows(windows, ",", "[", "]", ",")
         obj = {"ok": not problems, "violations": problems, "walls": _json_rows(walls)}

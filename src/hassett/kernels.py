@@ -19,8 +19,10 @@ expansions read the blocks:
   by ``sep`` and the sets by ``rowsep``, with no tuple per set: the text of
   all m-subsets of each suffix of the labels is built once per call, and a
   block's chosen head goes in front of each of its rows by one
-  ``str.replace``. The verbs that print sets hand it each marking's output
-  token (``"1"``...``"n"``) and their separators.
+  ``str.replace``. A block of few long rows joins its rows directly
+  instead, so the memo holds fewer labels than three times the text
+  returned. The verbs that print sets hand it each marking's output token
+  (``"1"``...``"n"``) and their separators.
 
 Both expansions take a fixed ``prefix`` that starts every set and that the
 window does not see (the divisor sides that must hold marking 1).
@@ -206,7 +208,10 @@ def render_small_subsets(
     joined by line breaks (built once per call, see :func:`_suffix_text`),
     made final by one ``str.replace`` of the line break with ``rowsep``
     followed by the chosen labels; the chosen labels of the first row go
-    in front.
+    in front. A block whose m passes ``2 * (n - pos - m) + 4`` has few
+    rows, each long, and the memo of their suffixes would hold about
+    m / (n - pos - m + 2) times the block's labels; its rows are joined
+    one by one instead.
     """
     n = len(values)
     heads: list[list[str]] = [[], list(reversed(labels))]
@@ -223,6 +228,12 @@ def render_small_subsets(
         elif m == 0:
             pieces.append(sep.join(chosen))
             count += 1
+        elif m > 2 * (n - pos - m) + 4:
+            # few rows, each long: joined directly, as the memo of their
+            # shorter suffixes would outgrow the block's own text
+            rows = map(sep.join, combinations(labels[pos:], m))
+            pieces.append(head + (rowsep + head).join(rows))
+            count += comb(n - pos, m)
         else:
             text = _suffix_text(heads, labels, sep, pos, m)
             if head or rowsep != "\n":
@@ -242,9 +253,16 @@ def _suffix_text(
     j-subsets whose first label sits at each position: the head at k is
     the text of the (j - 1)-subsets of ``labels[k + 1:]`` (the heads of
     level j - 1 from k + 1 on, joined) with ``labels[k] + sep`` put in
-    front of every row by one ``str.replace``. Each level is extended only
-    as far left as this call needs, one level after another, so nothing
-    recurses.
+    front of every row by one ``str.replace``. Each level is built from the
+    previous one alone and extended only as far left as this call needs,
+    one level after another, so nothing recurses.
+
+    A block (pos, m) extends level j to position pos + m - j, where it
+    holds C(n - pos - m + j, j) rows of j labels. While
+    m <= 2 * (n - pos - m) + 4, as :func:`render_small_subsets` keeps it,
+    levels 2..m together hold fewer than three times the block's own
+    labels, so the memo of a call holds fewer than three times the labels
+    the call returns.
     """
     n = len(labels)
     while len(heads) <= m:

@@ -205,25 +205,32 @@ def _violations(w: WeightData) -> list[str]:
 def validate(w: WeightData) -> ValidationReport:
     """Check the defining inequalities of a weight datum and list its walls.
 
-    This is the only function that computes walls: one kernel pass over a
-    valid datum for the sets of weight exactly 1, the window
-    ``(cap - 1, cap]`` of the scaled weights (:func:`_wall_window`), already
-    in canonical order. Callers that only need validity use
+    The violations and walls are the tuple expansion of
+    :func:`_wall_windows`, which the CLI's ``validate`` verb expands into
+    text instead. Callers that only need validity use
     :func:`require_valid`.
     """
-    problems = _violations(w)
+    problems, windows = _wall_windows(w)
     walls: tuple[tuple[int, ...], ...] = ()
-    if not problems:
-        walls = tuple(kernels.enumerate_small_subsets(*_wall_window(w)))
+    for window in windows:
+        walls += tuple(kernels.enumerate_small_subsets(*window))
     return ValidationReport(not problems, tuple(problems), walls)
 
 
-def _wall_window(w: WeightData, labels: Sequence | None = None) -> tuple:
-    """The kernel arguments for the walls of a valid datum: the sets of at
+def _wall_windows(
+    w: WeightData, labels: Sequence | None = None
+) -> tuple[list[str], list[tuple]]:
+    """The defining inequalities the datum breaks, and the kernel arguments
+    for its walls: none for an invalid datum, which reports no walls, else
+    one window, ``(cap - 1, cap]`` of the scaled weights, for the sets of at
     least two markings weighing exactly 1, marking k read as
-    ``labels[k - 1]`` when labels are given."""
+    ``labels[k - 1]`` when labels are given. The only place that decides
+    what walls a datum has."""
+    problems = _violations(w)
+    if problems:
+        return problems, []
     scaled, cap = w.integer_form
-    return scaled, cap - 1, cap, 2, w.n, labels
+    return problems, [(scaled, cap - 1, cap, 2, w.n, labels)]
 
 
 def require_valid(w: WeightData) -> None:

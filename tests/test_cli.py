@@ -541,6 +541,14 @@ class TestListingBytes:
         assert (expected[0][0] == 0) is ok
         assert _both_forms("validate", *_datum_argv(w)) == expected
 
+    def test_validate_one_block_of_few_long_rows(self):
+        # genus 1, 2001 weights 1/2000: the walls are the 2001 sets of 2000
+        # markings, one block at the root of the window (about 20 MB of text)
+        w = WeightData(1, (F(1, 2000),) * 2001)
+        expected = _expected_validate(w)
+        assert expected[1][1].count("\nwall: ") == 2001
+        assert _both_forms("validate", *_datum_argv(w)) == expected
+
     def test_divisors_genus_zero_even_n_cuts_the_half_sides(self):
         w = _datum(0, "1/3,1/3,1/3,1/3,1/3,1/3,1/2,1/2")
         half = [d.side for d in enumerate_boundary_divisors(w) if d.side and len(d.side) == 4]

@@ -2,7 +2,9 @@
 oracle against naive closure."""
 
 import itertools
+import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -245,15 +247,40 @@ class TestRenderSmallSubsets:
             joined(rows, ",", rowsep), len(rows)
         )
 
-    def test_block_deeper_than_the_recursion_limit(self):
-        # one whole block of 1200 labels: its text is built 1200 levels up
-        tokens = tuple(map(str, range(1, 1202)))
-        text, count = kernels.render_small_subsets(
-            [1] * 1201, 1199, 1201, 1200, 1200, tokens, sep=" ", rowsep="\n"
-        )
-        rows = [" ".join(t for t in tokens if t != str(k)) for k in range(1201, 0, -1)]
-        assert count == 1201
-        assert text == "\n".join(rows)
+    @pytest.mark.parametrize("sep, rowsep", SEPARATORS)
+    def test_blocks_on_both_sides_of_the_memo_threshold(self, sep, rowsep):
+        # a block of m labels out of k is joined row by row once
+        # m > 2 * (k - m) + 4, and read off the suffix memo below that
+        for k in range(1, 13):
+            tokens = tuple(map(str, range(1, k + 2)))
+            for m in range(1, k + 1):
+                windows = [
+                    ([1] * k, m - 1, m, m, m, tokens[1:], ()),  # the root
+                    ([1] * k, m - 1, m, m, m, tokens[1:], ("0",)),  # a prefix
+                    ([2] + [1] * k, m + 1, m + 2, m + 1, m + 1, tokens, ()),  # a head
+                ]
+                for args in windows:
+                    rows = kernels.enumerate_small_subsets(*args)
+                    assert len(rows) == math.comb(k, m)
+                    assert kernels.render_small_subsets(*args, sep=sep, rowsep=rowsep) == (
+                        joined(rows, sep, rowsep), len(rows)
+                    ), args
+
+    def test_few_long_rows_cost_about_their_text(self):
+        # one whole block of 200 labels out of 201: a memo of its suffixes
+        # would hold about 200 ** 3 / 3 labels for the 201 * 200 it returns
+        tokens = tuple(map(str, range(1, 202)))
+        tracemalloc.start()
+        try:
+            text, count = kernels.render_small_subsets(
+                [1] * 201, 199, 200, 200, 200, tokens, sep=" ", rowsep="\n"
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = [" ".join(t for t in tokens if t != str(k)) for k in range(201, 0, -1)]
+        assert (text, count) == ("\n".join(rows), 201)
+        assert peak < 10 * len(text)
 
     def test_window_deeper_than_the_recursion_limit(self):
         tokens = tuple(map(str, range(1, 1103)))
