@@ -9,12 +9,17 @@ The verbs that list sets (``signature``, ``validate`` and ``divisors``)
 hand the engine's kernel windows and each marking's output token
 (``"1"``...``"n"``) to :func:`hassett.kernels.render_small_subsets`, which
 builds the form asked for straight from the window search, with no tuple
-per set; ``schedule`` joins the point-label tuples of its centers, in C,
-once per center. The JSON text reaches
+per set. ``schedule`` does the same with the point labels of each
+``kblu`` and ``kblusym`` step: the step's spec
+(:data:`hassett.families.SpanStep`) is every subset of a label pool, the
+all-zero window, followed by a fixed chain. ``divisors --trees`` in JSON
+takes each side and pair from the kernel as a token tuple and fills it
+into one template per tree shape, built once through
+:func:`hassett.strata._divisor_tree`; no divisor or tree object is built
+per divisor. The JSON text reaches
 :func:`~hassett.jsonio.canonical_line` as a
 :class:`~hassett.jsonio.Rendered` value, and no integer is encoded one by
-one. Only ``divisors --trees`` in JSON builds divisor objects, for their
-dual graphs.
+one.
 
 Each run builds the subparser of the requested verb only, when the first
 argument names one; help, a missing or unknown verb, or an option before
@@ -31,8 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain
+from collections.abc import Iterable, Sequence
 
 from hassett import kernels
 from hassett.autgroup import (
@@ -42,10 +46,13 @@ from hassett.autgroup import (
     is_admissible,
 )
 from hassett.families import (
+    AMBIENTS,
     CONSTRUCTIONS,
     SCHEDULE_SCHEMA,
     FamilySpec,
     InfeasibleFamilyError,
+    SpanStep,
+    _span_specs,
     blowup_schedule,
     classify_with_relabeling,
     factors_kapranov,
@@ -54,10 +61,10 @@ from hassett.families import (
 )
 from hassett.jsonio import Rendered, canonical_dumps, canonical_line
 from hassett.strata import (
+    BoundaryDivisor,
     _divisor_tree,
     _divisor_windows,
     contracted_divisors,
-    enumerate_boundary_divisors,
 )
 from hassett.weights import (
     InvalidWeightDataError,
@@ -148,25 +155,6 @@ def _marking_tokens(n: int) -> tuple[str, ...]:
     return tuple(map(str, range(1, n + 1)))
 
 
-def _joined(
-    rows: Sequence[Sequence[str]],
-    sep: str,
-    before: str = "",
-    after: str = "",
-    between: str = "\n",
-) -> Iterator[str]:
-    """Lazily, one piece: each row's tokens joined by ``sep`` and set
-    between ``before`` and ``after``, the rows joined by ``between``; no
-    piece for no rows. Each row is one ``str.join`` in C."""
-    if rows:
-        yield before + (after + between + before).join(map(sep.join, rows)) + after
-
-
-def _json_array(pieces: Iterable[str]) -> Rendered:
-    """The JSON array whose elements are the comma-joined pieces."""
-    return Rendered(chain("[", [",".join(pieces)], "]"))
-
-
 def _rows(
     windows: Iterable[tuple], sep: str, before: str, after: str, between: str
 ) -> tuple[list[str], int]:
@@ -229,16 +217,76 @@ def _cmd_signature(args: argparse.Namespace) -> int:
     return 0
 
 
+# a hole in an entry's template: its JSON text, "\u0000", is in no entry
+_HOLE = "\0"
+
+
+def _entry_template(w: WeightData, d: BoundaryDivisor) -> list[str]:
+    """The ``divisors --trees`` JSON element of divisor ``d`` with its dual
+    graph, cut at the holes every divisor of its shape fills in: a nodal
+    divisor's side and marking map, a coincidence divisor's pair (twice),
+    none for the irreducible node. The tree is built by
+    :func:`~hassett.strata._divisor_tree`, so :class:`StableTree` checks
+    each shape the verb prints."""
+    tree = _divisor_tree(w, d).to_json_dict()
+    entry = d.to_json_dict()
+    if d.kind == "nodal":
+        entry["side"] = tree["markings"] = _HOLE
+    elif d.kind == "coincidence":
+        entry["pair"], tree["clusters"] = _HOLE, [[_HOLE]]
+    entry["tree"] = tree
+    return canonical_dumps(entry).split(canonical_dumps(_HOLE))
+
+
+def _tree_entries(w: WeightData) -> list[str]:
+    """The JSON elements of ``divisors --trees``, in the order of
+    :func:`~hassett.strata.enumerate_boundary_divisors`, each filled into
+    the template of its shape (:func:`_entry_template`), which the first
+    divisor of the shape builds: the sides and pairs are token tuples from
+    the kernel windows of :func:`~hassett.strata._divisor_windows`, and no
+    divisor or tree object is built per divisor. A nodal tree has the
+    side's markings on vertex 0 and the rest on vertex 1, its map keyed in
+    string order, as canonical JSON sorts keys."""
+    tokens = _marking_tokens(w.n)
+    nodal, irreducible, pairs = _divisor_windows(w, tokens)
+    keys = sorted(tokens)
+    slot = {key: i for i, key in enumerate(keys)}
+    away = [f'"{key}":1' for key in keys]
+    near = [f'"{key}":0' for key in keys]
+    entries = []
+    for split, windows in nodal:
+        sides = [
+            side
+            for window in windows
+            for side in kernels.enumerate_small_subsets(*window)
+        ]
+        if not sides:
+            continue
+        first = BoundaryDivisor("nodal", tuple(map(int, sides[0])), split)
+        before, middle, after = _entry_template(w, first)
+        for side in sides:
+            row = away.copy()
+            for i in map(slot.__getitem__, side):
+                row[i] = near[i]
+            entries.append(
+                f"{before}[{','.join(side)}]{middle}{{{','.join(row)}}}{after}"
+            )
+    if irreducible:
+        entries += _entry_template(w, BoundaryDivisor(kind="irreducible"))
+    pairs = kernels.enumerate_small_subsets(*pairs)
+    if pairs:
+        first = BoundaryDivisor(kind="coincidence", pair=tuple(map(int, pairs[0])))
+        template = _entry_template(w, first)
+        entries += (f"[{a},{b}]".join(template) for a, b in pairs)
+    return entries
+
+
 def _cmd_divisors(args: argparse.Namespace) -> int:
     w = _weights_from(args)
     require_valid(w)
     if args.trees and args.format == "json":
-        items = []
-        for d in enumerate_boundary_divisors(w):
-            entry = d.to_json_dict()
-            entry["tree"] = _divisor_tree(w, d).to_json_dict()
-            items.append(entry)
-        _emit(args, {"divisors": items}, ())
+        entries = _tree_entries(w)
+        _emit(args, {"divisors": Rendered(["[", ",".join(entries), "]"])}, ())
         return 0
     # the text form has no trees
     nodal, irreducible, pairs = _divisor_windows(w, _marking_tokens(w.n))
@@ -358,43 +406,58 @@ def _cmd_factors_kapranov(args: argparse.Namespace) -> int:
     return 0
 
 
-def _centers_json(centers: Sequence[tuple[str, ...] | str]) -> str:
-    """A step's centers as the JSON array ``to_json_dict`` gives."""
-    if str in map(type, centers):  # named loci
-        return canonical_dumps([c if isinstance(c, str) else list(c) for c in centers])
-    # spans of point labels: p1...pn need no escaping
-    return "[" + "".join(_joined(centers, '","', '["', '"]', ",")) + "]"
-
-
-def _centers_text(centers: Sequence[tuple[str, ...] | str]) -> str:
-    if str in map(type, centers):  # named loci
-        return "; ".join(
-            c if isinstance(c, str) else "{" + " ".join(c) + "}" for c in centers
-        )
-    return "".join(_joined(centers, " ", "{", "}", "; "))
+def _span_centers(
+    step: SpanStep, sep: str, before: str, after: str, between: str
+) -> list[str]:
+    """A point-span step's centers as text fragments to concatenate: each
+    center's labels joined by ``sep`` and set between ``before`` and
+    ``after``, the centers joined by ``between``. The subsets of the pool
+    are the all-zero window (-1, 0] (:func:`_rows`), by size and then
+    lexicographically, with the chain in their row separator; the bare
+    chain, the empty subset's center, comes first."""
+    _, pool, min_size, max_size, chain = step
+    fragments = []
+    if min_size == 0:
+        fragments += (between, before + sep.join(chain) + after)
+    window = ([0] * len(pool), -1, 0, max(min_size, 1), max_size, pool)
+    tail = "".join(sep + label for label in chain)
+    more, _ = _rows([window], sep, before, tail + after, between)
+    return (fragments + more)[1:]
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
-    schedule = blowup_schedule(args.construction, args.n)
-    # to_json_dict's keys, with the steps built from the label tuples
-    obj = {
-        "schema": SCHEDULE_SCHEMA,
-        "construction": schedule.construction,
-        "n": schedule.n,
-        "ambient": schedule.ambient,
-        "steps": _json_array(
-            f'{{"centers":{_centers_json(step.centers)},"step":{step.index}}}'
-            for step in schedule.steps
-        ),
-    }
-    lines = chain(
-        [f"{schedule.construction} on {schedule.ambient}, n={schedule.n}"],
-        (
-            f"step {step.index}: {_centers_text(step.centers)}"
-            for step in schedule.steps
-        ),
-    )
-    _emit(args, obj, lines)
+    construction, n = args.construction, args.n
+    specs = _span_specs(construction, n)
+    # each step's index and its centers' text, as fragments
+    named = [] if specs is not None else blowup_schedule(construction, n).steps
+    ambient = AMBIENTS[construction]
+    if args.format == "json":
+        steps = [(s.index, [canonical_dumps(list(s.centers))]) for s in named]
+        steps += (
+            (spec[0], ["[", *_span_centers(spec, '","', '["', '"]', ","), "]"])
+            for spec in specs or ()
+        )
+        pieces = []
+        for index, centers in steps:
+            pieces += (",", '{"centers":', *centers, f',"step":{index}}}')
+        # BlowupSchedule.to_json_dict's keys
+        obj = {
+            "schema": SCHEDULE_SCHEMA,
+            "construction": construction,
+            "n": n,
+            "ambient": ambient,
+            "steps": _json_rows(pieces),
+        }
+        _emit(args, obj, ())
+    else:
+        steps = [(s.index, ["; ".join(s.centers)]) for s in named]
+        steps += (
+            (spec[0], _span_centers(spec, " ", "{", "}", "; ")) for spec in specs or ()
+        )
+        pieces = [f"{construction} on {ambient}, n={n}"]
+        for index, centers in steps:
+            pieces += (f"\nstep {index}: ", *centers)
+        _emit(args, None, ["".join(pieces)])
     return 0
 
 

@@ -55,6 +55,9 @@ SCHEDULE_SCHEMA = "blowup-schedule/1"
 #: Constructions accepted by :func:`blowup_schedule`.
 CONSTRUCTIONS = ("kblu", "kblusym", "con2")
 
+#: The space each construction blows up.
+AMBIENTS = {"kblu": "P^{n-3}", "kblusym": "P^{n-3}", "con2": "(P^1)^{n-3}"}
+
 
 class InfeasibleFamilyError(ValueError):
     """The condition system of a family admits no valid weight datum.
@@ -562,31 +565,47 @@ def _point_labels(n: int) -> tuple[str, ...]:
     return tuple(f"p{i}" for i in range(1, n + 1))
 
 
-def _kblu_steps(n: int) -> tuple[BlowupStep, ...]:
+#: One point-span step ``(index, pool, min_size, max_size, chain)``: its
+#: centers are the subsets of ``pool`` with ``min_size..max_size`` labels,
+#: by size and then lexicographically, each followed by ``chain``. Every
+#: center holds a label: ``min_size`` is 0 only under a chain.
+SpanStep = tuple[int, tuple[str, ...], int, int, tuple[str, ...]]
+
+
+def _span_specs(construction: str, n: int) -> list[SpanStep] | None:
+    """The steps of ``kblu`` and ``kblusym`` as :data:`SpanStep` specs, or
+    None for ``con2``, whose centers are named loci. The ``schedule`` verb
+    renders the specs as text; :func:`_expand` makes them
+    :class:`BlowupStep` values."""
+    if n < 5:
+        raise ValueError(f"blow-up schedules need n >= 5, got {n}")
     labels = _point_labels(n)
-    first = tuple(
-        center
-        for size in range(1, n - 3)
-        for center in combinations(labels[: n - 2], size)
+    if construction == "kblu":
+        # step 1: the spans of 1..n-4 of p1..p_{n-2}; step r: the chain
+        # p_{n-r+1}..p_{n-1} after every subset of at most n-3-r of
+        # p1..p_{n-r-1}
+        return [(1, labels[: n - 2], 1, n - 4, ())] + [
+            (r, labels[: n - r - 1], 0, n - 3 - r, labels[n - r : n - 1])
+            for r in range(2, n - 2)
+        ]
+    if construction == "kblusym":
+        return [(k, labels[: n - 1], k, k, ()) for k in range(1, n - 3)]
+    if construction == "con2":
+        return None
+    raise ValueError(
+        f"unknown construction {construction!r}; expected one of {CONSTRUCTIONS}"
     )
-    steps = [BlowupStep(1, first)]
-    for r in range(2, n - 2):
-        # the chain p_{n-r+1}..p_{n-1} follows every subset of p1..p_{n-r-1}
-        chain = labels[n - r : n - 1]
-        centers = tuple(
+
+
+def _expand(step: SpanStep) -> BlowupStep:
+    index, pool, min_size, max_size, chain = step
+    return BlowupStep(
+        index,
+        tuple(
             subset + chain
-            for extra in range(0, n - 2 - r)
-            for subset in combinations(labels[: n - r - 1], extra)
-        )
-        steps.append(BlowupStep(r, centers))
-    return tuple(steps)
-
-
-def _kblusym_steps(n: int) -> tuple[BlowupStep, ...]:
-    labels = _point_labels(n)
-    return tuple(
-        BlowupStep(k, tuple(combinations(labels[: n - 1], k)))
-        for k in range(1, n - 3)
+            for size in range(min_size, max_size + 1)
+            for subset in combinations(pool, size)
+        ),
     )
 
 
@@ -606,19 +625,14 @@ def blowup_schedule(construction: str, n: int) -> BlowupSchedule:
 
     Within every step, point-span centers are listed smallest first
     (points, then lines, then planes), lexicographically within a size,
-    so the order refines inclusion.
+    so the order refines inclusion. Each ``kblu`` and ``kblusym`` step is
+    written once, as a :data:`SpanStep` spec (:func:`_span_specs`), and
+    expanded here into label tuples; the ``schedule`` verb renders the
+    same specs as text without building them.
     """
-    if n < 5:
-        raise ValueError(f"blow-up schedules need n >= 5, got {n}")
-    if construction == "kblu":
-        return BlowupSchedule("kblu", n, "P^{n-3}", _kblu_steps(n))
-    if construction == "kblusym":
-        return BlowupSchedule("kblusym", n, "P^{n-3}", _kblusym_steps(n))
-    if construction == "con2":
-        return BlowupSchedule("con2", n, "(P^1)^{n-3}", _con2_steps(n))
-    raise ValueError(
-        f"unknown construction {construction!r}; expected one of {CONSTRUCTIONS}"
-    )
+    specs = _span_specs(construction, n)
+    steps = _con2_steps(n) if specs is None else tuple(map(_expand, specs))
+    return BlowupSchedule(construction, n, AMBIENTS[construction], steps)
 
 
 # ---------------------------------------------------------------------------

@@ -108,24 +108,31 @@ def _window_blocks(
         if lo < 0 <= hi:
             yield prefix, n, 0, None
         min_size = 1
-    # low[m][k] / high[m][k]: the sum of the m smallest / largest values
-    # among positions k..n-1, for k <= n - m; either the m-set holds
-    # position k or it lies in k+1..n-1
-    low = [[0] * (n + 1)]
-    high = [[0] * (n + 1)]
+    # low[m][k - first[m]] / high[m][k - first[m]]: the sum of the m
+    # smallest / largest values among positions k..n-1; either the m-set
+    # holds position k or it lies in k+1..n-1. A node still needing m
+    # indices has chosen at least min_size - m, each at its own position,
+    # so it sits at k >= first[m] = max(0, min_size - m), and row m holds
+    # only that band, k = first[m]..n-m
+    first = [max(0, min_size - m) for m in range(max_size + 1)]
+    low = [[0] * (n + 1 - first[0])]
+    high = [[0] * (n + 1 - first[0])]
     for m in range(1, max_size + 1):
         below, above = low[-1], high[-1]
-        last = n - m
-        row_lo = [0] * (last + 1)
-        row_hi = [0] * (last + 1)
-        row_lo[last] = values[last] + below[last + 1]
-        row_hi[last] = values[last] + above[last + 1]
-        for k in range(last - 1, -1, -1):
-            v = values[k]
-            x, y = v + below[k + 1], row_lo[k + 1]
-            row_lo[k] = x if x < y else y
-            x, y = v + above[k + 1], row_hi[k + 1]
-            row_hi[k] = x if x > y else y
+        # position k of row m reads position k + 1 of row m - 1, which
+        # sits `shift` entries further along (first[m - 1] <= first[m] + 1)
+        start, shift = first[m], first[m] + 1 - first[m - 1]
+        size = n - m - start + 1
+        row_lo = [0] * size
+        row_hi = [0] * size
+        row_lo[-1] = values[n - m] + below[-1]
+        row_hi[-1] = values[n - m] + above[-1]
+        for i in range(size - 2, -1, -1):
+            v = values[start + i]
+            x, y = v + below[i + shift], row_lo[i + 1]
+            row_lo[i] = x if x < y else y
+            x, y = v + above[i + shift], row_hi[i + 1]
+            row_hi[i] = x if x > y else y
         low.append(row_lo)
         high.append(row_hi)
     # sizes count the prefix, so m = r - len(chosen) in every frame
@@ -137,7 +144,8 @@ def _window_blocks(
         while stack:
             pos, chosen, total = stack.pop()
             m = r - len(chosen)
-            if total + low[m][pos] > lo and total + high[m][pos] <= hi:
+            i = pos - first[m]
+            if total + low[m][i] > lo and total + high[m][i] <= hi:
                 yield chosen, pos, m, None
             elif m == 1:
                 a, b = lo - total, hi - total
@@ -147,13 +155,14 @@ def _window_blocks(
             else:
                 # live children pushed last-first, so the first is searched
                 # first; a child whose extremes miss the window is skipped
-                lows, highs = low[m - 1], high[m - 1]
+                # child k reads row m - 1 at position k + 1
+                lows, highs, off = low[m - 1], high[m - 1], first[m - 1] - 1
                 stack.extend(
                     [
                         (k + 1, chosen + (labels[k],), t)
                         for k in range(n - m, pos - 1, -1)
-                        if (t := total + values[k]) + lows[k + 1] <= hi
-                        and t + highs[k + 1] > lo
+                        if (t := total + values[k]) + lows[k - off] <= hi
+                        and t + highs[k - off] > lo
                     ]
                 )
 

@@ -269,7 +269,12 @@ def _divisor_windows(
     marking k read as ``labels[k - 1]``: the windows of canonical sides of
     each genus split ``(g1, g2)``, whether the irreducible-node divisor
     exists, and the window of coincidence pairs, each part in the order of
-    :func:`enumerate_boundary_divisors`.
+    :func:`enumerate_boundary_divisors`. That function builds its divisors
+    from these windows; the ``divisors`` verb renders them as text with
+    each marking's output token as its label, through
+    :func:`hassett.kernels.render_small_subsets`, or, with ``--trees``,
+    through the tuple expansion, filling each side and pair into a
+    template of its tree's shape.
 
     A side S of genus g_1 glued to its complement of genus g_2 is stable
     when each genus-0 side holds two markings and weighs more than 1: with

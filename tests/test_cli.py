@@ -30,7 +30,7 @@ from hassett.families import (
 )
 from hassett.jsonio import canonical_line
 from hassett.linear import evaluate
-from hassett.strata import StableTree, enumerate_boundary_divisors
+from hassett.strata import StableTree, divisor_tree, enumerate_boundary_divisors
 from hassett.weights import WeightData, _signature_sets, chamber_signature, validate
 from tests.oracles import brute_nodal_divisors, brute_signature, naive_closure
 from tests.test_signature_props import weight_data
@@ -571,19 +571,63 @@ class TestListingBytes:
     @pytest.mark.parametrize("construction", CONSTRUCTIONS)
     @pytest.mark.parametrize("n", range(5, 13))
     def test_schedule_matches_to_json_dict(self, construction, n):
-        obj = blowup_schedule(construction, n).to_json_dict()
-        lines = [f"{construction} on {obj['ambient']}, n={n}"]
-        lines += [
-            f"step {step['step']}: "
-            + "; ".join(
-                c if isinstance(c, str) else "{" + " ".join(c) + "}"
-                for c in step["centers"]
-            )
-            for step in obj["steps"]
-        ]
-        assert _both_forms("schedule", construction, str(n)) == (
-            (0, canonical_line(obj)), (0, _text(lines))
+        assert _both_forms("schedule", construction, str(n)) == _expected_schedule(
+            construction, n
         )
+
+    @pytest.mark.parametrize("n", [13, 14, 15])
+    def test_kblu_schedule_with_few_long_rows(self, n):
+        # from n = 13 on, step 1 lists m of the k = n - 2 labels with
+        # m > 2 * (k - m) + 4 (from n = 14 on step 2 too), which the text
+        # expansion joins row by row instead of from its suffix memo
+        assert _both_forms("schedule", "kblu", str(n)) == _expected_schedule("kblu", n)
+
+    @given(weight_data)
+    @settings(max_examples=200, deadline=None)
+    def test_divisor_trees(self, w):
+        # valid data of genus 0-3 with up to eight weights, zeros included
+        _check_divisor_trees(w)
+
+    @pytest.mark.parametrize(
+        "genus, weights",
+        [
+            (0, ",".join(["1/3"] * 10)),
+            (1, "1/2,1/3,0,1/4,1/2,1/5,1,0,1/3,1/4,1/2"),
+            (2, "1/2,0,1/3,1/4,1,1/5,2/3,0,1/2,1/3"),
+        ],
+    )
+    def test_divisor_trees_from_ten_markings(self, genus, weights):
+        # marking 10 sorts between 1 and 2 in the trees' marking maps
+        _check_divisor_trees(_datum(genus, weights))
+
+
+def _check_divisor_trees(w: WeightData) -> None:
+    """``divisors --trees`` prints canonical_line of the library's divisors
+    with their trees, and every printed tree reads back unchanged."""
+    entries = []
+    for d in enumerate_boundary_divisors(w):
+        entry = d.to_json_dict()
+        entry["tree"] = divisor_tree(w, d).to_json_dict()
+        entries.append(entry)
+    rc, out, _ = run_cli("divisors", "--trees", *_datum_argv(w))
+    assert (rc, out) == (0, canonical_line({"divisors": entries}))
+    for entry in json.loads(out)["divisors"]:
+        tree = StableTree.from_json_dict(entry["tree"])
+        assert tree.to_json_dict() == entry["tree"]
+
+
+def _expected_schedule(construction: str, n: int) -> tuple[tuple[int, str], tuple[int, str]]:
+    obj = blowup_schedule(construction, n).to_json_dict()
+    lines = [f"{construction} on {obj['ambient']}, n={n}"]
+    lines += [
+        f"step {step['step']}: "
+        + "; ".join(
+            c if isinstance(c, str) else "{" + " ".join(c) + "}"
+            for c in step["centers"]
+        )
+        for step in obj["steps"]
+    ]
+    return (0, canonical_line(obj)), (0, _text(lines))
 
 
 class TestVerifyL1Verb:

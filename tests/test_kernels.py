@@ -73,6 +73,28 @@ class TestEnumerateSmallSubsets:
             values, lo, hi, min_size, max_size
         ) == brute_window(values, lo, hi, min_size, max_size)
 
+    @given(
+        st.lists(st.integers(0, 12), max_size=10),
+        st.integers(-4, 60),
+        st.integers(-4, 60),
+        st.integers(-1, 3),
+        st.integers(0, 2),
+        st.sampled_from([(), ("0",)]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_min_size_near_n(self, values, lo, hi, below_n, spread, prefix):
+        # the walk reads extreme-sum table row m only from position
+        # min_size - m on, and the tables hold only that band: near n it is
+        # one or two entries a row
+        n = len(values)
+        min_size, tokens = n - below_n, tuple(map(str, range(1, n + 1)))
+        args = (values, lo, hi, min_size, min_size + spread)
+        sets = kernels.enumerate_small_subsets(*args)
+        assert sets == brute_window(*args)
+        assert kernels.render_small_subsets(
+            *args, tokens, prefix, sep=",", rowsep="],["
+        ) == ("],[".join(",".join(prefix + s) for s in relabeled(sets, tokens)), len(sets))
+
     def test_degenerate_inputs(self):
         assert kernels.enumerate_small_subsets([], -1, 10, 2, 0) == []
         assert kernels.enumerate_small_subsets([5], -1, 10, 2, 1) == []

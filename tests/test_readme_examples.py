@@ -41,7 +41,7 @@ PYTHON_BLOCKS = re.findall(
 
 
 def test_examples_are_found():
-    assert len(EXAMPLES) == 8
+    assert len(EXAMPLES) == 9
 
 
 @pytest.mark.parametrize(
