@@ -428,7 +428,8 @@ def _span_centers(
 def _cmd_schedule(args: argparse.Namespace) -> int:
     construction, n = args.construction, args.n
     specs = _span_specs(construction, n)
-    # each step's index and its centers' text, as fragments
+    # (step index, its centers' text as fragments): con2's named loci from
+    # the library's steps, the point spans from their specs
     named = [] if specs is not None else blowup_schedule(construction, n).steps
     ambient = AMBIENTS[construction]
     if args.format == "json":

@@ -251,8 +251,8 @@ class BoundaryDivisor:
         """The divisor's JSON object, holding its own tuples as the arrays.
 
         Tuples of integers leave the cyclic garbage collector's view and
-        lists do not; the ``divisors`` verb builds one such dict per
-        divisor, so lists would be traversed again at every collection.
+        lists do not; ``contract`` builds one such dict per contraction,
+        so lists would be traversed again at every collection.
         """
         if self.kind == "nodal":
             return {"kind": "nodal", "side": self.side, "genus_split": self.genus_split}
