@@ -42,7 +42,6 @@ from .weights import (
     _same_chamber,
     _solve_over_classes,
     chamber_reduction_exists,
-    chamber_signature,
     require_valid,
 )
 
@@ -401,9 +400,11 @@ def signature_relabeling(
     where swapping two neighbours of different weight leaves the
     source's chamber (equal ones swap to the same datum).  Each run's
     slots go, in index order, to the target slots at the same positions,
-    in index order.  The map is checked against the target's signature
-    before it is returned.  Both data are checked comparable and valid
-    once, up front; the comparisons that build the map are between
+    in index order.  The map is checked before it is returned, by one
+    chamber comparison of the target with the source relabeled through
+    it (each source weight placed at its image slot), so no signature is
+    listed.  Both data are checked comparable and valid once, up front;
+    the comparisons that build and check the map are between
     permutations of them and check nothing again.
     """
     _check_pair(target, source)
@@ -429,8 +430,10 @@ def signature_relabeling(
     for lo, hi in zip([0] + cuts, cuts + [n]):
         for slot, image in zip(sorted(order_s[lo:hi]), sorted(order_t[lo:hi])):
             sigma[slot - 1] = image
-    mapped = {frozenset(sigma[x - 1] for x in s) for s in chamber_signature(source)}
-    return tuple(sigma) if mapped == chamber_signature(target) else None
+    # slot j's weight moved to slot sigma[j-1]: its signature is the
+    # source's carried through sigma
+    relabeled = WeightData(source.genus, tuple(a for _, a in sorted(zip(sigma, source.weights))))
+    return tuple(sigma) if _same_chamber(target, relabeled, 2) else None
 
 
 def classify_with_relabeling(

@@ -57,6 +57,7 @@ __all__ = [
     "forgetful_defined",
 ]
 
+ZERO = Fraction(0)
 ONE = Fraction(1)
 MINUS_ONE = Fraction(-1)
 
@@ -424,7 +425,7 @@ def _chamber_rows(
     rows: list[Constraint] = []
     for c, cap in enumerate(caps):
         unit = tuple(int(j == c) for j in range(m))
-        rows.append(Constraint(tuple(-u for u in unit), "<=", Fraction(0)))
+        rows.append(Constraint(tuple(-u for u in unit), "<=", ZERO))
         rows.append(Constraint(unit, "<=", cap))
     total = tuple(-len(block) for block in classes)
     rows.append(Constraint(total, "<", Fraction(2 * w.genus - 2)))
@@ -578,7 +579,7 @@ def chamber_reduction_exists(
     rows += [Constraint(pad + r.coeffs, r.rel, r.bound) for r in y_rows]
     for c in range(m):  # y_c <= x_c
         unit = tuple(int(j == c) for j in range(m))
-        rows.append(Constraint(tuple(-u for u in unit) + unit, "<=", Fraction(0)))
+        rows.append(Constraint(tuple(-u for u in unit) + unit, "<=", ZERO))
     both = classes + tuple(tuple(slot + n for slot in block) for block in classes)
     witness = _solve_over_classes(both, rows)
     if witness is None:

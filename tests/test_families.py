@@ -3,13 +3,15 @@
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import factorial
 from random import Random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hassett import families
+from hassett import families, kernels
+from hassett.autgroup import aut_group
 from hassett.families import (
     BlowupSchedule,
     FamilySpec,
@@ -580,7 +582,8 @@ class TestSignatureRelabeling:
     @pytest.mark.parametrize("n", range(5, 9))
     def test_equal_weight_neighbours_are_not_swapped(self, monkeypatch, n):
         # swapping two equal weights gives back the same datum, so no
-        # chamber comparison is spent on it
+        # chamber comparison is spent on it; the final comparison checks
+        # the map and is counted apart from the swaps
         calls = []
 
         def counting(w1, w2, min_size):
@@ -597,9 +600,55 @@ class TestSignatureRelabeling:
             assert signature_relabeling(shuffled, rep) is not None
             ordered = sorted(rep.weights)
             steps = sum(a != b for a, b in zip(ordered, ordered[1:]))
-            # the sorted-chamber check, then one swap per change of weight
-            assert len(calls) == 1 + steps, spec
-            assert all(w1 != w2 for w1, w2 in calls[1:]), spec
+            # the sorted-chamber check, one swap per change of weight, then
+            # the target against the relabeled source
+            assert len(calls) == 2 + steps, spec
+            assert all(w1 != w2 for w1, w2 in calls[1:-1]), spec
+
+    def test_shuffled_dispatch_at_24_lists_no_set(self, monkeypatch):
+        # the relabeling is built and checked on chamber types, so no
+        # signature (2^24 candidate sets) is enumerated; each answer is
+        # checked without the engine
+        def no_listing(*args):
+            raise AssertionError("a subset window was enumerated")
+
+        monkeypatch.setattr(kernels, "enumerate_small_subsets", no_listing)
+        n, rng = 24, Random(24)
+        rep = kapranov_weights(2, 3, n).weights
+        shuffled = tuple(rng.sample(rep, n))
+        spec, sigma = classify_with_relabeling(WeightData(0, shuffled))
+        assert spec.notation() == f"kapranov:r=2,s=3,n={n}"
+        assert sorted(sigma) == list(range(1, n + 1))
+        assert all(rep[j] == shuffled[sigma[j] - 1] for j in range(n))
+
+        shuffled = WeightData(0, tuple(rng.sample(kapranov_weights(1, 2, n).weights, n)))
+        d = aut_group(shuffled)
+        assert (d.torus_rank, d.finite_order) == (n - 3, factorial(n - 2))
+
+        assert verify_keel_factorization(n)["all_pass"] is True
+
+    def test_final_check_guards_the_map(self, monkeypatch):
+        # if the map failed its final comparison, no relabeling and no
+        # family would be reported
+        rep = kapranov_weights(2, 3, 9)
+        shuffled = WeightData(0, rep.weights[::-1])
+        spec, sigma = classify_with_relabeling(shuffled)
+        assert sigma != tuple(range(1, 10))
+        finals = []
+
+        def failing_final(w1, w2, min_size):
+            # the final comparison alone puts the target first
+            if w1 is shuffled:
+                finals.append(w2)
+                return False
+            return same_chamber(w1, w2, min_size)
+
+        same_chamber = families._same_chamber
+        monkeypatch.setattr(families, "_same_chamber", failing_final)
+        assert signature_relabeling(shuffled, rep) is None
+        assert len(finals) == 1
+        assert classify_with_relabeling(shuffled) is None
+        assert len(finals) > 1
 
 
 def every_slot_factors_kapranov(w: WeightData) -> bool:

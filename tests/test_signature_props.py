@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hassett import families, kernels
+from hassett import kernels
 from hassett.families import classify_with_relabeling, kapranov_spec, kapranov_weights
 from hassett.weights import (
     WeightData,
@@ -170,16 +170,12 @@ def test_equivalences_match_signature_sets(pair):
 
 
 def test_equivalence_and_classification_enumerate_no_subset(monkeypatch):
-    # The equivalences and the classification decide on class rows; the
-    # one set check of a relabeled answer reads families.chamber_signature,
-    # served here by the brute-force oracle.
+    # The equivalences and the classification decide on class rows, the
+    # check of a relabeled answer included.
     def refuse(*args):
         raise AssertionError("the enumeration kernel was called")
 
     monkeypatch.setattr(kernels, "enumerate_small_subsets", refuse)
-    monkeypatch.setattr(
-        families, "chamber_signature", lambda w: frozenset(brute_signature(list(w.weights)))
-    )
     w = kapranov_weights(2, 3, 12)
     shuffled = WeightData(0, w.weights[::-1])
     light = WeightData(0, (F(1, 9),) * 11 + (F(1),))
