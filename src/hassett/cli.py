@@ -325,14 +325,13 @@ def _cmd_contract(args: argparse.Namespace) -> int:
     require_valid(source)
     require_valid(target)
     contractions = contracted_divisors(source, target)
-    obj = {"contractions": [c.to_json_dict() for c in contractions]}
-    lines = [f"{len(contractions)} contracted divisors"]
-    lines.extend(
-        "collapse side "
-        + " ".join(map(str, sorted(c.collapsed_side)))
-        + f" | genus {c.collapsed_genus}"
-        for c in contractions
-    )
+    if args.format == "json":
+        obj, lines = {"contractions": [c.to_json_dict() for c in contractions]}, []
+    else:
+        obj, lines = None, [f"{len(contractions)} contracted divisors"]
+        for c in contractions:
+            side = " ".join(map(str, sorted(c.collapsed_side)))
+            lines.append(f"collapse side {side} | genus {c.collapsed_genus}")
     _emit(args, obj, lines)
     return 0
 
@@ -527,7 +526,7 @@ def _add_divisors_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--trees",
         action="store_true",
-        help="attach the dual graph of each divisor",
+        help="attach the dual graph of each divisor (JSON output only)",
     )
 
 

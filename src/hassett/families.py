@@ -35,7 +35,9 @@ from itertools import combinations, product
 
 from .linear import Constraint, LinearSystem
 from .weights import (
+    MINUS_ONE,
     ONE,
+    ZERO,
     WeightData,
     _check_pair,
     _meets_class_rows,
@@ -280,10 +282,10 @@ def family_conditions(spec: FamilySpec) -> LinearSystem:
     for row in _block_rows(spec):
         choices = [combinations(block, abs(c)) for c, block in zip(row.coeffs, blocks)]
         for parts in product(*choices):
-            coeffs = [Fraction(0)] * n
+            coeffs = [ZERO] * n
             for c, part in zip(row.coeffs, parts):
                 for slot in part:
-                    coeffs[slot - 1] = Fraction(1 if c > 0 else -1)
+                    coeffs[slot - 1] = ONE if c > 0 else MINUS_ONE
             rows.append(Constraint(tuple(coeffs), row.rel, row.bound))
     return LinearSystem(n, tuple(rows))
 
@@ -341,7 +343,7 @@ def _box_and_validity_rows(blocks) -> list[Constraint]:
     rows: list[Constraint] = []
     for b in range(m):
         unit = tuple(int(j == b) for j in range(m))
-        rows.append(Constraint(tuple(-u for u in unit), "<", Fraction(0)))
+        rows.append(Constraint(tuple(-u for u in unit), "<", ZERO))
         rows.append(Constraint(unit, "<=", ONE))
     rows.append(Constraint(tuple(-len(block) for block in blocks), "<", Fraction(-2)))
     return rows

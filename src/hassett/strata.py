@@ -6,7 +6,8 @@ markings allowed to collide. Trees are canonicalized so enumeration is
 deterministic, and reduction morphisms report exactly the divisors whose
 collapsed side maps to a stratum of codimension at least two: the genus-0
 sides I with b_I <= 1 < a_I holding at least three markings of positive
-target weight, read off the target's chamber signature in one pass.
+target weight, read from the target's signature window already in output
+order, so nothing is sorted.
 """
 
 from __future__ import annotations
@@ -16,12 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels
-from .weights import (
-    WeightData,
-    chamber_signature,
-    reduction_exists,
-    require_valid,
-)
+from .weights import WeightData, _signature_sets, reduction_exists, require_valid
 
 __all__ = [
     "StableTree",
@@ -365,7 +361,8 @@ def contracted_divisors(a: WeightData, b: WeightData) -> list[Contraction]:
     stratum of codimension at least two under the target weights.
 
     Only a genus-0 side S loses degree, when its target weight drops to at
-    most 1, so the candidates are the sets of ``chamber_signature(b)``.
+    most 1, so the candidates are the target's signature sets, which its
+    window yields as sorted tuples in output order, by (|S|, S).
     S is reported when the divisor exists for the source and at least
     three of its markings keep positive target weight; with exactly two,
     the image is the coincidence divisor of that pair and nothing is
@@ -376,25 +373,23 @@ def contracted_divisors(a: WeightData, b: WeightData) -> list[Contraction]:
 
     Each contraction carries the divisor under its canonical side: S
     itself in positive genus; in genus 0 the side with fewer markings, or
-    at n/2 markings the side holding marking 1. Output is sorted by
-    (|S|, sorted S).
+    at n/2 markings the side holding marking 1.
     """
     if not reduction_exists(a, b):
         raise ValueError("no reduction morphism: target weights must be "
                          "pointwise at most the source weights")
     scaled, cap = a.integer_form
     n, split = a.n, (0, a.genus)
-    full, positive = frozenset(range(1, n + 1)), frozenset(b.positive_indices())
+    positive = frozenset(b.positive_indices())
     out: list[Contraction] = []
-    for side in chamber_signature(b):
-        if len(side & positive) < 3 or sum(scaled[m - 1] for m in side) <= cap:
+    for side in _signature_sets(b):
+        if len(positive.intersection(side)) < 3 or sum(scaled[m - 1] for m in side) <= cap:
             continue
-        canonical, excess = side, 2 * len(side) - n
-        if a.genus == 0 and (excess > 0 or (excess == 0 and 1 not in side)):
-            canonical = full - side
-        divisor = BoundaryDivisor("nodal", tuple(sorted(canonical)), split)
-        out.append(Contraction(divisor, side, 0))
-    out.sort(key=lambda c: (len(c.collapsed_side), sorted(c.collapsed_side)))
+        collapsed, canonical, excess = frozenset(side), side, 2 * len(side) - n
+        if a.genus == 0 and (excess > 0 or (excess == 0 and side[0] != 1)):
+            canonical = tuple(m for m in range(1, n + 1) if m not in collapsed)
+        divisor = BoundaryDivisor("nodal", canonical, split)
+        out.append(Contraction(divisor, collapsed, 0))
     return out
 
 

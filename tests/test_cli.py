@@ -32,8 +32,14 @@ from hassett.jsonio import canonical_line
 from hassett.linear import evaluate
 from hassett.strata import StableTree, divisor_tree, enumerate_boundary_divisors
 from hassett.weights import WeightData, _signature_sets, chamber_signature, validate
-from tests.oracles import brute_nodal_divisors, brute_signature, naive_closure
+from tests.oracles import (
+    brute_contractions,
+    brute_nodal_divisors,
+    brute_signature,
+    naive_closure,
+)
 from tests.test_signature_props import weight_data
+from tests.test_strata import dominated_pair
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:
@@ -276,6 +282,42 @@ class TestContractVerb:
         )
         assert rc == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digests[form == "text"]
+
+    @given(dominated_pair())
+    @settings(max_examples=150, deadline=None)
+    def test_both_forms_match_the_subset_definition(self, tmp_path_factory, pair):
+        """Both printed forms on random dominated pairs, genus 0-3 with zero
+        weights, against output built from the brute-force oracle."""
+        a, b = pair
+        base = tmp_path_factory.getbasetemp()
+        paths = base / "contract-a.json", base / "contract-b.json"
+        for path, w in zip(paths, pair):
+            self._write(path, w.genus, [str(q) for q in w.weights])
+        expected = brute_contractions(list(a.weights), list(b.weights), a.genus)
+        obj = {
+            "contractions": [
+                {
+                    "collapsed_genus": 0,
+                    "collapsed_side": list(side),
+                    "divisor": {
+                        "genus_split": [0, a.genus],
+                        "kind": "nodal",
+                        "side": list(canonical),
+                    },
+                }
+                for side, canonical in expected
+            ]
+        }
+        text = "".join(
+            [f"{len(expected)} contracted divisors\n"]
+            + [
+                "collapse side " + " ".join(map(str, side)) + " | genus 0\n"
+                for side, _ in expected
+            ]
+        )
+        argv = ["contract", "--from", str(paths[0]), "--to", str(paths[1])]
+        assert run_cli(*argv, "--format", "json") == (0, canonical_line(obj), "")
+        assert run_cli(*argv, "--format", "text") == (0, text, "")
 
     def test_missing_reduction_is_usage_error(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
