@@ -308,12 +308,9 @@ class TestContractVerb:
                 for side, canonical in expected
             ]
         }
-        text = "".join(
-            [f"{len(expected)} contracted divisors\n"]
-            + [
-                "collapse side " + " ".join(map(str, side)) + " | genus 0\n"
-                for side, _ in expected
-            ]
+        text = f"{len(expected)} contracted divisors\n" + "".join(
+            f"collapse side {' '.join(map(str, side))} | genus 0\n"
+            for side, _ in expected
         )
         argv = ["contract", "--from", str(paths[0]), "--to", str(paths[1])]
         assert run_cli(*argv, "--format", "json") == (0, canonical_line(obj), "")
