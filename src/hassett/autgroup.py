@@ -20,17 +20,14 @@ from all of them, so a packet may contain the swapped pair's own members
 packet and once as the anchor).  The alternative reading
 (``exclude_ij``) draws packets strictly away from the swapped pair.
 Either way a packet violates exactly when its sum lies in the half-open
-window (1 - max(a_i, a_j), 1 - min(a_i, a_j)], so admissibility is one
-subset-sum kernel query for a packet of at least two markings in that
-window, drawn from every marking, or from the other markings under
-``exclude_ij``.  The reported witness packet is recomputed independently
-by one pruned walk, by size then lexicographically, over two pools: the
-markings away from the swapped pair, then, under the literal reading
-only, all markings.  When no away packet violates, every violating
-packet touches the pair, so the second pass's first hit is the first
-touching packet, as canonical order (away packets first) asks.  The walk
-skips every size whose smallest and largest possible sums, read off
-prefix sums of the pool's sorted weights, cannot meet the window.
+window (1 - max(a_i, a_j), 1 - min(a_i, a_j)].  The interval kernel
+decides whether a packet of at least two markings lands there, drawn
+from every marking (or from the others under ``exclude_ij``).  The
+witness is the window kernel's first set, by size then lexicographically,
+over the markings away from the pair, then, under the literal reading
+only, over all markings: when no away packet violates, every violating
+packet touches the pair, so that first set is the first touching packet,
+as canonical order (away packets first) asks.
 
 The decision depends only on the two swapped values and the multiset of
 the other weights, which is the same for every pair of markings carrying
@@ -56,12 +53,7 @@ swaps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import (
-    accumulate,
-    combinations,
-    combinations_with_replacement,
-    product,
-)
+from itertools import combinations, combinations_with_replacement, product
 
 from . import kernels
 from .families import classify_with_relabeling
@@ -134,27 +126,6 @@ class AutDescription:
         }
 
 
-def _first_packet(
-    scaled: tuple[int, ...], pool: list[int], s_i: int, s_j: int, cap: int
-) -> tuple[int, ...] | None:
-    """First packet of at least two markings of ``pool``, by size then
-    lexicographically, on which ``s_i + sum <= cap`` and
-    ``s_j + sum <= cap`` disagree, or ``None``.  A size is skipped when the
-    prefix sums of the pool's sorted weights show that no packet of that
-    size sums into the violation window (cap - max, cap - min]."""
-    lo, hi = cap - max(s_i, s_j), cap - min(s_i, s_j)
-    ordered = sorted(scaled[k - 1] for k in pool)
-    least = list(accumulate(ordered, initial=0))
-    most = list(accumulate(reversed(ordered), initial=0))
-    for size in range(2, len(pool) + 1):
-        if least[size] <= hi and most[size] > lo:
-            for packet in combinations(pool, size):
-                total = sum(scaled[k - 1] for k in packet)
-                if (s_i + total <= cap) != (s_j + total <= cap):
-                    return packet
-    return None
-
-
 def is_admissible(
     w: WeightData, i: int, j: int, exclude_ij: bool = False
 ) -> tuple[bool, frozenset[int] | None]:
@@ -169,20 +140,17 @@ def is_admissible(
     Returns ``(True, None)`` or ``(False, witness)`` with the first
     violating packet in canonical order: packets away from {i, j} first,
     then those touching them, each by size then lexicographically.  The
-    decision is one subset-sum kernel query: is there a packet of at least
-    two markings, drawn from every marking (or from the others under
-    ``exclude_ij``), whose sum lies in the window
-    (cap - max(s_i, s_j), cap - min(s_i, s_j)]?  The witness comes from an
-    independent walk over two pools: the others, then all markings under
-    the literal reading.  Once the others hold no violating packet, the
-    first violating packet among all markings touches the pair, so it is
-    the first touching packet in canonical order.  A disagreement between
-    the two routes raises ``RuntimeError``.  Both routes work on the
-    integers of :attr:`WeightData.integer_form`: the walk compares
-    ``s_i + sum(T) <= cap`` with ``s_j + sum(T) <= cap`` packet by packet,
-    without the kernel's window.  The datum is validated first, so invalid
-    data raise :class:`~hassett.weights.InvalidWeightDataError` before any
-    index check.
+    interval kernel decides whether a packet of at least two markings,
+    drawn from every marking (or from the others under ``exclude_ij``),
+    sums into (cap - max(s_i, s_j), cap - min(s_i, s_j)].  The witness is
+    the window kernel's first set over the others, then over all markings
+    under the literal reading; once the others hold no violating packet,
+    the first among all markings touches the pair.  The two kernels are
+    independent searches, and a disagreement between them raises
+    ``RuntimeError``.  Both work on :attr:`WeightData.integer_form`.  The
+    datum is validated first, so invalid data raise
+    :class:`~hassett.weights.InvalidWeightDataError` before any index
+    check.
     """
     require_valid(w)
     n = w.n
@@ -206,7 +174,9 @@ def is_admissible(
     if kernels.find_subset_in_interval(values, lo, hi, 2) == -1:
         return True, None
     for pool in pools:
-        packet = _first_packet(scaled, pool, s_i, s_j, cap)
+        packet = kernels.first_small_subset(
+            [scaled[k - 1] for k in pool], lo, hi, 2, n, pool
+        )
         if packet is not None:
             return False, frozenset(packet)
     raise RuntimeError(

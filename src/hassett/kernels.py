@@ -5,12 +5,15 @@ The window search lists every index set whose sum lies in a half-open
 window ``(lo, hi]`` and whose size lies in a range, by size and then
 lexicographically: the canonical order every caller emits. Chamber
 signatures (``(-1, cap]``), walls (``(cap - 1, cap]``) and the sides and
-pairs of boundary divisors are such windows. The search,
-``_window_blocks``, is written once. It walks the sets in blocks: a node
-whose every completion lands in the window is one block (a chosen head
-followed by every m-subset of the remaining positions), and a node that
-needs one more index is a leaf listing the indices that fit. Two thin
-expansions read the blocks:
+pairs of boundary divisors are such windows, and so are the violating
+packets of a transposition. The search, ``_window_blocks``, is written
+once. It walks the sets in blocks: a node whose every completion lands in
+the window is one block (a chosen head followed by every m-subset of the
+remaining positions), and a node that needs one more index is a leaf
+listing the indices that fit. A size whose every set lands is one block
+read off prefix sums of the sorted values, with no extreme-sum table row;
+for any other size the rows are built only as far as that size. Three
+thin expansions read the blocks:
 
 * ``enumerate_small_subsets`` returns the sets as sorted tuples, of
   1-based indices or of ``labels[k]`` for index k + 1, a block coming out
@@ -23,16 +26,19 @@ expansions read the blocks:
   instead, so the memo holds fewer labels than three times the text
   returned. The verbs that print sets hand it each marking's output token
   (``"1"``...``"n"``) and their separators.
+* ``first_small_subset`` returns the first set alone, as a tuple of
+  labels, or None: the admissibility witness.
 
-Both expansions take a fixed ``prefix`` that starts every set and that the
-window does not see (the divisor sides that must hold marking 1).
+The first two expansions take a fixed ``prefix`` that starts every set and
+that the window does not see (the divisor sides that must hold marking 1).
 
 ``find_subset_in_interval`` decides whether some index set has its sum in
 a window (the admissible-transposition test) and reports the first hit as
-a bitmask over the original index positions. Both searches are
-depth-first on an explicit stack, and the block text is built level by
-level, so their depth is bounded by memory, not by the interpreter's
-recursion limit.
+a bitmask over the original index positions, in its own order. It shares
+no code with the window search, so the two check each other. Both
+searches are depth-first on an explicit stack, and the block text is
+built level by level, so their depth is bounded by memory, not by the
+interpreter's recursion limit.
 
 Both take nonnegative integers (weights already scaled by a common
 denominator); a zero value is an ordinary entry.
@@ -45,7 +51,7 @@ replace them in one place.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 from typing import TypeVar
 
@@ -53,6 +59,7 @@ __all__ = [
     "BACKEND",
     "enumerate_small_subsets",
     "find_subset_in_interval",
+    "first_small_subset",
     "render_small_subsets",
 ]
 
@@ -81,63 +88,63 @@ def _window_blocks(
     m indices from position k on is cut when even the m largest values
     there cannot lift its sum above ``lo``, or the m smallest already pass
     ``hi``; when both extremes land inside the window, every completion
-    does, and the node is one whole block. A node needing one index is a
-    leaf listing the labels whose values fit. Zero values are ordinary
-    entries.
+    does, and the node is one whole block. A size whose every set lands
+    is one block before any search. A node needing one index is a leaf
+    listing the labels whose values fit. Zero values are ordinary entries.
     """
     n = len(values)
     if lo >= hi:
         return
-    # size r has no member when its r smallest values already pass hi, or
-    # its r largest stay at or below lo; both sums grow with r
+    # least[r] / most[r]: the sum of the r smallest / largest values, both
+    # growing with r. Size r has no member when least[r] > hi or
+    # most[r] <= lo, and every r-set is a member when least[r] > lo and
+    # most[r] <= hi
     ascending = sorted(values)
-    smallest = largest = 0
-    for r in range(1, n + 1):
-        smallest += ascending[r - 1]
-        if smallest > hi:
-            max_size = min(max_size, r - 1)
-            break
-        largest += ascending[n - r]
-        if largest <= lo:
-            min_size = max(min_size, r + 1)
+    least = list(accumulate(ascending, initial=0))
+    most = list(accumulate(reversed(ascending), initial=0))
     min_size = max(min_size, 0)
     max_size = min(max_size, n)
+    while min_size <= max_size and most[min_size] <= lo:
+        min_size += 1
+    while min_size <= max_size and least[max_size] > hi:
+        max_size -= 1
     if min_size > max_size:
         return
-    if min_size == 0:
-        if lo < 0 <= hi:
-            yield prefix, n, 0, None
-        min_size = 1
     # low[m][k - first[m]] / high[m][k - first[m]]: the sum of the m
     # smallest / largest values among positions k..n-1; either the m-set
     # holds position k or it lies in k+1..n-1. A node still needing m
     # indices has chosen at least min_size - m, each at its own position,
     # so it sits at k >= first[m] = max(0, min_size - m), and row m holds
-    # only that band, k = first[m]..n-m
-    first = [max(0, min_size - m) for m in range(max_size + 1)]
+    # only that band, k = first[m]..n-m. Rows are built only as far as the
+    # size being walked
+    first = list(range(min_size, 0, -1)) + [0] * (max_size + 1 - min_size)
     low = [[0] * (n + 1 - first[0])]
     high = [[0] * (n + 1 - first[0])]
-    for m in range(1, max_size + 1):
-        below, above = low[-1], high[-1]
-        # position k of row m reads position k + 1 of row m - 1, which
-        # sits `shift` entries further along (first[m - 1] <= first[m] + 1)
-        start, shift = first[m], first[m] + 1 - first[m - 1]
-        size = n - m - start + 1
-        row_lo = [0] * size
-        row_hi = [0] * size
-        row_lo[-1] = values[n - m] + below[-1]
-        row_hi[-1] = values[n - m] + above[-1]
-        for i in range(size - 2, -1, -1):
-            v = values[start + i]
-            x, y = v + below[i + shift], row_lo[i + 1]
-            row_lo[i] = x if x < y else y
-            x, y = v + above[i + shift], row_hi[i + 1]
-            row_hi[i] = x if x > y else y
-        low.append(row_lo)
-        high.append(row_hi)
-    # sizes count the prefix, so m = r - len(chosen) in every frame
-    extra = len(prefix)
-    for r in range(min_size + extra, max_size + extra + 1):
+    for size in range(min_size, max_size + 1):
+        if least[size] > lo and most[size] <= hi:
+            # every set of this size lands: one block, and no rows
+            yield prefix, 0, size, None
+            continue
+        for m in range(len(low), size + 1):
+            below, above = low[-1], high[-1]
+            # position k of row m reads position k + 1 of row m - 1, which
+            # sits `shift` entries further along (first[m - 1] <= first[m] + 1)
+            start, shift = first[m], first[m] + 1 - first[m - 1]
+            rows = n - m - start + 1
+            row_lo = [0] * rows
+            row_hi = [0] * rows
+            row_lo[-1] = values[n - m] + below[-1]
+            row_hi[-1] = values[n - m] + above[-1]
+            for i in range(rows - 2, -1, -1):
+                v = values[start + i]
+                x, y = v + below[i + shift], row_lo[i + 1]
+                row_lo[i] = x if x < y else y
+                x, y = v + above[i + shift], row_hi[i + 1]
+                row_hi[i] = x if x > y else y
+            low.append(row_lo)
+            high.append(row_hi)
+        # sizes count the prefix, so m = r - len(chosen) in every frame
+        r = size + len(prefix)
         # stack frames: (next position, chosen labels, their sum); the
         # size bounds above keep the root's extremes around the window
         stack = [(0, prefix, 0)]
@@ -193,6 +200,27 @@ def enumerate_small_subsets(
         rest = combinations(labels[pos:], m) if fits is None else zip(fits)
         out.extend(map(chosen.__add__, rest) if chosen else rest)
     return out
+
+
+def first_small_subset(
+    values: Sequence[int],
+    lo: int,
+    hi: int,
+    min_size: int,
+    max_size: int,
+    labels: Sequence[Label],
+) -> tuple[Label, ...] | None:
+    """The first set of :func:`enumerate_small_subsets` with these
+    ``labels``, or None: the first block of :func:`_window_blocks` that
+    holds a set, read without expanding the rest."""
+    for chosen, pos, m, fits in _window_blocks(
+        values, lo, hi, min_size, max_size, labels, ()
+    ):
+        if fits is None:
+            return chosen + tuple(labels[pos : pos + m])
+        if fits:
+            return chosen + (fits[0],)
+    return None
 
 
 def render_small_subsets(

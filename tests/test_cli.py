@@ -6,9 +6,11 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import random
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
@@ -358,14 +360,51 @@ class TestAdmissibleVerb:
             assert rc == 2, (i, j, out, err)
 
     def test_many_equal_weights_answer_with_first_away_packet(self):
-        # the witness search skips the packet sizes that cannot reach the
-        # violation window (0.99, 0.995], so it starts at size 991
+        # the window kernel skips the packet sizes that cannot reach the
+        # violation window (0.99, 0.995], so it starts at size 991; every
+        # packet of that size lands, so the size is one whole block and no
+        # extreme-sum row is built for it
         weights = ",".join(["1/200", "1/100"] + ["1/1000"] * 2000)
         rc, obj = run_json(
             "admissible", "--genus", "0", "--weights", weights, "1", "2"
         )
         assert rc == 0
         assert obj == {"admissible": False, "witness": list(range(3, 994))}
+
+    # Marking 3 (3/5) fits no packet in the violation window (49/100, 1/2];
+    # a walk over every packet of sizes 2..14 of the light markings before
+    # the 15-packet that is the witness grows like 2^m.
+    LIGHT_TAIL = ("--genus", "2", "--weights", "1/2,51/100,3/5," + ",".join(["33/1000"] * 40))
+
+    def test_light_tail_witness_is_found_without_listing_smaller_packets(self):
+        start = time.perf_counter()
+        rc, obj = run_json("admissible", *self.LIGHT_TAIL, "1", "2")
+        elapsed = time.perf_counter() - start
+        assert rc == 0
+        assert obj == {"admissible": False, "witness": list(range(4, 19))}
+        assert elapsed < 2.0, f"took {elapsed:.2f}s"
+
+    def test_light_tail_group_is_found_without_listing_smaller_packets(self):
+        start = time.perf_counter()
+        rc, obj = run_json("aut", *self.LIGHT_TAIL)
+        elapsed = time.perf_counter() - start
+        assert rc == 0
+        assert (obj["label"], obj["finite_order"]) == ("S40", math.factorial(40))
+        assert elapsed < 2.0, f"took {elapsed:.2f}s"
+
+    def test_two_weight_classes_answer_with_a_mixed_packet(self):
+        # no packet of fewer than 496 markings passes 0.99, and one of 496
+        # lands in (0.99, 0.995] only with at most one 1/1000, so the first
+        # is marking 3 and then the first 495 of the 1/500s; a walk over the
+        # packets of size 496 in order would list every one that starts
+        # with markings 3 and 4 first
+        weights = ",".join(["1/200", "1/100"] + ["1/1000"] * 1000 + ["1/500"] * 1000)
+        start = time.perf_counter()
+        rc, obj = run_json("admissible", "--genus", "2", "--weights", weights, "1", "2")
+        elapsed = time.perf_counter() - start
+        assert rc == 0
+        assert obj == {"admissible": False, "witness": [3, *range(1003, 1498)]}
+        assert elapsed < 2.0, f"took {elapsed:.2f}s"
 
     def test_zero_weight_marking_is_usage_error(self):
         rc, _, err = run_cli(

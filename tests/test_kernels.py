@@ -186,6 +186,70 @@ class TestLabels:
         assert sets == [tokens[:1101]]
 
 
+class TestFirstSmallSubset:
+    """The first-set expansion is the first tuple of the window, or None."""
+
+    @given(
+        st.lists(st.integers(0, 12), max_size=9),
+        st.integers(-4, 40),
+        st.integers(-4, 40),
+        st.integers(-1, 10),
+        st.integers(-1, 10),
+        st.data(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_first_set_is_the_first_brute_force_tuple(
+        self, values, lo, hi, min_size, max_size, data
+    ):
+        label = st.one_of(st.text(max_size=3), st.integers(-3, 3))
+        labels = data.draw(st.lists(label, min_size=len(values), max_size=len(values)))
+        sets = brute_window(values, lo, hi, min_size, max_size)
+        expected = relabeled(sets[:1], labels)[0] if sets else None
+        assert kernels.first_small_subset(values, lo, hi, min_size, max_size, labels) == expected
+
+    @given(
+        st.integers(0, 9),
+        st.integers(0, 5),
+        st.integers(0, 9),
+        st.integers(0, 9),
+        st.integers(0, 4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_size_one_whole_block(self, n, v, a, b, slack):
+        # equal values and a window holding v * a .. v * b: every set of each
+        # size in a..b lands, so each size is one block
+        a, b = sorted((min(a, n), min(b, n)))
+        values, labels = [v] * n, [f"x{k}" for k in range(n)]
+        lo, hi = v * a - 1 - slack, v * b + slack
+        sets = brute_window(values, lo, hi, a, b)
+        assert sets and sets[0] == tuple(range(1, a + 1))
+        assert kernels.first_small_subset(values, lo, hi, a, b, labels) == tuple(labels[:a])
+        blocks = kernels._window_blocks(values, lo, hi, a, b, labels, ())
+        assert list(blocks) == [((), 0, size, None) for size in range(a, b + 1)]
+
+    @pytest.mark.parametrize(
+        "values, lo, hi, first",
+        [
+            # every set of 991 of 2,000 equal values lands in (990, 995], so
+            # the size is one block read off prefix sums, with no row
+            ([1] * 2000, 990, 995, tuple(range(1, 992))),
+            # sizes run to 2,001, but the first set is one value: one row,
+            # where rows up to size 2,001 would hold two million entries
+            ([0] * 2000 + [5], 4, 5, (2001,)),
+        ],
+    )
+    def test_rows_are_built_only_as_far_as_the_first_set(self, values, lo, hi, first):
+        n = len(values)
+        tracemalloc.start()
+        try:
+            got = kernels.first_small_subset(values, lo, hi, 1, n, range(1, n + 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == first
+        assert peak < 1_000_000
+
+
 SEPARATORS = [(",", "],["), (" ", "\n")]
 
 
