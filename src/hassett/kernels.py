@@ -130,12 +130,12 @@ def _window_blocks(
             # position k of row m reads position k + 1 of row m - 1, which
             # sits `shift` entries further along (first[m - 1] <= first[m] + 1)
             start, shift = first[m], first[m] + 1 - first[m - 1]
-            rows = n - m - start + 1
-            row_lo = [0] * rows
-            row_hi = [0] * rows
+            width = n - m - start + 1
+            row_lo = [0] * width
+            row_hi = [0] * width
             row_lo[-1] = values[n - m] + below[-1]
             row_hi[-1] = values[n - m] + above[-1]
-            for i in range(rows - 2, -1, -1):
+            for i in range(width - 2, -1, -1):
                 v = values[start + i]
                 x, y = v + below[i + shift], row_lo[i + 1]
                 row_lo[i] = x if x < y else y
