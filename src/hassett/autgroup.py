@@ -56,8 +56,8 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 
 from . import kernels
-from .families import classify_with_relabeling
-from .perms import PermGroup, generate_group, transposition
+from .families import FAMILY_KAPRANOV, FAMILY_KEEL, classify_with_relabeling
+from .perms import PermGroup, generate_group
 from .weights import ONE, WeightData, coarse_equivalent_genus0, require_valid
 
 __all__ = [
@@ -128,7 +128,7 @@ class AutDescription:
 
 def is_admissible(
     w: WeightData, i: int, j: int, exclude_ij: bool = False
-) -> tuple[bool, frozenset[int] | None]:
+) -> tuple[bool, tuple[int, ...] | None]:
     """Decide whether swapping markings i and j is admissible.
 
     Default (literal) reading: packets are index sets of size at least
@@ -138,7 +138,8 @@ def is_admissible(
     are drawn strictly away from {i, j}.
 
     Returns ``(True, None)`` or ``(False, witness)`` with the first
-    violating packet in canonical order: packets away from {i, j} first,
+    violating packet, an ascending tuple of markings as the window kernel
+    yields it, in canonical order: packets away from {i, j} first,
     then those touching them, each by size then lexicographically.  The
     interval kernel decides whether a packet of at least two markings,
     drawn from every marking (or from the others under ``exclude_ij``),
@@ -178,7 +179,7 @@ def is_admissible(
             [scaled[k - 1] for k in pool], lo, hi, 2, n, pool
         )
         if packet is not None:
-            return False, frozenset(packet)
+            return False, packet
     raise RuntimeError(
         "subset-sum kernel reported a violation but enumeration found none"
     )
@@ -243,9 +244,7 @@ def _described(
 
 
 def _symmetric_group(n: int) -> PermGroup:
-    return generate_group(
-        [transposition(x, x + 1, n) for x in range(n - 1)], n
-    )
+    return generate_group([(x, x + 1) for x in range(n - 1)], n)
 
 
 def _genus_zero(w: WeightData) -> AutDescription:
@@ -278,7 +277,7 @@ def _genus_zero(w: WeightData) -> AutDescription:
     spec, sigma = found
     sigma0 = [s - 1 for s in sigma]
     provenance = f"genus-zero family table: {spec.notation()}"
-    if spec.family == "kapranov" and spec.r == 1:
+    if spec.family == FAMILY_KAPRANOV and spec.r == 1:
         if spec.s == 1:
             raise NotCoveredError(
                 "the one-heavy family with minimal second weight"
@@ -287,13 +286,11 @@ def _genus_zero(w: WeightData) -> AutDescription:
         # Light slots 1..n-2 permute; at the top second weight an extra
         # factor swaps the two remaining slots.  These generators are
         # isomorphism data transported to the input's slot labels.
-        gens = [
-            transposition(sigma0[x], sigma0[x + 1], n) for x in range(n - 3)
-        ]
+        gens = [(sigma0[x], sigma0[x + 1]) for x in range(n - 3)]
         if spec.s == n - 3:
-            gens.append(transposition(sigma0[n - 2], sigma0[n - 1], n))
+            gens.append((sigma0[n - 2], sigma0[n - 1]))
         return _described(n - 3, generate_group(gens, n), provenance)
-    if spec.family == "keel" and spec.h < n - 4:
+    if spec.family == FAMILY_KEEL and spec.h < n - 4:
         raise NotCoveredError(
             "the iterated-contraction family is covered only from"
             " stage n-4 onward"
@@ -320,10 +317,9 @@ def aut_group(w: WeightData, exclude_ij: bool = False) -> AutDescription:
         )
     if g >= 2 or (g == 1 and n >= 3 and positive >= 2):
         pairs = admissible_generators(w, exclude_ij)
-        gens = [transposition(i - 1, j - 1, n) for i, j in pairs]
         return _described(
             0,
-            generate_group(gens, n),
+            generate_group([(i - 1, j - 1) for i, j in pairs], n),
             "admissible swaps and zero-weight swaps (positive genus)",
         )
     if g == 1 and n == 1:

@@ -330,7 +330,7 @@ def _cmd_contract(args: argparse.Namespace) -> int:
     else:
         obj, lines = None, [f"{len(contractions)} contracted divisors"]
         for c in contractions:
-            side = " ".join(map(str, sorted(c.collapsed_side)))
+            side = " ".join(map(str, c.collapsed_side))
             lines.append(f"collapse side {side} | genus {c.collapsed_genus}")
     _emit(args, obj, lines)
     return 0
@@ -341,14 +341,14 @@ def _cmd_admissible(args: argparse.Namespace) -> int:
     ok, witness = is_admissible(w, args.i, args.j, exclude_ij=args.strict_atrans)
     obj = {
         "admissible": ok,
-        "witness": None if witness is None else sorted(witness),
+        "witness": None if witness is None else list(witness),
     }
     if ok:
         lines = [f"swap {args.i} {args.j}: admissible"]
     else:
         lines = [
             f"swap {args.i} {args.j}: not admissible; witness packet "
-            + " ".join(map(str, sorted(witness)))
+            + " ".join(map(str, witness))
         ]
     _emit(args, obj, lines)
     return 0

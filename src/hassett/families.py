@@ -44,6 +44,7 @@ from .weights import (
     _same_chamber,
     _solve_over_classes,
     chamber_reduction_exists,
+    format_rational,
     require_valid,
 )
 
@@ -362,17 +363,15 @@ def feasible_representative(spec: FamilySpec) -> WeightData:
     settle the per-slot question too.  Raises
     :class:`InfeasibleFamilyError` when no solution exists.
     """
-    blocks = _slot_blocks(spec)
-    weights = _solve_over_classes(
-        blocks, _block_rows(spec) + _box_and_validity_rows(blocks)
-    )
+    blocks, rows = _slot_blocks(spec), _block_rows(spec)
+    weights = _solve_over_classes(blocks, rows + _box_and_validity_rows(blocks))
     if weights is None:
         raise InfeasibleFamilyError(
             f"condition system for {spec.notation()} is infeasible"
         )
     w = WeightData(0, weights)
     require_valid(w)
-    if not _meets_class_rows(w, blocks, _block_rows(spec)):
+    if not _meets_class_rows(w, blocks, rows):
         raise RuntimeError(
             f"feasibility witness for {spec.notation()} failed re-checking"
         )
@@ -670,8 +669,8 @@ def verify_keel_factorization(n: int) -> dict:
         entry: dict = {"h": h, "reduces": pair is not None}
         if pair is not None:
             x, y = pair
-            entry["witness_source"] = [str(q) for q in x.weights]
-            entry["witness_target"] = [str(q) for q in y.weights]
+            entry["witness_source"] = [format_rational(q) for q in x.weights]
+            entry["witness_target"] = [format_rational(q) for q in y.weights]
             entry["revalidated"] = True
         else:
             all_pass = False
@@ -685,7 +684,7 @@ def verify_keel_factorization(n: int) -> dict:
     report = {
         "n": n,
         "family": "keel",
-        "target": [str(q) for q in target.weights],
+        "target": [format_rational(q) for q in target.weights],
         "range": [lo, hi],
         "checks": checks,
         "all_pass": all_pass,

@@ -6,8 +6,8 @@ markings allowed to collide. Trees are canonicalized so enumeration is
 deterministic, and reduction morphisms report exactly the divisors whose
 collapsed side maps to a stratum of codimension at least two: the genus-0
 sides I with b_I <= 1 < a_I holding at least three markings of positive
-target weight, read from the target's signature window already in output
-order, so nothing is sorted.
+target weight, read from the target's chamber signature, whose sorted
+tuples come in output order, so nothing is sorted.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels
-from .weights import WeightData, _signature_sets, reduction_exists, require_valid
+from .weights import WeightData, chamber_signature, reduction_exists, require_valid
 
 __all__ = [
     "StableTree",
@@ -342,16 +342,17 @@ def enumerate_boundary_divisors(w: WeightData) -> list[BoundaryDivisor]:
 class Contraction:
     """A divisor collapsed by a reduction morphism, reported from the
     collapse viewpoint: ``collapsed_side`` is the component that loses
-    positive degree, which is not always the divisor's canonical side."""
+    positive degree, as a sorted tuple of markings, which is not always
+    the divisor's canonical side."""
 
     divisor: BoundaryDivisor
-    collapsed_side: frozenset[int]
+    collapsed_side: tuple[int, ...]
     collapsed_genus: int
 
     def to_json_dict(self) -> dict:
         return {
             "divisor": self.divisor.to_json_dict(),
-            "collapsed_side": sorted(self.collapsed_side),
+            "collapsed_side": list(self.collapsed_side),
             "collapsed_genus": self.collapsed_genus,
         }
 
@@ -361,8 +362,10 @@ def contracted_divisors(a: WeightData, b: WeightData) -> list[Contraction]:
     stratum of codimension at least two under the target weights.
 
     Only a genus-0 side S loses degree, when its target weight drops to at
-    most 1, so the candidates are the target's signature sets, which its
-    window yields as sorted tuples in output order, by (|S|, S).
+    most 1, so the candidates are the target's signature sets, which
+    :func:`~hassett.weights.chamber_signature` yields as sorted tuples in
+    output order, by (|S|, S); each reported S is the contraction's
+    ``collapsed_side`` as it comes.
     S is reported when the divisor exists for the source and at least
     three of its markings keep positive target weight; with exactly two,
     the image is the coincidence divisor of that pair and nothing is
@@ -382,14 +385,14 @@ def contracted_divisors(a: WeightData, b: WeightData) -> list[Contraction]:
     n, split = a.n, (0, a.genus)
     positive = frozenset(b.positive_indices())
     out: list[Contraction] = []
-    for side in _signature_sets(b):
+    for side in chamber_signature(b):
         if len(positive.intersection(side)) < 3 or sum(scaled[m - 1] for m in side) <= cap:
             continue
-        collapsed, canonical, excess = frozenset(side), side, 2 * len(side) - n
+        canonical, excess = side, 2 * len(side) - n
         if a.genus == 0 and (excess > 0 or (excess == 0 and side[0] != 1)):
-            canonical = tuple(m for m in range(1, n + 1) if m not in collapsed)
+            canonical = tuple(m for m in range(1, n + 1) if m not in side)
         divisor = BoundaryDivisor("nodal", canonical, split)
-        out.append(Contraction(divisor, collapsed, 0))
+        out.append(Contraction(divisor, side, 0))
     return out
 
 

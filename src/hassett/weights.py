@@ -257,22 +257,16 @@ def _signature_window(
     return scaled, -1, cap, min_size, w.n, labels
 
 
-def _signature_sets(w: WeightData, min_size: int = 2) -> list[tuple[int, ...]]:
-    """The chamber signature as sorted 1-based index tuples, by size and
-    then lexicographically (:func:`_signature_window`)."""
-    return kernels.enumerate_small_subsets(*_signature_window(w, min_size))
-
-
-def chamber_signature(w: WeightData) -> frozenset[frozenset[int]]:
-    """All index sets S (|S| >= 2, 1-based) with sum of weights <= 1.
+def chamber_signature(w: WeightData) -> list[tuple[int, ...]]:
+    """All index sets S (|S| >= 2, 1-based) with sum of weights <= 1, as
+    sorted tuples in canonical order: by size, then lexicographically
+    (the window of :func:`_signature_window`).
 
     The result is downward closed in the size->=2 range and determines the
     moduli problem. Data with fewer than two markings have empty signature.
-    Callers that want the sets in canonical order use the sorted tuples of
-    :func:`_signature_sets` instead.
     """
     require_valid(w)
-    return frozenset(map(frozenset, _signature_sets(w)))
+    return kernels.enumerate_small_subsets(*_signature_window(w))
 
 
 def _check_pair(w1: WeightData, w2: WeightData) -> None:

@@ -11,8 +11,11 @@ own inputs, by filtering every subset.
 Group elements are listed here only: ``naive_closure`` multiplies until
 stable, and ``close_permutations`` closes breadth-first under a size limit.
 ``stabilizer_chain_order`` computes the order of any permutation group,
-by a Schreier-Sims chain, without listing it. The package accepts only
-transposition generators and takes the order from the orbits.
+by a Schreier-Sims chain, without listing it. All three take 0-based
+one-line image tuples; ``transposition_image`` spells out the swap of two
+points as one, so the oracles never multiply images the package built.
+The package takes transpositions as pairs of points and reads the order
+off the orbits.
 
 ``reference_violations`` and ``reference_scaled`` state validity and the
 integer form of a datum over ``Fraction`` values, as the package did
@@ -83,6 +86,12 @@ def row_holds(coeffs, rel: str, bound, point) -> bool:
     return lhs == bound
 
 
+def canonical_sets(sets) -> list[tuple[int, ...]]:
+    """The index sets as sorted tuples, by size and then
+    lexicographically."""
+    return sorted((tuple(sorted(s)) for s in sets), key=lambda s: (len(s), s))
+
+
 def brute_signature(weights: list[Fraction]) -> set[frozenset[int]]:
     """All 1-based index sets of size >= 2 with weight sum <= 1."""
     n = len(weights)
@@ -149,28 +158,29 @@ def brute_walls(weights: list[Fraction]) -> list[tuple[int, ...]]:
 
 
 def witness_order(n: int, i: int, j: int, exclude_ij: bool):
-    """Candidate index sets in canonical order: sets avoiding {i, j} first,
-    then (unless excluded) sets touching them; size before lexicographic."""
+    """Candidate index sets, as ascending tuples, in canonical order: sets
+    avoiding {i, j} first, then (unless excluded) sets touching them; size
+    before lexicographic."""
     others = [x for x in range(1, n + 1) if x not in (i, j)]
     for r in range(2, len(others) + 1):
-        yield from (frozenset(c) for c in combinations(others, r))
+        yield from combinations(others, r)
     if exclude_ij:
         return
     for r in range(2, n + 1):
         for combo in combinations(range(1, n + 1), r):
             if i in combo or j in combo:
-                yield frozenset(combo)
+                yield combo
 
 
 def brute_admissible(
     weights: list[Fraction], i: int, j: int, exclude_ij: bool = False
-) -> tuple[bool, frozenset[int] | None]:
+) -> tuple[bool, tuple[int, ...] | None]:
     """Decide admissibility of the transposition (i j) by full enumeration.
 
     (i j) is admissible when a_i + sum(T) <= 1 and a_j + sum(T) <= 1 agree
     for every index set T of size >= 2 (drawn from all markings, or from
     those away from {i, j} when exclude_ij is set). Returns the decision and
-    the first violating T in canonical order.
+    the first violating T in canonical order, as an ascending tuple.
     """
     ai, aj = weights[i - 1], weights[j - 1]
     for t in witness_order(len(weights), i, j, exclude_ij):
@@ -178,6 +188,11 @@ def brute_admissible(
         if (ai + s <= ONE) != (aj + s <= ONE):
             return False, t
     return True, None
+
+
+def transposition_image(i: int, j: int, degree: int) -> tuple[int, ...]:
+    """The swap of 0-based points i and j as a one-line image tuple."""
+    return tuple(j if x == i else i if x == j else x for x in range(degree))
 
 
 def naive_closure(gens: list[tuple[int, ...]], degree: int) -> set[tuple[int, ...]]:

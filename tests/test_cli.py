@@ -33,7 +33,7 @@ from hassett.families import (
 from hassett.jsonio import canonical_line
 from hassett.linear import evaluate
 from hassett.strata import StableTree, divisor_tree, enumerate_boundary_divisors
-from hassett.weights import WeightData, _signature_sets, chamber_signature, validate
+from hassett.weights import WeightData, chamber_signature, validate
 from tests.oracles import (
     brute_contractions,
     brute_nodal_divisors,
@@ -182,7 +182,7 @@ class TestSignatureVerb:
         rc, obj = run_json("signature", *DEL_PEZZO)
         assert rc == 0 and obj["mode"] == "fine"
         w = WeightData.from_strings(0, "1/3 1/3 1/3 2/3 1".split())
-        assert {frozenset(s) for s in obj["sets"]} == set(chamber_signature(w))
+        assert [tuple(s) for s in obj["sets"]] == chamber_signature(w)
 
     def test_coarse_drops_pairs(self):
         rc, obj = run_json("signature", *DEL_PEZZO, "--mode", "coarse")
@@ -529,7 +529,8 @@ class TestRenderedOutput:
         if not report.ok:
             return
         for mode, min_size in (("fine", 2), ("coarse", 3)):
-            sets = _signature_sets(w, min_size)
+            # canonical order is by size first, so the coarse sets are a tail
+            sets = [s for s in chamber_signature(w) if len(s) >= min_size]
             lines = [f"{mode} signature: {len(sets)} sets"]
             lines += [" ".join(map(str, s)) for s in sets]
             assert _both_forms("signature", "--mode", mode, *_datum_argv(w)) == (
@@ -568,7 +569,7 @@ def _expected_validate(w: WeightData) -> tuple[tuple[int, str], tuple[int, str]]
 
 
 def _expected_signature(w: WeightData, mode: str) -> tuple[tuple[int, str], tuple[int, str]]:
-    sets = _signature_sets(w, 3 if mode == "coarse" else 2)
+    sets = [s for s in chamber_signature(w) if len(s) >= (3 if mode == "coarse" else 2)]
     lines = [f"{mode} signature: {len(sets)} sets", *(" ".join(map(str, s)) for s in sets)]
     return (0, canonical_line({"mode": mode, "sets": sets})), (0, _text(lines))
 

@@ -43,7 +43,12 @@ from hassett.weights import (
     reduction_exists_up_to_equivalence,
     validate,
 )
-from tests.oracles import backtrack_relabeling, brute_signature, fingerprint_relabeling
+from tests.oracles import (
+    backtrack_relabeling,
+    brute_signature,
+    canonical_sets,
+    fingerprint_relabeling,
+)
 from tests.test_cli import FACTORS_FALSE
 
 
@@ -468,8 +473,8 @@ class TestClassify:
         assert found is not None
         spec, sigma = found
         assert spec == kapranov_spec(1, 2, 6)
-        mapped = frozenset(
-            frozenset(sigma[x - 1] for x in s)
+        mapped = canonical_sets(
+            [sigma[x - 1] for x in s]
             for s in chamber_signature(representative_weights(spec))
         )
         assert mapped == chamber_signature(w)

@@ -16,7 +16,7 @@ from hassett.weights import (
     fine_equivalent,
     validate,
 )
-from tests.oracles import brute_signature, brute_walls, signature_antichains
+from tests.oracles import brute_signature, brute_walls, canonical_sets, signature_antichains
 
 small_fraction = st.builds(
     F, st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=6)
@@ -39,17 +39,20 @@ weight_data = weight_data()
 @given(weight_data)
 @settings(max_examples=300, deadline=None)
 def test_signature_matches_full_enumeration(w):
+    # the same sets, as sorted tuples in canonical order: by size, then
+    # lexicographically
     got = chamber_signature(w)
-    assert set(got) == brute_signature(list(w.weights))
+    assert got == canonical_sets(brute_signature(list(w.weights)))
+    assert got == sorted(got, key=lambda s: (len(s), s))
 
 
 @given(weight_data)
 @settings(max_examples=200, deadline=None)
 def test_signature_is_downward_closed(w):
-    sig = chamber_signature(w)
+    sig = set(chamber_signature(w))
     for s in sig:
         for drop in s:
-            sub = s - {drop}
+            sub = tuple(x for x in s if x != drop)
             if len(sub) >= 2:
                 assert sub in sig
 
@@ -63,7 +66,7 @@ def test_signature_is_equivariant_under_relabeling(w, rng):
         genus=w.genus,
         weights=tuple(w.weights[perm.index(k)] for k in range(1, w.n + 1)),
     )
-    mapped = frozenset(frozenset(perm[i - 1] for i in s) for s in chamber_signature(w))
+    mapped = canonical_sets([perm[i - 1] for i in s] for s in chamber_signature(w))
     assert mapped == chamber_signature(relabeled)
 
 
