@@ -16,14 +16,15 @@ all-zero window, followed by a fixed chain. ``divisors --trees`` in JSON
 takes each side and pair from the kernel as a token tuple and fills it
 into one template per tree shape, built once through
 :func:`hassett.strata._divisor_tree`; no divisor or tree object is built
-per divisor. The JSON text reaches
+per divisor. ``contract`` fills the two sides of each contraction into
+one template, the JSON of its first. The JSON text reaches
 :func:`~hassett.jsonio.canonical_line` as a
 :class:`~hassett.jsonio.Rendered` value, and no integer is encoded one by
 one.
 
-Each run builds the subparser of the requested verb only, when the first
-argument names one; help, a missing or unknown verb, or an option before
-the verb builds them all.
+A leading verb builds one parser, the verb's own, with the help width
+read once; anything else, or an argument the verb does not take, goes to
+the full parser (:func:`build_parser`), which prints the usage error.
 
 Exit status: 0 on success, 1 on domain errors (invalid weight data, weight
 data no covering theorem applies to, infeasible family systems) with a
@@ -35,8 +36,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 from collections.abc import Iterable, Sequence
+from functools import partial
 
 from hassett import kernels
 from hassett.autgroup import (
@@ -326,7 +329,19 @@ def _cmd_contract(args: argparse.Namespace) -> int:
     require_valid(target)
     contractions = contracted_divisors(source, target)
     if args.format == "json":
-        obj, lines = {"contractions": [c.to_json_dict() for c in contractions]}, []
+        # each element as Contraction.to_json_dict gives it, keys sorted; the
+        # contractions of one reduction differ only in their two sides
+        entries = []
+        if contractions:
+            entry = contractions[0].to_json_dict()
+            entry["collapsed_side"] = entry["divisor"]["side"] = _HOLE
+            before, middle, after = canonical_dumps(entry).split(canonical_dumps(_HOLE))
+            entries = [
+                f"{before}[{','.join(map(str, c.collapsed_side))}]{middle}"
+                f"[{','.join(map(str, c.divisor.side))}]{after}"
+                for c in contractions
+            ]
+        obj, lines = {"contractions": Rendered(["[", ",".join(entries), "]"])}, []
     else:
         obj, lines = None, [f"{len(contractions)} contracted divisors"]
         for c in contractions:
@@ -644,6 +659,14 @@ VERBS = {
 }
 
 
+def _add_verb_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+    """The verb's handler, ``--format`` and the verb's own arguments."""
+    handler, _, add_arguments = VERBS[name]
+    parser.set_defaults(handler=handler)
+    _add_format_argument(parser)
+    add_arguments(parser)
+
+
 def build_parser(names: Iterable[str] = VERBS) -> argparse.ArgumentParser:
     """The parser with a subparser for each named verb, by default all."""
     parser = argparse.ArgumentParser(
@@ -655,27 +678,32 @@ def build_parser(names: Iterable[str] = VERBS) -> argparse.ArgumentParser:
     )
     verbs = parser.add_subparsers(dest="verb", required=True, metavar="verb")
     for name in names:
-        handler, help_text, add_arguments = VERBS[name]
-        sub = verbs.add_parser(name, help=help_text)
-        sub.set_defaults(handler=handler)
-        _add_format_argument(sub)
-        add_arguments(sub)
+        _add_verb_arguments(verbs.add_parser(name, help=VERBS[name][1]), name)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # A leading verb name is all the parser needs; anything else (help,
-    # no argument, an unknown verb, an option first) gets every verb.
-    names = argv[:1] if argv and argv[0] in VERBS else VERBS
-    parser = build_parser(names)
-    args = parser.parse_args(argv)
+    args, extra = None, ()
+    if argv and argv[0] in VERBS:
+        # argparse reads the width for the formatter of every add_argument
+        width = shutil.get_terminal_size().columns - 2
+        parser = argparse.ArgumentParser(
+            prog=f"hassett {argv[0]}",
+            formatter_class=partial(argparse.HelpFormatter, width=width),
+        )
+        _add_verb_arguments(parser, argv[0])
+        args, extra = parser.parse_known_args(argv[1:])
+    if args is None or extra:  # the full parser prints the usage error
+        args = build_parser().parse_args(argv)
+    return _run(args)
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run a parsed request's verb, mapping its errors to exit codes."""
     try:
         return args.handler(args)
-    except _UsageError as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return 2
     except NotCoveredError as exc:
         return _domain_error(
             args, "not-covered", NOT_COVERED_MESSAGE, detail=exc.detail
@@ -684,8 +712,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _domain_error(args, "invalid-weight-data", str(exc))
     except InfeasibleFamilyError as exc:
         return _domain_error(args, "infeasible-family", str(exc))
-    except ValueError as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+    except (_UsageError, ValueError) as exc:
+        print(f"hassett: error: {exc}", file=sys.stderr)
         return 2
 
 

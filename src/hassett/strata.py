@@ -244,11 +244,12 @@ class BoundaryDivisor:
                 raise ValueError("coincidence divisors need a marking pair")
 
     def to_json_dict(self) -> dict:
-        """The divisor's JSON object, holding its own tuples as the arrays.
+        """The divisor's JSON object, holding its own tuples as the arrays,
+        which canonical JSON encodes as lists.
 
-        Tuples of integers leave the cyclic garbage collector's view and
-        lists do not; ``contract`` builds one such dict per contraction,
-        so lists would be traversed again at every collection.
+        The ``divisors --trees`` and ``contract`` verbs encode one such
+        object per shape and fill every element into its text, so no dict
+        is built per divisor there.
         """
         if self.kind == "nodal":
             return {"kind": "nodal", "side": self.side, "genus_split": self.genus_split}

@@ -156,6 +156,12 @@ class WeightData:
         return _common_scale(self.weights)
 
     @cached_property
+    def violations(self) -> tuple[str, ...]:
+        """The defining inequalities the datum breaks (:func:`_violations`),
+        computed once per datum; a tuple, so no reader can change it."""
+        return tuple(_violations(self))
+
+    @cached_property
     def weight_classes(self) -> tuple[tuple[int, ...], ...]:
         """The 1-based slots grouped by equal weight, numbered in order of
         each class's first slot (:func:`_slot_classes` of this datum alone),
@@ -215,19 +221,19 @@ def validate(w: WeightData) -> ValidationReport:
     walls: tuple[tuple[int, ...], ...] = ()
     for window in windows:
         walls += tuple(kernels.enumerate_small_subsets(*window))
-    return ValidationReport(not problems, tuple(problems), walls)
+    return ValidationReport(not problems, problems, walls)
 
 
 def _wall_windows(
     w: WeightData, labels: Sequence | None = None
-) -> tuple[list[str], list[tuple]]:
+) -> tuple[tuple[str, ...], list[tuple]]:
     """The defining inequalities the datum breaks, and the kernel arguments
     for its walls: none for an invalid datum, which reports no walls, else
     one window, ``(cap - 1, cap]`` of the scaled weights, for the sets of at
     least two markings weighing exactly 1, marking k read as
     ``labels[k - 1]`` when labels are given. The only place that decides
     what walls a datum has."""
-    problems = _violations(w)
+    problems = w.violations
     if problems:
         return problems, []
     scaled, cap = w.integer_form
@@ -238,9 +244,9 @@ def require_valid(w: WeightData) -> None:
     """Raise :class:`InvalidWeightDataError` unless the datum is valid.
 
     Validity does not depend on walls, so this checks the O(n) defining
-    inequalities only and enumerates no subsets.
+    inequalities only, once per datum, and enumerates no subsets.
     """
-    problems = _violations(w)
+    problems = w.violations
     if problems:
         raise InvalidWeightDataError("; ".join(problems))
 

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import random
+import shutil
 import subprocess
 import sys
 import time
@@ -32,7 +33,12 @@ from hassett.families import (
 )
 from hassett.jsonio import canonical_line
 from hassett.linear import evaluate
-from hassett.strata import StableTree, divisor_tree, enumerate_boundary_divisors
+from hassett.strata import (
+    StableTree,
+    contracted_divisors,
+    divisor_tree,
+    enumerate_boundary_divisors,
+)
 from hassett.weights import WeightData, chamber_signature, validate
 from tests.oracles import (
     brute_contractions,
@@ -44,14 +50,19 @@ from tests.test_signature_props import weight_data
 from tests.test_strata import dominated_pair
 
 
-def run_cli(*argv: str) -> tuple[int, str, str]:
+def _captured(call) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``call()``, a CLI entry point."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
-            rc = cli.main(list(argv))
+            rc = call()
         except SystemExit as exc:  # argparse exits on usage problems
             rc = exc.code if isinstance(exc.code, int) else 2
     return rc, out.getvalue(), err.getvalue()
+
+
+def run_cli(*argv: str) -> tuple[int, str, str]:
+    return _captured(lambda: cli.main(list(argv)))
 
 
 def run_json(*argv: str):
@@ -332,6 +343,68 @@ class TestContractVerb:
             "contract", "--from", str(a), "--to", str(tmp_path / "nope.json")
         )
         assert rc == 2 and "cannot read" in err
+
+    def test_json_is_the_library_contractions_and_text_is_unchanged(self, tmp_path):
+        """The JSON elements, filled into one template, are what
+        ``Contraction.to_json_dict`` encodes, on seeded random dominated
+        pairs, genus 0-3 with zero weights; the text form lists the same
+        contractions."""
+        rng = random.Random(25)
+        values = [F(0), F(1, 5), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1)]
+        a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
+        argv = ["contract", "--from", str(a_path), "--to", str(b_path)]
+        contracting = 0
+        while contracting < 60:
+            genus = rng.randint(0, 3)
+            a_ws = [rng.choice(values) for _ in range(rng.randint(0, 10))]
+            b_ws = [w * rng.choice([F(1), F(1, 2), F(1, 4), F(0)]) for w in a_ws]
+            if not all(2 * genus - 2 + sum(ws) > 0 for ws in (a_ws, b_ws)):
+                continue
+            if not a_ws and genus < 2:
+                continue
+            a, b = WeightData(genus, tuple(a_ws)), WeightData(genus, tuple(b_ws))
+            for path, w in ((a_path, a), (b_path, b)):
+                path.write_text(json.dumps(w.to_json_dict()), encoding="utf-8")
+            contractions = contracted_divisors(a, b)
+            contracting += bool(contractions)
+            expected = {"contractions": [c.to_json_dict() for c in contractions]}
+            assert run_cli(*argv) == (0, canonical_line(expected), "")
+            text = f"{len(contractions)} contracted divisors\n" + "".join(
+                f"collapse side {' '.join(map(str, c.collapsed_side))}"
+                f" | genus {c.collapsed_genus}\n"
+                for c in contractions
+            )
+            assert run_cli(*argv, "--format", "text") == (0, text, "")
+
+    def test_invalid_source_is_reported_before_a_genus_mismatch(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        self._write(a, 0, ["3/2", "1", "1", "1", "1"])
+        self._write(b, 1, ["1", "1", "1", "1", "1"])
+        rc, obj = run_json("contract", "--from", str(a), "--to", str(b))
+        assert rc == 1
+        assert obj["error"]["kind"] == "invalid-weight-data"
+        assert "outside [0, 1]" in obj["error"]["message"]
+
+    @pytest.mark.parametrize("form", ["json", "text"])
+    def test_each_datum_is_validated_once(self, tmp_path, monkeypatch, form):
+        # the verb checks both data, and the reduction check and the
+        # target's signature read the verdicts each datum keeps
+        calls = []
+
+        def counting(w):
+            calls.append(w)
+            return violations(w)
+
+        violations = weights_module._violations
+        monkeypatch.setattr(weights_module, "_violations", counting)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        self._write(a, 0, ["1"] * 12)
+        self._write(b, 0, ["1/4"] * 12)
+        rc, out, _ = run_cli(
+            "contract", "--from", str(a), "--to", str(b), "--format", form
+        )
+        assert rc == 0 and out
+        assert len(calls) == 2 and calls[0] is not calls[1]
 
 
 class TestAdmissibleVerb:
@@ -1194,13 +1267,32 @@ class TestStdoutPinned:
         assert hashlib.sha256(out.encode()).hexdigest() == digests[form == "text"]
 
 
+HIGHER_GENUS = TestAdmissibleVerb.HIGHER_GENUS
+
 PARSER_CASES = [
     *([verb, "--help"] for verb in cli.VERBS),
     # every verb with its required arguments missing
     *([verb] for verb in cli.VERBS),
+    # an option no verb takes: the top-level usage error
+    *([verb, "--bogus"] for verb in cli.VERBS),
     ["schedule", "nosuch", "6"],
-    ["admissible", *TestAdmissibleVerb.HIGHER_GENUS, "3", "4"],
+    ["admissible", *HIGHER_GENUS, "3", "4"],
+    ["admissible", *HIGHER_GENUS, "1", "x"],
     ["aut", *DEL_PEZZO, "--bogus"],
+    # abbreviated options, and an option with its value after "="
+    ["signature", *DEL_PEZZO, "--mo", "coarse"],
+    ["signature", *DEL_PEZZO, "--form", "text"],
+    ["signature", *DEL_PEZZO, "--mode=coarse"],
+    # "--" ends the options
+    ["admissible", *HIGHER_GENUS, "--", "3", "4"],
+    ["aut", *DEL_PEZZO, "--"],
+    ["aut", "--", *DEL_PEZZO],
+    # an extra positional after a valid datum
+    ["aut", *DEL_PEZZO, "extra"],
+    ["admissible", *HIGHER_GENUS, "3", "4", "5"],
+    ["aut", *DEL_PEZZO, "--format", "xml"],
+    ["aut", *DEL_PEZZO, "-h"],
+    ["schedule", "kblu", "6", "-h"],
     ["--help"],
     ["-h"],
     [],
@@ -1209,38 +1301,62 @@ PARSER_CASES = [
 ]
 
 
+def run_full_parser(*argv: str) -> tuple[int, str, str]:
+    """:func:`run_cli` with every request parsed by the full parser, with
+    a subparser per verb, and run by the same handlers."""
+    return _captured(lambda: cli._run(cli.build_parser().parse_args(list(argv))))
+
+
 class TestParserFloor:
-    """``main`` builds only the requested verb's subparser; every answer,
-    help and usage error included, is the full parser's."""
+    """``main`` builds one parser for a leading verb, the verb's own;
+    every answer, help and usage error included, is the full parser's."""
 
     @pytest.mark.parametrize(
         "argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "(none)"
     )
     def test_answers_as_the_full_parser(self, monkeypatch, argv):
         monkeypatch.setenv("COLUMNS", "80")
-        floor = run_cli(*argv)
-        full_parser = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda names: full_parser())
-        assert run_cli(*argv) == floor
+        assert run_cli(*argv) == run_full_parser(*argv)
 
     @pytest.mark.parametrize(
-        "argv, built",
+        "argv, parsers, subparsers",
         [
-            (("admissible", *TestAdmissibleVerb.HIGHER_GENUS, "3", "4"), 1),
-            (("--help",), 11),
+            (("admissible", *HIGHER_GENUS, "3", "4"), 1, 0),
+            (("--help",), 12, 11),
+            # arguments the verb does not take: the full parser's error
+            (("aut", *DEL_PEZZO, "--bogus"), 13, 11),
         ],
     )
-    def test_subparsers_built_per_run(self, monkeypatch, argv, built):
-        added = []
-        original = argparse._SubParsersAction.add_parser
+    def test_parsers_built_per_run(self, monkeypatch, argv, parsers, subparsers):
+        built, added = [], []
+        init = argparse.ArgumentParser.__init__
+        add_parser = argparse._SubParsersAction.add_parser
 
-        def counting(self, name, **kwargs):
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        def counting_add(self, name, **kwargs):
             added.append(name)
-            return original(self, name, **kwargs)
+            return add_parser(self, name, **kwargs)
 
-        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add)
         run_cli(*argv)
-        assert len(added) == built
+        assert (len(built), len(added)) == (parsers, subparsers)
+
+    def test_terminal_width_read_once(self, monkeypatch):
+        # argparse reads it for every formatter, one per add_argument
+        calls = []
+        size = shutil.get_terminal_size
+
+        def counting(*args):
+            calls.append(args)
+            return size(*args)
+
+        monkeypatch.setattr(shutil, "get_terminal_size", counting)
+        rc, _, _ = run_cli("admissible", *HIGHER_GENUS, "3", "4")
+        assert rc == 0 and len(calls) == 1
 
     def test_module_help_reads_sys_argv(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
