@@ -3,24 +3,8 @@
 Every verb maps to exactly one engine operation and runs batch,
 single-shot. Results go to standard output; JSON output is canonical
 (sorted keys, no optional whitespace, lowest-term rationals), so identical
-inputs produce byte-identical bytes.
-
-The verbs that list sets (``signature``, ``validate`` and ``divisors``)
-hand the engine's kernel windows and each marking's output token
-(``"1"``...``"n"``) to :func:`hassett.kernels.render_small_subsets`, which
-builds the form asked for straight from the window search, with no tuple
-per set. ``schedule`` does the same with the point labels of each
-``kblu`` and ``kblusym`` step: the step's spec
-(:data:`hassett.families.SpanStep`) is every subset of a label pool, the
-all-zero window, followed by a fixed chain. ``divisors --trees`` in JSON
-takes each side and pair from the kernel as a token tuple and fills it
-into one template per tree shape, built once through
-:func:`hassett.strata._divisor_tree`; no divisor or tree object is built
-per divisor. ``contract`` fills the two sides of each contraction into
-one template, the JSON of its first. The JSON text reaches
-:func:`~hassett.jsonio.canonical_line` as a
-:class:`~hassett.jsonio.Rendered` value, and no integer is encoded one by
-one.
+inputs produce byte-identical bytes. This module parses, dispatches, maps
+errors to exit codes and writes; :mod:`hassett.render` prints the answers.
 
 A leading verb builds one parser, the verb's own, with the help width
 read once; anything else, or an argument the verb does not take, goes to
@@ -41,7 +25,7 @@ import sys
 from collections.abc import Iterable, Sequence
 from functools import partial
 
-from hassett import kernels
+from hassett import render
 from hassett.autgroup import (
     NOT_COVERED_MESSAGE,
     NotCoveredError,
@@ -49,34 +33,17 @@ from hassett.autgroup import (
     is_admissible,
 )
 from hassett.families import (
-    AMBIENTS,
     CONSTRUCTIONS,
-    SCHEDULE_SCHEMA,
     FamilySpec,
     InfeasibleFamilyError,
-    SpanStep,
-    _span_specs,
-    blowup_schedule,
     classify_with_relabeling,
     factors_kapranov,
     feasible_representative,
     verify_keel_factorization,
 )
-from hassett.jsonio import Rendered, canonical_dumps, canonical_line
-from hassett.strata import (
-    BoundaryDivisor,
-    _divisor_tree,
-    _divisor_windows,
-    contracted_divisors,
-)
-from hassett.weights import (
-    InvalidWeightDataError,
-    WeightData,
-    _signature_window,
-    _wall_windows,
-    format_rational,
-    require_valid,
-)
+from hassett.jsonio import canonical_line
+from hassett.strata import contracted_divisors
+from hassett.weights import InvalidWeightDataError, WeightData, require_valid
 
 
 def _add_weight_arguments(sub: argparse.ArgumentParser) -> None:
@@ -113,7 +80,8 @@ def _load_weight_file(path: str) -> WeightData:
             payload = json.load(handle)
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+    # JSON text is UTF-8; a RecursionError is nesting too deep to decode
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise _UsageError(f"{path} is not JSON: {exc}") from exc
     try:
         return WeightData.from_json_dict(payload)
@@ -136,52 +104,21 @@ def _weights_from(args: argparse.Namespace) -> WeightData:
         raise _UsageError(str(exc)) from exc
 
 
-def _emit(args: argparse.Namespace, obj: object, lines: Iterable[str]) -> None:
-    """Write ``obj`` as canonical JSON, or ``lines`` as text; verbs with
-    large outputs pass ``lines`` as a lazy iterable, unused in JSON mode."""
+def _emit(args: argparse.Namespace, printed: object) -> int:
+    """Write an answer (a JSON object or text lines); its exit status is 0."""
     if args.format == "json":
-        sys.stdout.write(canonical_line(obj))
+        sys.stdout.write(canonical_line(printed))
     else:
-        sys.stdout.write("\n".join(lines) + "\n")
+        sys.stdout.write("\n".join(printed) + "\n")
+    return 0
 
 
 def _domain_error(args: argparse.Namespace, kind: str, message: str, **extra) -> int:
     payload = {"error": {"kind": kind, "message": message, **extra}}
     lines = [f"error: {message}"]
     lines.extend(f"{key}: {value}" for key, value in sorted(extra.items()) if value)
-    _emit(args, payload, lines)
+    _emit(args, payload if args.format == "json" else lines)
     return 1
-
-
-def _marking_tokens(n: int) -> tuple[str, ...]:
-    """Marking k's output token, ``str(k)``, the same in both forms."""
-    return tuple(map(str, range(1, n + 1)))
-
-
-def _rows(
-    windows: Iterable[tuple], sep: str, before: str, after: str, between: str
-) -> tuple[list[str], int]:
-    """The sets of kernel windows as text, and how many there are: each
-    set's tokens joined by ``sep`` and set between ``before`` and
-    ``after``, the sets joined by ``between``
-    (:func:`hassett.kernels.render_small_subsets`). The text comes as
-    fragments to concatenate, ``between`` first, so that it is copied
-    only into the line that holds it."""
-    fragments, count = [], 0
-    for window in windows:
-        text, rows = kernels.render_small_subsets(
-            *window, sep=sep, rowsep=after + between + before
-        )
-        if rows:
-            fragments += (between, before, text, after)
-            count += rows
-    return fragments, count
-
-
-def _json_rows(fragments: list[str]) -> Rendered:
-    """The JSON array of the elements that :func:`_rows` (with ``between``
-    a comma) lists."""
-    return Rendered(["[", *fragments[1:], "]"])
 
 
 # ---------------------------------------------------------------------------
@@ -191,135 +128,20 @@ def _json_rows(fragments: list[str]) -> Rendered:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     w = _weights_from(args)
-    problems, windows = _wall_windows(w, _marking_tokens(w.n))
-    if args.format == "json":
-        walls, _ = _rows(windows, ",", "[", "]", ",")
-        obj = {"ok": not problems, "violations": problems, "walls": _json_rows(walls)}
-        lines: list[str] = []
-    else:
-        walls, _ = _rows(windows, " ", "wall: ", "", "\n")
-        head = ["invalid" if problems else "valid"]
-        head += [f"violation: {v}" for v in problems]
-        obj, lines = None, ["".join(["\n".join(head), *walls])]
-    _emit(args, obj, lines)
-    return 1 if problems else 0
+    _emit(args, render.validate(w, args.format))
+    return 1 if w.violations else 0
 
 
 def _cmd_signature(args: argparse.Namespace) -> int:
     w = _weights_from(args)
     require_valid(w)
-    min_size = 3 if args.mode == "coarse" else 2
-    windows = [_signature_window(w, min_size, _marking_tokens(w.n))]
-    if args.format == "json":
-        sets, _ = _rows(windows, ",", "[", "]", ",")
-        obj, lines = {"mode": args.mode, "sets": _json_rows(sets)}, []
-    else:
-        sets, count = _rows(windows, " ", "", "", "\n")
-        obj, lines = None, ["".join([f"{args.mode} signature: {count} sets", *sets])]
-    _emit(args, obj, lines)
-    return 0
-
-
-# a hole in an entry's template: its JSON text, "\u0000", is in no entry
-_HOLE = "\0"
-
-
-def _entry_template(w: WeightData, d: BoundaryDivisor) -> list[str]:
-    """The ``divisors --trees`` JSON element of divisor ``d`` with its dual
-    graph, cut at the holes every divisor of its shape fills in: a nodal
-    divisor's side and marking map, a coincidence divisor's pair (twice),
-    none for the irreducible node. The tree is built by
-    :func:`~hassett.strata._divisor_tree`, so :class:`StableTree` checks
-    each shape the verb prints."""
-    tree = _divisor_tree(w, d).to_json_dict()
-    entry = d.to_json_dict()
-    if d.kind == "nodal":
-        entry["side"] = tree["markings"] = _HOLE
-    elif d.kind == "coincidence":
-        entry["pair"], tree["clusters"] = _HOLE, [[_HOLE]]
-    entry["tree"] = tree
-    return canonical_dumps(entry).split(canonical_dumps(_HOLE))
-
-
-def _tree_entries(w: WeightData) -> list[str]:
-    """The JSON elements of ``divisors --trees``, in the order of
-    :func:`~hassett.strata.enumerate_boundary_divisors`, each filled into
-    the template of its shape (:func:`_entry_template`), which the first
-    divisor of the shape builds: the sides and pairs are token tuples from
-    the kernel windows of :func:`~hassett.strata._divisor_windows`, and no
-    divisor or tree object is built per divisor. A nodal tree has the
-    side's markings on vertex 0 and the rest on vertex 1, its map keyed in
-    string order, as canonical JSON sorts keys."""
-    tokens = _marking_tokens(w.n)
-    nodal, irreducible, pairs = _divisor_windows(w, tokens)
-    keys = sorted(tokens)
-    slot = {key: i for i, key in enumerate(keys)}
-    away = [f'"{key}":1' for key in keys]
-    near = [f'"{key}":0' for key in keys]
-    entries = []
-    for split, windows in nodal:
-        sides = [
-            side
-            for window in windows
-            for side in kernels.enumerate_small_subsets(*window)
-        ]
-        if not sides:
-            continue
-        first = BoundaryDivisor("nodal", tuple(map(int, sides[0])), split)
-        before, middle, after = _entry_template(w, first)
-        for side in sides:
-            row = away.copy()
-            for i in map(slot.__getitem__, side):
-                row[i] = near[i]
-            entries.append(
-                f"{before}[{','.join(side)}]{middle}{{{','.join(row)}}}{after}"
-            )
-    if irreducible:
-        entries += _entry_template(w, BoundaryDivisor(kind="irreducible"))
-    pairs = kernels.enumerate_small_subsets(*pairs)
-    if pairs:
-        first = BoundaryDivisor(kind="coincidence", pair=tuple(map(int, pairs[0])))
-        template = _entry_template(w, first)
-        entries += (f"[{a},{b}]".join(template) for a, b in pairs)
-    return entries
+    return _emit(args, render.signature(w, args.mode, args.format))
 
 
 def _cmd_divisors(args: argparse.Namespace) -> int:
     w = _weights_from(args)
     require_valid(w)
-    if args.trees and args.format == "json":
-        entries = _tree_entries(w)
-        _emit(args, {"divisors": Rendered(["[", ",".join(entries), "]"])}, ())
-        return 0
-    # the text form has no trees
-    nodal, irreducible, pairs = _divisor_windows(w, _marking_tokens(w.n))
-    if args.format == "json":
-        # each element as BoundaryDivisor.to_json_dict gives it, keys sorted
-        sep, between = ",", ","
-        side = ('{{"genus_split":[{},{}],"kind":"nodal","side":[', "]}}")
-        node, pair = '{"kind":"irreducible"}', ('{"kind":"coincidence","pair":[', "]}")
-    else:
-        sep, between = " ", "\n"
-        side = ("nodal: side ", " | genus split {}+{}")
-        node, pair = "irreducible node", ("coincidence: ", "")
-    items, count = [], 0
-    for split, windows in nodal:
-        more, rows = _rows(
-            windows, sep, side[0].format(*split), side[1].format(*split), between
-        )
-        items += more
-        count += rows
-    if irreducible:
-        items += (between, node)
-        count += 1
-    more, rows = _rows([pairs], sep, *pair, between)
-    items += more
-    count += rows
-    if args.format == "json":
-        _emit(args, {"divisors": _json_rows(items)}, ())
-    else:
-        _emit(args, None, ["".join([f"{count} boundary divisors", *items])])
-    return 0
+    return _emit(args, render.divisors(w, args.trees, args.format))
 
 
 def _cmd_contract(args: argparse.Namespace) -> int:
@@ -328,63 +150,19 @@ def _cmd_contract(args: argparse.Namespace) -> int:
     require_valid(source)
     require_valid(target)
     contractions = contracted_divisors(source, target)
-    if args.format == "json":
-        # each element as Contraction.to_json_dict gives it, keys sorted; the
-        # contractions of one reduction differ only in their two sides
-        entries = []
-        if contractions:
-            entry = contractions[0].to_json_dict()
-            entry["collapsed_side"] = entry["divisor"]["side"] = _HOLE
-            before, middle, after = canonical_dumps(entry).split(canonical_dumps(_HOLE))
-            entries = [
-                f"{before}[{','.join(map(str, c.collapsed_side))}]{middle}"
-                f"[{','.join(map(str, c.divisor.side))}]{after}"
-                for c in contractions
-            ]
-        obj, lines = {"contractions": Rendered(["[", ",".join(entries), "]"])}, []
-    else:
-        obj, lines = None, [f"{len(contractions)} contracted divisors"]
-        for c in contractions:
-            side = " ".join(map(str, c.collapsed_side))
-            lines.append(f"collapse side {side} | genus {c.collapsed_genus}")
-    _emit(args, obj, lines)
-    return 0
+    return _emit(args, render.contractions(contractions, args.format))
 
 
 def _cmd_admissible(args: argparse.Namespace) -> int:
     w = _weights_from(args)
     ok, witness = is_admissible(w, args.i, args.j, exclude_ij=args.strict_atrans)
-    obj = {
-        "admissible": ok,
-        "witness": None if witness is None else list(witness),
-    }
-    if ok:
-        lines = [f"swap {args.i} {args.j}: admissible"]
-    else:
-        lines = [
-            f"swap {args.i} {args.j}: not admissible; witness packet "
-            + " ".join(map(str, witness))
-        ]
-    _emit(args, obj, lines)
-    return 0
+    return _emit(args, render.admissible(args.i, args.j, ok, witness, args.format))
 
 
 def _cmd_aut(args: argparse.Namespace) -> int:
     w = _weights_from(args)
     description = aut_group(w, exclude_ij=args.strict_atrans)
-    obj = description.to_json_dict()
-    lines = [f"label: {description.label}"]
-    if description.special is not None:
-        lines.append(f"special: {description.special}")
-    if description.torus_rank is not None:
-        lines.append(f"torus rank: {description.torus_rank}")
-    if description.finite_order is not None:
-        lines.append(f"finite order: {description.finite_order}")
-    if description.stack_note is not None:
-        lines.append(description.stack_note)
-    lines.append(f"by: {description.provenance}")
-    _emit(args, obj, lines)
-    return 0
+    return _emit(args, render.aut(description, args.format))
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
@@ -392,109 +170,22 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     require_valid(w)
     if w.genus != 0:
         raise _UsageError("classification is defined for genus zero")
-    hit = classify_with_relabeling(w)
-    obj = {
-        "family": None if hit is None else hit[0].notation(),
-        "relabeling": None if hit is None else list(hit[1]),
-    }
-    if hit is None:
-        lines = ["no family matches"]
-    else:
-        lines = [
-            f"family: {hit[0].notation()}",
-            "slots: " + " ".join(map(str, hit[1])),
-        ]
-    _emit(args, obj, lines)
-    return 0
+    return _emit(args, render.classify(classify_with_relabeling(w), args.format))
 
 
 def _cmd_factors_kapranov(args: argparse.Namespace) -> int:
     w = _weights_from(args)
     require_valid(w)
-    result = factors_kapranov(w)
-    _emit(
-        args,
-        {"factors_kapranov": result},
-        ["factors through the one-heavy tower" if result else "does not factor"],
-    )
-    return 0
-
-
-def _span_centers(
-    step: SpanStep, sep: str, before: str, after: str, between: str
-) -> list[str]:
-    """A point-span step's centers as text fragments to concatenate: each
-    center's labels joined by ``sep`` and set between ``before`` and
-    ``after``, the centers joined by ``between``. The subsets of the pool
-    are the all-zero window (-1, 0] (:func:`_rows`), by size and then
-    lexicographically, with the chain in their row separator; the bare
-    chain, the empty subset's center, comes first."""
-    _, pool, min_size, max_size, chain = step
-    fragments = []
-    if min_size == 0:
-        fragments += (between, before + sep.join(chain) + after)
-    window = ([0] * len(pool), -1, 0, max(min_size, 1), max_size, pool)
-    tail = "".join(sep + label for label in chain)
-    more, _ = _rows([window], sep, before, tail + after, between)
-    return (fragments + more)[1:]
+    return _emit(args, render.factors_kapranov(factors_kapranov(w), args.format))
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
-    construction, n = args.construction, args.n
-    specs = _span_specs(construction, n)
-    # (step index, its centers' text as fragments): con2's named loci from
-    # the library's steps, the point spans from their specs
-    named = [] if specs is not None else blowup_schedule(construction, n).steps
-    ambient = AMBIENTS[construction]
-    if args.format == "json":
-        steps = [(s.index, [canonical_dumps(list(s.centers))]) for s in named]
-        steps += (
-            (spec[0], ["[", *_span_centers(spec, '","', '["', '"]', ","), "]"])
-            for spec in specs or ()
-        )
-        pieces = []
-        for index, centers in steps:
-            pieces += (",", '{"centers":', *centers, f',"step":{index}}}')
-        # BlowupSchedule.to_json_dict's keys
-        obj = {
-            "schema": SCHEDULE_SCHEMA,
-            "construction": construction,
-            "n": n,
-            "ambient": ambient,
-            "steps": _json_rows(pieces),
-        }
-        _emit(args, obj, ())
-    else:
-        steps = [(s.index, ["; ".join(s.centers)]) for s in named]
-        steps += (
-            (spec[0], _span_centers(spec, " ", "{", "}", "; ")) for spec in specs or ()
-        )
-        pieces = [f"{construction} on {ambient}, n={n}"]
-        for index, centers in steps:
-            pieces += (f"\nstep {index}: ", *centers)
-        _emit(args, None, ["".join(pieces)])
-    return 0
+    return _emit(args, render.schedule(args.construction, args.n, args.format))
 
 
 def _cmd_verify_l1(args: argparse.Namespace) -> int:
     report = verify_keel_factorization(args.n)
-    lines = [
-        f"n={report['n']}: stages {report['range'][0]}..{report['range'][1]}",
-    ]
-    for check in report["checks"]:
-        verdicts = ["reduces", "revalidated"] if check["reduces"] else ["NO REDUCTION"]
-        if "fine_equivalent_to_kapranov_2_2" in check:
-            verdicts.append(
-                "exchange member matches"
-                if check["fine_equivalent_to_kapranov_2_2"]
-                else "EXCHANGE MISMATCH"
-            )
-        lines.append(f"h={check['h']}: " + ", ".join(verdicts))
-    if "note" in report:
-        lines.append(report["note"])
-    lines.append("all pass" if report["all_pass"] else "FAILURES PRESENT")
-    _emit(args, report, lines)
-    return 0
+    return _emit(args, render.verify_l1(report, args.format))
 
 
 def _cmd_feasible(args: argparse.Namespace) -> int:
@@ -504,21 +195,7 @@ def _cmd_feasible(args: argparse.Namespace) -> int:
     except InfeasibleFamilyError:
         # infeasibility is a result, not a failure
         witness = None
-    obj = {
-        "family": spec.notation(),
-        "witness": None
-        if witness is None
-        else [format_rational(q) for q in witness],
-    }
-    if witness is None:
-        lines = [f"{spec.notation()}: infeasible"]
-    else:
-        lines = [
-            f"{spec.notation()}: "
-            + " ".join(format_rational(q) for q in witness)
-        ]
-    _emit(args, obj, lines)
-    return 0
+    return _emit(args, render.feasible(spec, witness, args.format))
 
 
 # ---------------------------------------------------------------------------

@@ -578,9 +578,9 @@ SpanStep = tuple[int, tuple[str, ...], int, int, tuple[str, ...]]
 
 def _span_specs(construction: str, n: int) -> list[SpanStep] | None:
     """The steps of ``kblu`` and ``kblusym`` as :data:`SpanStep` specs, or
-    None for ``con2``, whose centers are named loci. The ``schedule`` verb
-    renders the specs as text; :func:`_expand` makes them
-    :class:`BlowupStep` values."""
+    None for ``con2``, whose centers are named loci.
+    :func:`hassett.render.schedule` renders the specs as text;
+    :func:`_expand` makes them :class:`BlowupStep` values."""
     if n < 5:
         raise ValueError(f"blow-up schedules need n >= 5, got {n}")
     labels = _point_labels(n)
@@ -631,8 +631,8 @@ def blowup_schedule(construction: str, n: int) -> BlowupSchedule:
     (points, then lines, then planes), lexicographically within a size,
     so the order refines inclusion. Each ``kblu`` and ``kblusym`` step is
     written once, as a :data:`SpanStep` spec (:func:`_span_specs`), and
-    expanded here into label tuples; the ``schedule`` verb renders the
-    same specs as text without building them.
+    expanded here into label tuples; :func:`hassett.render.schedule`
+    renders the same specs as text without building them.
     """
     specs = _span_specs(construction, n)
     steps = _con2_steps(n) if specs is None else tuple(map(_expand, specs))

@@ -245,12 +245,8 @@ class BoundaryDivisor:
 
     def to_json_dict(self) -> dict:
         """The divisor's JSON object, holding its own tuples as the arrays,
-        which canonical JSON encodes as lists.
-
-        The ``divisors --trees`` and ``contract`` verbs encode one such
-        object per shape and fill every element into its text, so no dict
-        is built per divisor there.
-        """
+        which canonical JSON encodes as lists. :mod:`hassett.render` encodes
+        one per shape, with holes for the side or pair, and fills it."""
         if self.kind == "nodal":
             return {"kind": "nodal", "side": self.side, "genus_split": self.genus_split}
         if self.kind == "irreducible":
@@ -267,11 +263,8 @@ def _divisor_windows(
     each genus split ``(g1, g2)``, whether the irreducible-node divisor
     exists, and the window of coincidence pairs, each part in the order of
     :func:`enumerate_boundary_divisors`. That function builds its divisors
-    from these windows; the ``divisors`` verb renders them as text with
-    each marking's output token as its label, through
-    :func:`hassett.kernels.render_small_subsets`, or, with ``--trees``,
-    through the tuple expansion, filling each side and pair into a
-    template of its tree's shape.
+    from these windows; :func:`hassett.render.divisors` renders them as
+    text with each marking's output token as its label.
 
     A side S of genus g_1 glued to its complement of genus g_2 is stable
     when each genus-0 side holds two markings and weighs more than 1: with

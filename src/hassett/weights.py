@@ -213,8 +213,8 @@ def validate(w: WeightData) -> ValidationReport:
     """Check the defining inequalities of a weight datum and list its walls.
 
     The violations and walls are the tuple expansion of
-    :func:`_wall_windows`, which the CLI's ``validate`` verb expands into
-    text instead. Callers that only need validity use
+    :func:`_wall_windows`, which :func:`hassett.render.validate` expands
+    into text instead. Callers that only need validity use
     :func:`require_valid`.
     """
     problems, windows = _wall_windows(w)

@@ -24,6 +24,7 @@ from hassett import weights as weights_module
 from hassett.autgroup import NOT_COVERED_MESSAGE
 from hassett.families import (
     CONSTRUCTIONS,
+    BlowupSchedule,
     FamilySpec,
     blowup_schedule,
     family_conditions,
@@ -34,6 +35,8 @@ from hassett.families import (
 from hassett.jsonio import canonical_line
 from hassett.linear import evaluate
 from hassett.strata import (
+    BoundaryDivisor,
+    Contraction,
     StableTree,
     contracted_divisors,
     divisor_tree,
@@ -768,6 +771,51 @@ def _check_divisor_trees(w: WeightData) -> None:
         assert tree.to_json_dict() == entry["tree"]
 
 
+class TestJsonFromLibrary:
+    """The printed divisors, trees, contractions and schedules are cut from
+    the objects' own ``to_json_dict``: a key added there is printed."""
+
+    @pytest.fixture(autouse=True)
+    def extra_key(self, monkeypatch):
+        for cls in (BoundaryDivisor, Contraction, StableTree, BlowupSchedule):
+            def to_json_dict(self, original=cls.to_json_dict):
+                return {**original(self), "extra": [0]}
+
+            monkeypatch.setattr(cls, "to_json_dict", to_json_dict)
+
+    @pytest.mark.parametrize(
+        "genus, weights",
+        [(0, "1/3,1/3,1/3,1/3,1/3,1/3,1/2,1/2"), (2, "1/2,1/3,1/4,0")],
+    )
+    def test_divisors(self, genus, weights):
+        w = _datum(genus, weights)
+        divisors = enumerate_boundary_divisors(w)
+        assert {d.kind for d in divisors} >= {"nodal", "coincidence"}
+        plain = {"divisors": [d.to_json_dict() for d in divisors]}
+        assert run_cli("divisors", *_datum_argv(w)) == (0, canonical_line(plain), "")
+        _check_divisor_trees(w)
+        out = run_json("divisors", "--trees", *_datum_argv(w))[1]
+        assert all(e["extra"] == e["tree"]["extra"] == [0] for e in out["divisors"])
+
+    def test_contract(self, tmp_path):
+        source = _datum(1, ",".join(["1"] * 6))
+        target = _datum(1, ",".join(["1/4"] * 6))
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for path, w in ((a, source), (b, target)):
+            path.write_text(json.dumps(w.to_json_dict()), encoding="utf-8")
+        entries = [c.to_json_dict() for c in contracted_divisors(source, target)]
+        assert entries and entries[0]["extra"] == entries[0]["divisor"]["extra"] == [0]
+        argv = ["contract", "--from", str(a), "--to", str(b)]
+        assert run_cli(*argv) == (0, canonical_line({"contractions": entries}), "")
+
+    @pytest.mark.parametrize("construction", CONSTRUCTIONS)
+    def test_schedule(self, construction):
+        assert _both_forms("schedule", construction, "7") == _expected_schedule(
+            construction, 7
+        )
+        assert run_json("schedule", construction, "7")[1]["extra"] == [0]
+
+
 def _expected_schedule(construction: str, n: int) -> tuple[tuple[int, str], tuple[int, str]]:
     obj = blowup_schedule(construction, n).to_json_dict()
     lines = [f"{construction} on {obj['ambient']}, n={n}"]
@@ -904,24 +952,40 @@ class TestInputHandling:
         rc, _, err = run_cli("validate", "--input", str(path))
         assert rc == 2 and "not JSON" in err
 
-    @pytest.mark.parametrize("slot", ["--input", "--from", "--to"])
-    def test_too_deeply_nested_json_file(self, tmp_path, slot):
-        # nesting past the decoder's recursion limit is a usage error, not
-        # a RecursionError traceback
-        deep, good = tmp_path / "deep.json", tmp_path / "good.json"
-        deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    @staticmethod
+    def _run_with_file_in(slot, tmp_path, bad):
+        """``validate --input`` or ``contract`` with ``bad`` in ``slot``
+        and a valid datum in the other."""
+        good = tmp_path / "good.json"
         good.write_text(
             json.dumps({"genus": 0, "weights": ["1"] * 5}), encoding="utf-8"
         )
         if slot == "--input":
-            argv = ["validate", "--input", str(deep)]
+            argv = ["validate", "--input", str(bad)]
         else:
-            files = {"--from": good, "--to": good, slot: deep}
+            files = {"--from": good, "--to": good, slot: bad}
             argv = ["contract", "--from", str(files["--from"]),
                     "--to", str(files["--to"])]
-        rc, out, err = run_cli(*argv)
+        return run_cli(*argv)
+
+    @pytest.mark.parametrize("slot", ["--input", "--from", "--to"])
+    def test_too_deeply_nested_json_file(self, tmp_path, slot):
+        # nesting past the decoder's recursion limit is a usage error, not
+        # a RecursionError traceback
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        rc, out, err = self._run_with_file_in(slot, tmp_path, deep)
         assert (rc, out) == (2, "")
         assert f"error: {deep} is not JSON" in err
+
+    @pytest.mark.parametrize("slot", ["--input", "--from", "--to"])
+    def test_file_that_is_not_utf8(self, tmp_path, slot):
+        # a decoding error names the file, as the "is not JSON" error does
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'\xff\xfe{"genus": 0}')
+        rc, out, err = self._run_with_file_in(slot, tmp_path, bad)
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"hassett: error: {bad} is not JSON: 'utf-8' codec")
 
     @pytest.mark.parametrize("verb", ["validate", "signature", "divisors", "aut"])
     @pytest.mark.parametrize("genus", [1, 2])

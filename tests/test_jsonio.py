@@ -41,7 +41,6 @@ def test_keys_stay_sorted_around_spliced_values():
 @pytest.mark.parametrize(
     "obj",
     [
-        Rendered(["[]"]),
         [Rendered(["[]"])],
         {"steps": [Rendered(["[]"])]},
         {"outer": {"inner": Rendered(["[]"])}},
@@ -52,6 +51,11 @@ def test_keys_stay_sorted_around_spliced_values():
 def test_rendered_below_the_top_level_raises(obj):
     with pytest.raises(TypeError):
         canonical_line(obj)
+
+
+def test_rendered_as_the_whole_value_is_spliced():
+    assert canonical_line(Rendered(["{", '"a":', "[1]", "}"])) == '{"a":[1]}\n'
+    assert canonical_dumps(Rendered(iter(["[]"]))) == "[]"
 
 
 def test_rendered_needs_string_keys():
