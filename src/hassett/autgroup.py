@@ -13,21 +13,31 @@ handled through the named-family classification table; the handful of
 small special cases (elliptic with one or two markings, unpointed curves,
 four points on a line) are dispatched explicitly.
 
-Two readings of the packet quantifier are supported.  The default reads
-it literally: packets are sets of at least two distinct markings drawn
-from all of them, so a packet may contain the swapped pair's own members
-(whose weights then count twice in the compared sums, once inside the
-packet and once as the anchor).  The alternative reading
-(``exclude_ij``) draws packets strictly away from the swapped pair.
-Either way a packet violates exactly when its sum lies in the half-open
-window (1 - max(a_i, a_j), 1 - min(a_i, a_j)].  The interval kernel
-decides whether a packet of at least two markings lands there, drawn
-from every marking (or from the others under ``exclude_ij``).  The
-witness is the window kernel's first set, by size then lexicographically,
-over the markings away from the pair, then, under the literal reading
-only, over all markings: when no away packet violates, every violating
-packet touches the pair, so that first set is the first touching packet,
-as canonical order (away packets first) asks.
+One window answers every question about swapping markings i and j,
+a_i <= a_j.  The swap fixes the sum of a set holding both or neither,
+and sends a set S holding i but not j to S - i + j, adding
+a_j - a_i >= 0.  So S changes smallness (sum at most one) exactly when
+the packet S - i sums into (1 - a_j, 1 - a_i], empty when a_i = a_j;
+on the integer form, (D - s_j, D - s_i], which
+:func:`hassett.kernels.find_subset_in_interval` decides.  The swap keeps
+the signature on sets of size at least m exactly when no packet of at
+least m - 1 other markings lands there.  The window asks three things:
+
+* fine symmetry (m = 2): packets of at least one other marking, the
+  cuts of :func:`hassett.families.signature_relabeling`;
+* admissibility under ``exclude_ij`` (``--strict-atrans``): packets of
+  at least two other markings, which is coarse symmetry (m = 3);
+* admissibility under the default, literal reading: packets of at
+  least two markings drawn from all of them.  A packet may then hold i
+  or j itself (whose weight counts twice, in the packet and as the
+  anchor), so this is not a chamber notion: the pair itself can be the
+  one violating packet of a swap that keeps the fine signature.
+
+The witness is the window kernel's first set, by size then
+lexicographically, over the markings away from the pair, then, under
+the literal reading only, over all markings: when no away packet
+violates, every violating packet touches the pair, so that first set is
+the first touching packet, as canonical order (away packets first) asks.
 
 The decision depends only on the two swapped values and the multiset of
 the other weights, which is the same for every pair of markings carrying
@@ -131,27 +141,18 @@ def is_admissible(
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Decide whether swapping markings i and j is admissible.
 
-    Default (literal) reading: packets are index sets of size at least
-    two drawn from all markings, so they may contain i or j themselves;
-    a contained member's weight counts twice in the compared sums, once
-    in the packet and once as the anchor.  With ``exclude_ij`` packets
-    are drawn strictly away from {i, j}.
-
-    Returns ``(True, None)`` or ``(False, witness)`` with the first
-    violating packet, an ascending tuple of markings as the window kernel
-    yields it, in canonical order: packets away from {i, j} first,
+    Packets are drawn from all markings (the literal reading) or, with
+    ``exclude_ij``, strictly away from {i, j}; the module docstring gives
+    the window both readings ask about.  Returns ``(True, None)`` or
+    ``(False, witness)`` with the first violating packet, an ascending
+    tuple of markings in canonical order: packets away from {i, j} first,
     then those touching them, each by size then lexicographically.  The
-    interval kernel decides whether a packet of at least two markings,
-    drawn from every marking (or from the others under ``exclude_ij``),
-    sums into (cap - max(s_i, s_j), cap - min(s_i, s_j)].  The witness is
-    the window kernel's first set over the others, then over all markings
-    under the literal reading; once the others hold no violating packet,
-    the first among all markings touches the pair.  The two kernels are
-    independent searches, and a disagreement between them raises
-    ``RuntimeError``.  Both work on :attr:`WeightData.integer_form`.  The
-    datum is validated first, so invalid data raise
-    :class:`~hassett.weights.InvalidWeightDataError` before any index
-    check.
+    interval kernel decides and the window kernel's first set is the
+    witness; the two are independent searches on
+    :attr:`WeightData.integer_form`, and a disagreement between them
+    raises ``RuntimeError``.  The datum is validated first, so invalid
+    data raise :class:`~hassett.weights.InvalidWeightDataError` before
+    any index check.
     """
     require_valid(w)
     n = w.n
@@ -199,11 +200,9 @@ def admissible_generators(
     """
     require_valid(w)
     scaled = w.integer_form[0]
-    by_value: dict[int, list[int]] = {}
-    for k in w.positive_indices():
-        by_value.setdefault(scaled[k - 1], []).append(k)
+    positive = [block for block in w.weight_classes if scaled[block[0] - 1]]
     gens = []
-    for first, second in combinations_with_replacement(by_value.values(), 2):
+    for first, second in combinations_with_replacement(positive, 2):
         if first is second:
             pairs = list(combinations(first, 2))
         else:

@@ -13,7 +13,8 @@ the full parser (:func:`build_parser`), which prints the usage error.
 Exit status: 0 on success, 1 on domain errors (invalid weight data, weight
 data no covering theorem applies to, infeasible family systems) with a
 machine-readable error object on standard output, 2 on usage errors with a
-message on standard error.
+message on standard error. An infeasible family system is always the
+``infeasible-family`` error of :func:`_run`, never a printed answer.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import argparse
 import json
 import shutil
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from functools import partial
 
 from hassett import render
@@ -167,9 +168,6 @@ def _cmd_aut(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     w = _weights_from(args)
-    require_valid(w)
-    if w.genus != 0:
-        raise _UsageError("classification is defined for genus zero")
     return _emit(args, render.classify(classify_with_relabeling(w), args.format))
 
 
@@ -190,11 +188,7 @@ def _cmd_verify_l1(args: argparse.Namespace) -> int:
 
 def _cmd_feasible(args: argparse.Namespace) -> int:
     spec = FamilySpec.from_notation(args.family)
-    try:
-        witness = feasible_representative(spec).weights
-    except InfeasibleFamilyError:
-        # infeasibility is a result, not a failure
-        witness = None
+    witness = feasible_representative(spec).weights
     return _emit(args, render.feasible(spec, witness, args.format))
 
 
@@ -344,8 +338,8 @@ def _add_verb_arguments(parser: argparse.ArgumentParser, name: str) -> None:
     add_arguments(parser)
 
 
-def build_parser(names: Iterable[str] = VERBS) -> argparse.ArgumentParser:
-    """The parser with a subparser for each named verb, by default all."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with a subparser for every verb."""
     parser = argparse.ArgumentParser(
         prog="hassett",
         description=(
@@ -354,7 +348,7 @@ def build_parser(names: Iterable[str] = VERBS) -> argparse.ArgumentParser:
         ),
     )
     verbs = parser.add_subparsers(dest="verb", required=True, metavar="verb")
-    for name in names:
+    for name in VERBS:
         _add_verb_arguments(verbs.add_parser(name, help=VERBS[name][1]), name)
     return parser
 

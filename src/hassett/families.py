@@ -33,6 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
+from . import kernels
 from .linear import Constraint, LinearSystem
 from .weights import (
     MINUS_ONE,
@@ -398,15 +399,16 @@ def signature_relabeling(
     (weight, slot) lines up any relabeling that exists, and one exists
     exactly when the sorted data are fine-equivalent.  The source's
     classes of interchangeable slots are then runs of that order, cut
-    where swapping two neighbours of different weight leaves the
-    source's chamber (equal ones swap to the same datum).  Each run's
+    between neighbours whose swap leaves the source's chamber: some
+    packet of at least one other marking sums into the window of
+    :mod:`hassett.autgroup` (equal weights give an empty one).  Each run's
     slots go, in index order, to the target slots at the same positions,
     in index order.  The map is checked before it is returned, by one
     chamber comparison of the target with the source relabeled through
     it (each source weight placed at its image slot), so no signature is
     listed.  Both data are checked comparable and valid once, up front;
-    the comparisons that build and check the map are between
-    permutations of them and check nothing again.
+    the chamber comparisons are between permutations of them and check
+    nothing again.
     """
     _check_pair(target, source)
     n = source.n
@@ -418,15 +420,9 @@ def signature_relabeling(
     (order_t, sorted_t), (order_s, sorted_s) = by_weight(target), by_weight(source)
     if not _same_chamber(sorted_t, sorted_s, 2):
         return None
-
-    def swapped(p: int) -> WeightData:  # sorted positions p - 1 and p exchanged
-        ws = list(sorted_s.weights)
-        ws[p - 1], ws[p] = ws[p], ws[p - 1]
-        return WeightData(source.genus, tuple(ws))
-
-    weights = sorted_s.weights
-    cuts = [p for p in range(1, n) if weights[p - 1] != weights[p]
-            and not _same_chamber(swapped(p), sorted_s, 2)]
+    scaled, d = sorted_s.integer_form
+    cuts = [p for p in range(1, n) if kernels.find_subset_in_interval(
+        scaled[: p - 1] + scaled[p + 1 :], d - scaled[p], d - scaled[p - 1], 1) != -1]
     sigma = [0] * n
     for lo, hi in zip([0] + cuts, cuts + [n]):
         for slot, image in zip(sorted(order_s[lo:hi]), sorted(order_t[lo:hi])):
@@ -451,9 +447,9 @@ def classify_with_relabeling(
     classify as themselves.  The returned permutation maps
     representative slots to slots of w (identity for positional matches).
     """
-    if w.genus != 0:
-        raise ValueError("classification is defined for genus 0 only")
     require_valid(w)
+    if w.genus != 0:
+        raise ValueError("classification is defined for genus zero")
     n = w.n
     reps = [(spec, representative_weights(spec)) for spec in family_grid(n)]
     for spec, rep in reps:

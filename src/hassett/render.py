@@ -318,11 +318,10 @@ def verify_l1(report: dict, fmt: str) -> object:
     return lines
 
 
-def feasible(spec: FamilySpec, witness: Sequence | None, fmt: str) -> object:
-    """``feasible``: a family's witness weights, or none if infeasible."""
-    weights = None if witness is None else [format_rational(q) for q in witness]
+def feasible(spec: FamilySpec, witness: Sequence, fmt: str) -> object:
+    """``feasible``: a family's witness weights. An infeasible system has
+    none; ``cli`` reports it as the ``infeasible-family`` error."""
+    weights = [format_rational(q) for q in witness]
     if fmt == "json":
         return {"family": spec.notation(), "witness": weights}
-    if weights is None:
-        return [f"{spec.notation()}: infeasible"]
     return [f"{spec.notation()}: " + " ".join(weights)]

@@ -22,6 +22,10 @@ integer form of a datum over ``Fraction`` values, as the package did
 before it scaled each datum once to integers; ``row_holds`` checks one
 linear row at a point by ``Fraction`` arithmetic.
 
+``swap_keeps_signature`` tests set by set whether a transposition maps
+a datum's small sets of a given least size onto themselves; the package
+asks one subset-sum window instead.
+
 ``signature_antichains`` lists the maximal small and minimal big sets
 that pin a signature; the package lists their types over weight classes.
 
@@ -188,6 +192,23 @@ def brute_admissible(
         if (ai + s <= ONE) != (aj + s <= ONE):
             return False, t
     return True, None
+
+
+def swap_keeps_signature(
+    weights: list[Fraction], i: int, j: int, min_size: int
+) -> bool:
+    """Whether swapping the 1-based markings i and j maps the small sets
+    (weight sum <= 1) of size >= min_size onto themselves: every such set
+    is tested against its image."""
+    n, swap = len(weights), {i: j, j: i}
+    for r in range(min_size, n + 1):
+        for combo in combinations(range(1, n + 1), r):
+            image = [swap.get(k, k) for k in combo]
+            if (sum(weights[k - 1] for k in combo) <= ONE) != (
+                sum(weights[k - 1] for k in image) <= ONE
+            ):
+                return False
+    return True
 
 
 def transposition_image(i: int, j: int, degree: int) -> tuple[int, ...]:

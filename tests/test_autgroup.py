@@ -13,7 +13,7 @@ from itertools import combinations
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hassett import autgroup, kernels
@@ -36,7 +36,12 @@ from hassett.weights import (
     coarse_equivalent_genus0,
     validate,
 )
-from tests.oracles import brute_admissible, naive_closure, transposition_image
+from tests.oracles import (
+    brute_admissible,
+    naive_closure,
+    swap_keeps_signature,
+    transposition_image,
+)
 
 # The two pinned mixed-weight data: one of higher genus, one with
 # zero-weight markings on an elliptic base.
@@ -201,6 +206,29 @@ class TestOracleAgreement:
         got = is_admissible(w, i, j, exclude_ij=flag)
         assert got == brute_admissible(list(weights), i, j, exclude_ij=flag)
         assert _ascending(got[1])
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_strict_reading_is_coarse_symmetry(self, data):
+        # packets of at least two markings away from the pair: the swap
+        # keeps the signature on sets of three or more
+        n = data.draw(st.integers(min_value=2, max_value=8))
+        value = st.fractions(min_value=0, max_value=1, max_denominator=12)
+        weights = tuple(data.draw(st.lists(value, min_size=n, max_size=n)))
+        w = WeightData(data.draw(st.integers(min_value=0, max_value=3)), weights)
+        positive = w.positive_indices()
+        assume(not w.violations and len(positive) >= 2)
+        i, j = data.draw(st.permutations(positive))[:2]
+        admissible = is_admissible(w, i, j, exclude_ij=True)[0]
+        assert admissible == swap_keeps_signature(list(weights), i, j, 3)
+
+    def test_literal_reading_is_not_a_chamber_notion(self):
+        # the swap keeps the fine signature, yet the pair itself is a
+        # violating packet under the literal reading
+        w = WeightData.from_strings(3, "4/5,9/10,1,2/5,3/10,9/10,4/5,1".split(","))
+        assert swap_keeps_signature(list(w.weights), 4, 5, 2)
+        assert is_admissible(w, 4, 5) == (False, (4, 5))
+        assert is_admissible(w, 4, 5, exclude_ij=True) == (True, None)
 
     def test_transitivity_probe(self):
         # Swapping is provably an equivalence under both readings (see the

@@ -26,6 +26,7 @@ from hassett.families import (
     CONSTRUCTIONS,
     BlowupSchedule,
     FamilySpec,
+    InfeasibleFamilyError,
     blowup_schedule,
     family_conditions,
     family_grid,
@@ -887,6 +888,18 @@ class TestFeasibleVerb:
         rc, out, _ = run_cli("feasible", notation)
         assert rc == 0
         assert out == f'{{"family":"{notation}","witness":[{witness}]}}\n'
+
+    def test_infeasible_system_is_a_domain_error(self, monkeypatch):
+        # every in-range spec is feasible, so the outcome is forced here
+        def infeasible(spec):
+            raise InfeasibleFamilyError(f"{spec.notation()} is infeasible")
+
+        monkeypatch.setattr(cli, "feasible_representative", infeasible)
+        error = '{"error":{"kind":"infeasible-family","message":"sym:k=1,n=6 is infeasible"}}\n'
+        assert run_cli("feasible", "sym:k=1,n=6") == (1, error, "")
+        assert run_cli("feasible", "sym:k=1,n=6", "--format", "text") == (
+            1, "error: sym:k=1,n=6 is infeasible\n", ""
+        )
 
     def test_malformed_notation_is_usage_error(self):
         for text in ("bogus:n=5", "kapranov:r=1,n=5", "kapranov:r=1,s=x,n=5"):

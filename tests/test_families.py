@@ -48,6 +48,7 @@ from tests.oracles import (
     brute_signature,
     canonical_sets,
     fingerprint_relabeling,
+    swap_keeps_signature,
 )
 from tests.test_cli import FACTORS_FALSE
 
@@ -586,29 +587,64 @@ class TestSignatureRelabeling:
 
     @pytest.mark.parametrize("n", range(5, 9))
     def test_equal_weight_neighbours_are_not_swapped(self, monkeypatch, n):
-        # swapping two equal weights gives back the same datum, so no
-        # chamber comparison is spent on it; the final comparison checks
-        # the map and is counted apart from the swaps
-        calls = []
+        # neighbours are cut by one interval window each, empty between
+        # equal weights, so no swapped datum is built or compared: the
+        # only chamber comparisons are the sorted check and the final
+        # check of the map
+        calls, windows, built = [], [], []
 
         def counting(w1, w2, min_size):
             calls.append((w1, w2))
             return same_chamber(w1, w2, min_size)
 
-        same_chamber = families._same_chamber
+        def window(values, lo, hi, min_size):
+            windows.append((lo, hi, min_size))
+            return find(values, lo, hi, min_size)
+
+        def weight_data(*args):
+            built.append(args)
+            return WeightData(*args)
+
+        same_chamber, find = families._same_chamber, kernels.find_subset_in_interval
         monkeypatch.setattr(families, "_same_chamber", counting)
+        monkeypatch.setattr(kernels, "find_subset_in_interval", window)
+        monkeypatch.setattr(families, "WeightData", weight_data)
         rng = Random(n)
         for spec in family_grid(n):
             rep = representative_weights(spec)
             shuffled = WeightData(0, tuple(rng.sample(rep.weights, n)))
-            calls.clear()
+            for log in (calls, windows, built):
+                log.clear()
             assert signature_relabeling(shuffled, rep) is not None
-            ordered = sorted(rep.weights)
-            steps = sum(a != b for a, b in zip(ordered, ordered[1:]))
-            # the sorted-chamber check, one swap per change of weight, then
-            # the target against the relabeled source
-            assert len(calls) == 2 + steps, spec
-            assert all(w1 != w2 for w1, w2 in calls[1:-1]), spec
+            assert len(calls) == 2, spec
+            assert calls[-1][0] is shuffled, spec
+            # one window per pair of neighbours, with packets of at least
+            # one marking; the sorted data and the relabeled source are
+            # the only data built
+            assert len(windows) == n - 1 and {m for *_, m in windows} == {1}, spec
+            assert len(built) == 3, spec
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_window_decides_fine_and_coarse_symmetry(self, data):
+        # the cut rule: a swap keeps the signature on sets of at least
+        # min_size markings exactly when no packet of at least
+        # min_size - 1 other markings sums into the swap's window
+        n = data.draw(st.integers(min_value=2, max_value=8))
+        value = st.fractions(min_value=0, max_value=1, max_denominator=12)
+        weights = tuple(data.draw(st.lists(value, min_size=n, max_size=n)))
+        w = WeightData(data.draw(st.integers(min_value=0, max_value=3)), weights)
+        assume(not w.violations)
+        i, j = data.draw(st.permutations(range(1, n + 1)))[:2]
+        scaled, d = w.integer_form
+        others = [s for k, s in enumerate(scaled, start=1) if k not in (i, j)]
+        light, heavy = sorted((scaled[i - 1], scaled[j - 1]))
+        for min_size in (2, 3):
+            window = kernels.find_subset_in_interval(
+                others, d - heavy, d - light, min_size - 1
+            )
+            keeps = swap_keeps_signature(list(weights), i, j, min_size)
+            assert (window == -1) == keeps, (w, i, j, min_size)
 
     def test_shuffled_dispatch_at_24_lists_no_set(self, monkeypatch):
         # the relabeling is built and checked on chamber types, so no
