@@ -6,28 +6,42 @@ window ``(lo, hi]`` and whose size lies in a range, by size and then
 lexicographically: the canonical order every caller emits. Chamber
 signatures (``(-1, cap]``), walls (``(cap - 1, cap]``) and the sides and
 pairs of boundary divisors are such windows, and so are the violating
-packets of a transposition. The search, ``_window_blocks``, is written
-once. It walks the sets in blocks: a node whose every completion lands in
-the window is one block (a chosen head followed by every m-subset of the
+packets of a transposition. The size range and the extreme-sum rows that
+cut the search are written once, in ``_window_sizes``: a size whose every
+set lands is read off prefix sums of the sorted values, with no row, and
+for any other size the rows are built only as far as that size. The
+search is a depth-first walk per size over nodes (next position, labels
+still needed, sum so far): a node whose every completion lands in the
+window is one block (a chosen head followed by every m-subset of the
 remaining positions), and a node that needs one more index is a leaf
-listing the indices that fit. A size whose every set lands is one block
-read off prefix sums of the sorted values, with no extreme-sum table row;
-for any other size the rows are built only as far as that size. Three
-thin expansions read the blocks:
+listing the indices that fit. Three expansions read it:
 
 * ``enumerate_small_subsets`` returns the sets as sorted tuples, of
   1-based indices or of ``labels[k]`` for index k + 1, a block coming out
   of ``itertools.combinations`` in one step. Library callers get these.
 * ``render_small_subsets`` returns them as text, each set's labels joined
-  by ``sep`` and the sets by ``rowsep``, with no tuple per set: the text of
-  all m-subsets of each suffix of the labels is built once per call, and a
-  block's chosen head goes in front of each of its rows by one
-  ``str.replace``. A block of few long rows joins its rows directly
-  instead, so the memo holds fewer labels than three times the text
-  returned. The verbs that print sets hand it each marking's output token
-  (``"1"``...``"n"``) and their separators.
+  by ``sep`` and the sets by ``rowsep``, with no tuple per set. It renders
+  each search state once: the rows that complete a node depend on its
+  (position, labels still needed, sum) alone, so a later head that
+  reaches a rendered state goes in front of each of its rows by one
+  ``str.replace``, and the state's subtree is not walked again. States
+  repeat where equal sums meet, so a window of a few distinct values
+  (equal weights, or zeros after heavy weights) costs its text and few
+  nodes, and a state reached once costs what its blocks cost. A whole
+  block's rows are joined from the whole states one level down, and a
+  block of few long rows joins its rows directly instead, so the memo
+  holds fewer labels than three times the text returned. The verbs that
+  print sets hand it each marking's output token (``"1"``...``"n"``) and
+  their separators.
 * ``first_small_subset`` returns the first set alone, as a tuple of
   labels, or None: the admissibility witness.
+
+The tuple and first-set expansions read the blocks of ``_window_blocks``;
+the text expansion walks the same nodes with its own memo. A tuple costs
+one allocation per set whatever the walk, and the library callers behind
+the printing verbs list few sets; the first-set expansion stops at its
+first set and keeps nothing. Text is what one ``str.replace`` can put a
+new head in front of.
 
 The first two expansions take a fixed ``prefix`` that starts every set and
 that the window does not see (the divisor sides that must hold marking 1).
@@ -36,9 +50,9 @@ that the window does not see (the divisor sides that must hold marking 1).
 a window (the admissible-transposition test) and reports the first hit as
 a bitmask over the original index positions, in its own order. It shares
 no code with the window search, so the two check each other. Both
-searches are depth-first on an explicit stack, and the block text is
-built level by level, so their depth is bounded by memory, not by the
-interpreter's recursion limit.
+searches are depth-first on an explicit stack, and the text of whole
+states is built level by level, so their depth is bounded by memory, not
+by the interpreter's recursion limit.
 
 Both take nonnegative integers (weights already scaled by a common
 denominator); a zero value is an ordinary entry.
@@ -70,27 +84,21 @@ Label = TypeVar("Label")
 BACKEND = "pure"
 
 
-def _window_blocks(
-    values: Sequence[int],
-    lo: int,
-    hi: int,
-    min_size: int,
-    max_size: int,
-    labels: Sequence[Label],
-    prefix: tuple[Label, ...],
-) -> Iterator[tuple[tuple[Label, ...], int, int, list[Label] | None]]:
-    """The sets of a window as blocks ``(chosen, pos, m, fits)``, in
-    canonical order: ``chosen`` (which starts with ``prefix``) followed by
-    each m-subset of ``labels[pos:]`` in lexicographic order when ``fits``
-    is None, else by each single label in ``fits``.
+def _window_sizes(
+    values: Sequence[int], lo: int, hi: int, min_size: int, max_size: int
+) -> Iterator[tuple[int, list[int], list[list[int]] | None, list[list[int]] | None]]:
+    """The sizes of a window that can hold a set, each as
+    ``(size, first, low, high)``: the extreme-sum rows both searches read,
+    or ``low`` None when every set of the size lands and no row is needed.
 
-    One lexicographic depth-first search per size. A node that still needs
-    m indices from position k on is cut when even the m largest values
-    there cannot lift its sum above ``lo``, or the m smallest already pass
-    ``hi``; when both extremes land inside the window, every completion
-    does, and the node is one whole block. A size whose every set lands
-    is one block before any search. A node needing one index is a leaf
-    listing the labels whose values fit. Zero values are ordinary entries.
+    ``low[m][k - first[m]]`` / ``high[m][k - first[m]]`` is the sum of the
+    m smallest / largest values among positions k..n-1; either the m-set
+    holds position k or it lies in k+1..n-1. A node still needing m
+    indices has chosen at least min_size - m, each at its own position, so
+    it sits at k >= first[m] = max(0, min_size - m), and row m holds only
+    that band, k = first[m]..n-m. Rows are built only as far as the size
+    being yielded, and a size whose every set lands is read off prefix sums
+    of the sorted values alone.
     """
     n = len(values)
     if lo >= hi:
@@ -110,20 +118,12 @@ def _window_blocks(
         max_size -= 1
     if min_size > max_size:
         return
-    # low[m][k - first[m]] / high[m][k - first[m]]: the sum of the m
-    # smallest / largest values among positions k..n-1; either the m-set
-    # holds position k or it lies in k+1..n-1. A node still needing m
-    # indices has chosen at least min_size - m, each at its own position,
-    # so it sits at k >= first[m] = max(0, min_size - m), and row m holds
-    # only that band, k = first[m]..n-m. Rows are built only as far as the
-    # size being walked
     first = list(range(min_size, 0, -1)) + [0] * (max_size + 1 - min_size)
     low = [[0] * (n + 1 - first[0])]
     high = [[0] * (n + 1 - first[0])]
     for size in range(min_size, max_size + 1):
         if least[size] > lo and most[size] <= hi:
-            # every set of this size lands: one block, and no rows
-            yield prefix, 0, size, None
+            yield size, first, None, None
             continue
         for m in range(len(low), size + 1):
             below, above = low[-1], high[-1]
@@ -143,6 +143,38 @@ def _window_blocks(
                 row_hi[i] = x if x > y else y
             low.append(row_lo)
             high.append(row_hi)
+        yield size, first, low, high
+
+
+def _window_blocks(
+    values: Sequence[int],
+    lo: int,
+    hi: int,
+    min_size: int,
+    max_size: int,
+    labels: Sequence[Label],
+    prefix: tuple[Label, ...],
+) -> Iterator[tuple[tuple[Label, ...], int, int, list[Label] | None]]:
+    """The sets of a window as blocks ``(chosen, pos, m, fits)``, in
+    canonical order: ``chosen`` (which starts with ``prefix``) followed by
+    each m-subset of ``labels[pos:]`` in lexicographic order when ``fits``
+    is None, else by each single label in ``fits``.
+
+    One lexicographic depth-first search per size of
+    :func:`_window_sizes`. A node that still needs m indices from position
+    k on is cut when even the m largest values there cannot lift its sum
+    above ``lo``, or the m smallest already pass ``hi``; when both extremes
+    land inside the window, every completion does, and the node is one
+    whole block. A size whose every set lands is one block before any
+    search. A node needing one index is a leaf listing the labels whose
+    values fit. Zero values are ordinary entries.
+    """
+    n = len(values)
+    for size, first, low, high in _window_sizes(values, lo, hi, min_size, max_size):
+        if low is None:
+            # every set of this size lands: one block, and no rows
+            yield prefix, 0, size, None
+            continue
         # sizes count the prefix, so m = r - len(chosen) in every frame
         r = size + len(prefix)
         # stack frames: (next position, chosen labels, their sum); the
@@ -238,81 +270,159 @@ def render_small_subsets(
     """The sets of :func:`enumerate_small_subsets` as text, and how many
     there are: each set's labels joined by ``sep``, the sets joined by
     ``rowsep``, in the same order. No label and not ``sep`` may hold a
-    line break.
+    line break (``ValueError``): line breaks join the rows inside.
 
-    The text expansion of :func:`_window_blocks`, with no tuple per set. A
-    whole block is the text of all m-subsets of ``labels[pos:]``, rows
-    joined by line breaks (built once per call, see :func:`_suffix_text`),
-    made final by one ``str.replace`` of the line break with ``rowsep``
-    followed by the chosen labels; the chosen labels of the first row go
-    in front. A block whose m passes ``2 * (n - pos - m) + 4`` has few
-    rows, each long, and the memo of their suffixes would hold about
-    m / (n - pos - m + 2) times the block's labels; its rows are joined
-    one by one instead.
+    The search of :func:`_window_blocks`, over the sizes of
+    :func:`_window_sizes`, that renders each search state once. A state is
+    a node's (next position, labels still needed, sum so far); the rows
+    that complete a node depend on its state alone, not on its head (the
+    labels chosen before it). A node's rows, joined by line breaks, go out
+    as one piece, made final by one ``str.replace`` of the line break with
+    ``rowsep`` followed by the head. No tuple is built per set. The memo
+    holds:
+
+    * the whole states (every completion lands), level by level, of which
+      a whole block's rows are one join (:func:`_every_subset`). A block
+      whose m passes ``2 * (n - pos - m) + 4`` has few rows, each long,
+      and lists them directly instead;
+    * the other states that need at least three labels: a mark on the
+      first visit, and on the second the state's rows, walked once more
+      with heads that start after the state. From the third visit on the
+      state is one piece, and its subtree is not walked again.
+
+    So a state reached once costs what its blocks cost, plus its mark. A
+    node that needs two labels is walked again on every visit: its
+    children are leaves and whole blocks, one piece each, and a mark on
+    every such node would cost windows without repeats more than its
+    rows save the others. States repeat where equal sums meet: equal
+    values, or zeros after heavy values, bring different heads to one
+    (position, size, sum), so a window of a few distinct values has few
+    states however many sets it holds. A state is rendered only outside
+    any other's rendering, so the rendered rows lie in disjoint stretches
+    of the text returned and hold fewer labels than it does.
     """
+    if "\n" in sep or "\n" in "".join(labels):
+        raise ValueError("render_small_subsets: no label and not sep may hold a line break")
     n = len(values)
-    heads: list[list[str]] = [[], list(reversed(labels))]
-    pieces: list[str] = []
-    count = 0
-    for chosen, pos, m, fits in _window_blocks(
-        values, lo, hi, min_size, max_size, labels, prefix
-    ):
-        head = sep.join(chosen) + sep if chosen else ""
-        if fits is not None:
-            if fits:
-                pieces.append(head + (rowsep + head).join(fits))
-                count += len(fits)
-        elif m == 0:
-            pieces.append(sep.join(chosen))
+    leads: list[str] = []  # each label with sep, once a node has children
+    # memo[j]: level j of the whole states (see _every_subset);
+    # memo[pos, m, total]: None once the state is seen, its rows and their
+    # count once rendered
+    memo: dict = {0: list(reversed(labels))}
+    # the pieces are final text, or (head, rows) while a state is rendered
+    pieces: list = []
+    count = rendering = 0
+    root = sep.join(prefix) + sep if prefix else ""
+    for size, first, low, high in _window_sizes(values, lo, hi, min_size, max_size):
+        if size == 0:
+            # the empty set lands: one empty row after the prefix
+            pieces.append(sep.join(prefix))
             count += 1
-        elif m > 2 * (n - pos - m) + 4:
-            # few rows, each long: joined directly, as the memo of their
-            # shorter suffixes would outgrow the block's own text
-            rows = map(sep.join, combinations(labels[pos:], m))
-            pieces.append(head + (rowsep + head).join(rows))
-            count += comb(n - pos, m)
-        else:
-            text = _suffix_text(heads, labels, sep, pos, m)
-            if head or rowsep != "\n":
-                text = head + text.replace("\n", rowsep + head)
-            pieces.append(text)
-            count += comb(n - pos, m)
+            continue
+        # stack frames: (next position, labels still needed, sum so far,
+        # head); a frame at -pos ends the rendering of state pos
+        stack = [(0, size, 0, root)]
+        while stack:
+            pos, m, total, head = stack.pop()
+            if pos < 0:
+                start, before = memo[-pos, m, total]
+                text = "\n".join([_headed(*piece, "\n") for piece in pieces[start:]])
+                del pieces[start:]
+                rows, count = count - before, before
+                memo[-pos, m, total] = text, rows
+                rendering -= 1
+            elif low is None or (
+                total + low[m][pos - first[m]] > lo
+                and total + high[m][pos - first[m]] <= hi
+            ):
+                rows = comb(n - pos, m)
+                if m > 2 * (n - pos - m) + 4:
+                    # few rows, each long: listed directly, as the levels
+                    # below would outgrow the block's own text
+                    text = list(map(sep.join, combinations(labels[pos:], m)))
+                else:
+                    text = _every_subset(memo, labels, sep, pos, m)
+            elif m == 1:
+                a, b = lo - total, hi - total
+                text = [labels[k] for k in range(pos, n) if a < values[k] <= b]
+                rows = len(text)
+            else:
+                # () for a state not kept, memo itself for one not seen yet
+                seen = memo.get((pos, m, total), memo) if pos and m > 2 else ()
+                if seen and seen is not memo:
+                    text, rows = seen
+                else:
+                    if seen is memo:
+                        memo[pos, m, total] = None
+                    elif seen is None and not rendering:
+                        memo[pos, m, total] = (len(pieces), count)
+                        rendering += 1
+                        stack.append((-pos, m, total, head))
+                        head = ""
+                    leads = leads or [label + sep for label in labels]
+                    # live children pushed last-first, so the first is
+                    # searched first; a child whose extremes miss the
+                    # window is skipped; child k reads row m - 1 at k + 1
+                    lows, highs, off = low[m - 1], high[m - 1], first[m - 1] - 1
+                    stack.extend(
+                        [
+                            (k + 1, m - 1, t, head + leads[k])
+                            for k in range(n - m, pos - 1, -1)
+                            if (t := total + values[k]) + lows[k - off] <= hi
+                            and t + highs[k - off] > lo
+                        ]
+                    )
+                    continue
+            # the rows, listed or joined by line breaks, go out as a piece
+            if not rows:
+                continue
+            count += rows
+            if isinstance(text, list):
+                text = "\n".join(text) if rendering else head + (rowsep + head).join(text)
+            elif not rendering:
+                text = _headed(head, text, rowsep)
+            pieces.append((head, text) if rendering else text)
     return rowsep.join(pieces), count
 
 
-def _suffix_text(
-    heads: list[list[str]], labels: Sequence[str], sep: str, pos: int, m: int
-) -> str:
-    """The m-subsets of ``labels[pos:]`` as text, lexicographically, rows
-    joined by line breaks.
+def _headed(head: str, rows: str, rowsep: str) -> str:
+    """``rows`` (joined by line breaks) with ``head`` in front of each, and
+    joined by ``rowsep`` instead."""
+    if head or rowsep != "\n":
+        return head + rows.replace("\n", rowsep + head)
+    return rows
 
-    ``heads[j]`` memoises, from position n - j leftwards, the text of the
-    j-subsets whose first label sits at each position: the head at k is
-    the text of the (j - 1)-subsets of ``labels[k + 1:]`` (the heads of
-    level j - 1 from k + 1 on, joined) with ``labels[k] + sep`` put in
-    front of every row by one ``str.replace``. Each level is built from the
-    previous one alone and extended only as far left as this call needs,
-    one level after another, so nothing recurses.
 
-    A block (pos, m) extends level j to position pos + m - j, where it
-    holds C(n - pos - m + j, j) rows of j labels. While
+def _every_subset(memo: dict, labels: Sequence[str], sep: str, pos: int, m: int) -> str:
+    """Every m-subset of ``labels[pos:]`` as text, lexicographically, rows
+    joined by line breaks: the rows of the whole state (pos, m), m >= 1.
+
+    ``memo[j]`` is level j of the whole states: from position n - j
+    leftwards, the j-subsets of ``labels[p:]`` each led by
+    ``labels[p - 1] + sep`` (level 0 is the labels, reversed). The state
+    (p, j) is the states (k, j - 1), k = p + 1..n - j + 1, of level j - 1
+    joined, each led by its own first label; put ``labels[p - 1] + sep``
+    in front of every row by one ``str.replace``, it is level j at p. Each
+    level is built from the previous one alone and extended only as far
+    left as this call needs, one level after another, so nothing recurses.
+
+    The state (pos, m) extends level j to position pos + m - j, where it
+    holds C(n - pos - m + j + 1, j + 1) rows of j + 1 labels; from pos + 1
+    on, level m - 1 holds the state's own rows. While
     m <= 2 * (n - pos - m) + 4, as :func:`render_small_subsets` keeps it,
-    levels 2..m together hold fewer than three times the block's own
-    labels, so the memo of a call holds fewer than three times the labels
-    the call returns.
+    levels 1..m - 1 together hold fewer than three times the labels the
+    state's rows hold.
     """
     n = len(labels)
-    while len(heads) <= m:
-        heads.append([])
-    # the head at k sits at heads[j][n - j - k]
-    if len(heads[m]) <= n - m - pos:
-        for level in range(2, m + 1):
-            row, below = heads[level], heads[level - 1]
-            for k in range(n - level - len(row), pos + m - level - 1, -1):
-                head = labels[k] + sep
-                tail = "\n".join(below[n - level - k :: -1])
-                row.append(head + tail.replace("\n", "\n" + head))
-    return "\n".join(heads[m][n - m - pos :: -1])
+    if len(memo.get(m - 1, ())) <= n - m - pos:
+        # level m - 1 stops short of pos + 1: extend the levels up to it
+        for j in range(1, m):
+            level, below = memo.setdefault(j, []), memo[j - 1]
+            for p in range(n - j - len(level), pos + m - j - 1, -1):
+                lead = labels[p - 1] + sep
+                tail = "\n".join(below[n - j - p :: -1])
+                level.append(lead + tail.replace("\n", "\n" + lead))
+    return "\n".join(memo[m - 1][n - m - pos :: -1])
 
 
 def find_subset_in_interval(

@@ -673,6 +673,9 @@ class TestListingBytes:
             (0, "1/3,1/3,1/3,1/4,1/4,2/3,0"),
             (0, ",".join(["1/7"] * 15)),
             (1, "1/5,1/5,1/5,2/5,0,0,0"),
+            # the coarse window of chamber-enum scaled down: heads with
+            # equal sums reach the same states
+            (1, ",".join(["1/5"] * 6 + ["0"] * 4)),
         ],
     )
     def test_signature(self, mode, genus, weights):

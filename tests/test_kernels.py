@@ -368,6 +368,75 @@ class TestRenderSmallSubsets:
         assert (text, count) == ("\n".join(rows), 201)
         assert peak < 10 * len(text)
 
+    @pytest.mark.parametrize(
+        "values, lo, hi, min_size, max_size, sets, bound",
+        [
+            # the coarse signature window of genus 1, ten weights 1/5 and
+            # then six zeros: 40,695 sets over a few hundred states
+            ([1] * 10 + [0] * 6, -1, 5, 3, 16, 40695, 3),
+            # eighteen distinct weights k/1000 cut at sum 1: states seldom
+            # repeat, so the memo keeps a mark per state of three or more
+            # labels and no rows; the rest is the text's own blocks, a
+            # string each, and the text
+            (
+                [198, 389, 216, 21, 133, 262, 249, 208, 156, 245, 184, 299, 112,
+                 259, 72, 145, 387, 49],
+                -1, 1000, 2, 18, 12415, 5,
+            ),
+        ],
+    )
+    def test_memo_costs_about_the_text(self, values, lo, hi, min_size, max_size, sets, bound):
+        tokens = tuple(map(str, range(1, len(values) + 1)))
+        args = (values, lo, hi, min_size, max_size, tokens)
+        tracemalloc.start()
+        try:
+            text, count = kernels.render_small_subsets(*args, sep=",", rowsep="],[")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == sets
+        assert text == joined(kernels.enumerate_small_subsets(*args), ",", "],[")
+        assert peak < bound * len(text)
+
+    @given(
+        st.lists(st.integers(0, 6), min_size=1, max_size=3, unique=True),
+        st.lists(st.tuples(st.integers(0, 2), st.integers(2, 7)), min_size=2, max_size=4),
+        st.integers(20, 80),
+        st.one_of(st.none(), st.integers(0, 50)),
+        st.integers(-1, 6),
+        st.integers(3, 14),
+        st.lists(st.sampled_from(["0", "x"]), max_size=2),
+        st.sampled_from(SEPARATORS),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equal_sums_share_states(
+        self, distinct, runs, top, width, min_size, max_size, prefix, separators
+    ):
+        # runs of one to three values in any order, zeros among them (heavy
+        # runs before zeros, as in a coarse signature), cut by a window
+        # around the middle of their sum: heads with equal sums reach the
+        # same states, which are rendered once
+        values = [distinct[i % len(distinct)] for i, length in runs for _ in range(length)]
+        values = values[:14]
+        hi = sum(values) * top // 100
+        lo = -1 if width is None else hi - 1 - sum(values) * width // 100
+        sep, rowsep = separators
+        tokens = tuple(map(str, range(1, len(values) + 1)))
+        args = (values, lo, hi, min_size, max_size, tokens, tuple(prefix))
+        rows = kernels.enumerate_small_subsets(*args)
+        brute = brute_window(values, lo, hi, min_size, max_size)
+        assert rows == [tuple(prefix) + row for row in relabeled(brute, tokens)]
+        assert kernels.render_small_subsets(*args, sep=sep, rowsep=rowsep) == (
+            joined(rows, sep, rowsep), len(rows)
+        )
+
+    @pytest.mark.parametrize("sep, labels", [(",", ["a", "b\nc", "d"]), ("\n", ["a", "b", "d"])])
+    def test_line_breaks_are_refused(self, sep, labels):
+        # line breaks join the rows inside the search; a label or sep that
+        # held one would split a row without an error
+        with pytest.raises(ValueError, match="line break"):
+            kernels.render_small_subsets([1, 1, 1], -1, 3, 2, 2, labels, sep=sep, rowsep="|")
+
     def test_window_deeper_than_the_recursion_limit(self):
         tokens = tuple(map(str, range(1, 1103)))
         assert kernels.render_small_subsets(
