@@ -372,7 +372,7 @@ class TestRenderSmallSubsets:
         "values, lo, hi, min_size, max_size, sets, bound",
         [
             # the coarse signature window of genus 1, ten weights 1/5 and
-            # then six zeros: 40,695 sets over a few hundred states
+            # then six zeros: 40,695 sets whose heads meet in few states
             ([1] * 10 + [0] * 6, -1, 5, 3, 16, 40695, 3),
             # eighteen distinct weights k/1000 cut at sum 1: states seldom
             # repeat, so the memo keeps a mark per state of three or more
