@@ -53,6 +53,9 @@ FAMILY_KAPRANOV = "kapranov"
 FAMILY_SYM = "sym"
 FAMILY_KEEL = "keel"
 
+#: The number of parameters of each family's members.
+_ARITY = {FAMILY_KAPRANOV: 2, FAMILY_SYM: 1, FAMILY_KEEL: 1}
+
 SCHEDULE_SCHEMA = "blowup-schedule/1"
 
 #: Constructions accepted by :func:`blowup_schedule`.
@@ -86,8 +89,8 @@ class FamilySpec:
         """The ranges :meth:`from_notation` accepts, checked however the
         spec is built, so no family computation sees a parameter outside
         them."""
-        n, arity = self.n, {FAMILY_KAPRANOV: 2, FAMILY_SYM: 1, FAMILY_KEEL: 1}
-        if arity.get(self.family) != len(self.params):
+        n = self.n
+        if _ARITY.get(self.family) != len(self.params):
             raise ValueError(
                 f"not a family member: {self.family!r} with parameters {self.params!r}"
             )
@@ -263,7 +266,7 @@ def _block_rows(spec: FamilySpec) -> list[Constraint]:
             cut = 2 * n - h - 7
             types += [((0, size), size > cut) for size in range(1, n - 2)]
     return [
-        Constraint(tuple(-c for c in t), "<", -ONE) if big else Constraint(t, "<=", ONE)
+        Constraint(tuple(-c for c in t), "<", MINUS_ONE) if big else Constraint(t, "<=", ONE)
         for t, big in types
     ]
 
@@ -384,6 +387,15 @@ def feasible_representative(spec: FamilySpec) -> WeightData:
 # ---------------------------------------------------------------------------
 
 
+def _by_weight(w: WeightData) -> tuple[list[int], WeightData]:
+    """w's slots in (weight, slot) order, and w rearranged in that order.
+    Equal weights have equal integers in w's integer form, so a stable
+    sort on the integers keeps equal weights in slot order."""
+    scaled = w.integer_form[0]
+    order = sorted(range(1, w.n + 1), key=lambda j: scaled[j - 1])
+    return order, WeightData(w.genus, tuple(w.weights[j - 1] for j in order))
+
+
 def signature_relabeling(
     target: WeightData, source: WeightData
 ) -> tuple[int, ...] | None:
@@ -411,13 +423,19 @@ def signature_relabeling(
     nothing again.
     """
     _check_pair(target, source)
+    return _relabeling(target, _by_weight(target), source)
+
+
+def _relabeling(
+    target: WeightData, by_weight: tuple[list[int], WeightData], source: WeightData
+) -> tuple[int, ...] | None:
+    """:func:`signature_relabeling` with the target already sorted
+    (``by_weight`` is :func:`_by_weight` of it), so a caller matching one
+    target against many sources sorts it once. Unchecked: the caller has
+    made sure the data are comparable and valid (:func:`_check_pair`)."""
     n = source.n
-
-    def by_weight(w: WeightData) -> tuple[list[int], WeightData]:
-        order = sorted(range(1, n + 1), key=lambda j: (w.weights[j - 1], j))
-        return order, WeightData(w.genus, tuple(w.weights[j - 1] for j in order))
-
-    (order_t, sorted_t), (order_s, sorted_s) = by_weight(target), by_weight(source)
+    order_t, sorted_t = by_weight
+    order_s, sorted_s = _by_weight(source)
     if not _same_chamber(sorted_t, sorted_s, 2):
         return None
     scaled, d = sorted_s.integer_form
@@ -438,25 +456,37 @@ def classify_with_relabeling(
 ) -> tuple[FamilySpec, tuple[int, ...]] | None:
     """The family member chamber-equivalent to w, with the slot map.
 
-    Two passes over the family grid: first positional fine equivalence
-    (slot j against slot j, on class rows; w is validated once here and
-    every representative by :func:`representative_weights`), then
-    :func:`signature_relabeling`.  A datum matching one family
-    positionally and an earlier one only up to relabeling is reported
-    under the positional match, so canonical representatives always
-    classify as themselves.  The returned permutation maps
-    representative slots to slots of w (identity for positional matches).
+    Two passes in grid order.  The positional pass compares w with each
+    member's representative slot by slot (slot j against slot j, on class
+    rows), building each representative only when the pass reaches it,
+    and returns at the first match with the identity map.  Only if none
+    matches does the relabel pass run: it reuses the representatives the
+    first pass built, without walking the grid or the cache again, sorts
+    w by (weight, slot) once for all of them, and returns the first
+    member :func:`signature_relabeling` would match, with its map.  So a
+    datum matching one member positionally and an earlier one only up to
+    relabeling is reported under the positional match, and canonical
+    representatives always classify as themselves.  Stopping at the first
+    positional match gives the member the eager two passes give: the
+    positional pass alone decides any datum it matches, in grid order.
+    Every representative the answer depends on is built and re-checked by
+    :func:`representative_weights`; a None answer checks them all.  w is
+    validated once here.  The returned permutation maps representative
+    slots to slots of w (identity for positional matches).
     """
     require_valid(w)
     if w.genus != 0:
         raise ValueError("classification is defined for genus zero")
     n = w.n
-    reps = [(spec, representative_weights(spec)) for spec in family_grid(n)]
-    for spec, rep in reps:
+    reps = []
+    for spec in family_grid(n):
+        rep = representative_weights(spec)
         if _same_chamber(rep, w, 2):
             return spec, tuple(range(1, n + 1))
+        reps.append((spec, rep))
+    by_weight = _by_weight(w)
     for spec, rep in reps:
-        sigma = signature_relabeling(w, rep)
+        sigma = _relabeling(w, by_weight, rep)
         if sigma is not None:
             return spec, sigma
     return None

@@ -33,6 +33,7 @@ from hassett.families import (
 )
 from hassett.linear import LinearSystem, evaluate, solve_feasibility
 from hassett.weights import (
+    InvalidWeightDataError,
     WeightData,
     _meets_class_rows,
     _slot_classes,
@@ -294,6 +295,15 @@ class TestRepresentatives:
             assert validate(alt).ok
             assert evaluate(system, alt.weights), spec.notation()
 
+    @pytest.mark.parametrize("n", range(4, 17))
+    def test_every_closed_form_is_built_and_valid(self, n):
+        # classification builds a representative only when its scan
+        # reaches it, so this is where every member's closed form and
+        # condition self-check run; validity is validate(rep).ok without
+        # listing the walls (69,661 sets at n = 16)
+        for spec in family_grid(n):
+            assert not representative_weights(spec).violations, spec.notation()
+
     def test_sym_representative_form(self):
         assert representative_weights(sym_spec(1, 6)).weights == (
             (F(1, 3),) * 5 + (F(1),)
@@ -485,16 +495,25 @@ class TestClassify:
         found = classify_with_relabeling(representative_weights(spec))
         assert found == (spec, (1, 2, 3, 4, 5, 6))
 
-    def test_exchange_alias(self):
+    @pytest.mark.parametrize("n", range(6, 13))
+    def test_exchange_alias(self, n):
         # The Keel exchange member h = n - 3 shares a chamber with the
         # Kapranov member (2, 2) up to relabeling; a datum arranged the
-        # Kapranov way classifies as Kapranov, the Keel arrangement as Keel.
-        a22 = kapranov_weights(2, 2, 6)
-        assert classify(a22) == kapranov_spec(2, 2, 6)
-        keel_rep = representative_weights(keel_spec(3, 6))
-        assert classify(keel_rep) == keel_spec(3, 6)
-        sigma = signature_relabeling(keel_rep, a22)
-        assert sigma is not None
+        # Kapranov way classifies as Kapranov, the Keel arrangement as Keel
+        # (its positional match beats the earlier relabeled one), and a
+        # shuffled Keel arrangement, which matches nothing slot by slot,
+        # as Kapranov.
+        identity = tuple(range(1, n + 1))
+        a22 = kapranov_weights(2, 2, n)
+        assert classify_with_relabeling(a22) == (kapranov_spec(2, 2, n), identity)
+        keel_rep = representative_weights(keel_spec(n - 3, n))
+        assert classify_with_relabeling(keel_rep) == (keel_spec(n - 3, n), identity)
+        shuffled = WeightData(0, tuple(Random(n).sample(keel_rep.weights, n)))
+        spec, sigma = classify_with_relabeling(shuffled)
+        assert spec == kapranov_spec(2, 2, n)
+        assert sorted(sigma) == list(identity)
+        assert all(a22.weights[j] == shuffled.weights[sigma[j] - 1] for j in range(n))
+        assert signature_relabeling(keel_rep, a22) is not None
 
     def test_signature_relabeling_none_on_mismatch(self):
         a = WeightData(0, (F(1, 3),) * 3 + (F(2, 3), F(1)))
@@ -529,6 +548,100 @@ class TestClassify:
         assert got is not None
         sigma = signature_relabeling(w, representative_weights(got))
         assert sigma is not None
+
+
+def eager_classify(w: WeightData) -> tuple[FamilySpec, tuple[int, ...]] | None:
+    """Classification as two eager passes: every representative first,
+    then a positional fine-equivalence pass, then a relabeling pass."""
+    reps = [(spec, representative_weights(spec)) for spec in family_grid(w.n)]
+    for spec, rep in reps:
+        if fine_equivalent(rep, w):
+            return spec, tuple(range(1, w.n + 1))
+    for spec, rep in reps:
+        sigma = signature_relabeling(w, rep)
+        if sigma is not None:
+            return spec, sigma
+    return None
+
+
+class TestLazyScan:
+    """The positional pass builds each representative when it reaches it
+    and stops at the first match; the relabel pass reuses what it built.
+    Pinned by call counts and by the eager definition, not by time."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        build = families.representative_weights
+
+        def counting(spec):
+            calls.append(spec)
+            return build(spec)
+
+        build.cache_clear()
+        monkeypatch.setattr(families, "representative_weights", counting)
+        return calls
+
+    @pytest.mark.parametrize("n", range(6, 11))
+    def test_a_representative_builds_the_grid_up_to_its_member(self, built, n):
+        grid = list(family_grid(n))
+        for i, spec in enumerate(grid):
+            rep = representative_weights(spec)
+            built.clear()
+            assert classify_with_relabeling(rep) == (spec, tuple(range(1, n + 1)))
+            assert built == grid[: i + 1], spec.notation()
+
+    @pytest.mark.parametrize("n", range(6, 11))
+    def test_a_shuffled_representative_builds_the_grid_once(self, built, monkeypatch, n):
+        # reversed, no representative matches any member slot by slot; the
+        # relabel pass reads the representatives the first pass built and
+        # sorts the target once
+        sorts = []
+
+        def counting(w):
+            sorts.append(w)
+            return by_weight(w)
+
+        by_weight = families._by_weight
+        monkeypatch.setattr(families, "_by_weight", counting)
+        grid = list(family_grid(n))
+        for spec in grid:
+            w = WeightData(0, representative_weights(spec).weights[::-1])
+            built.clear()
+            sorts.clear()
+            found = classify_with_relabeling(w)
+            assert found is not None and found[1] != tuple(range(1, n + 1)), spec
+            assert built == grid, spec.notation()
+            assert sum(x is w for x in sorts) == 1, spec.notation()
+
+    @pytest.mark.parametrize("n", range(6, 11))
+    def test_a_datum_matching_nothing_builds_the_grid_once(self, built, n):
+        for w in (WeightData(0, (F(1),) * n), WeightData(0, (F(1, 2),) * n)):
+            built.clear()
+            assert classify_with_relabeling(w) is None
+            assert built == list(family_grid(n))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_the_eager_two_passes(self, data):
+        n = data.draw(st.integers(min_value=4, max_value=9))
+        kind = data.draw(st.sampled_from(["representative", "shuffled", "random"]))
+        if kind == "random":
+            value = st.fractions(min_value=0, max_value=1, max_denominator=12)
+            weights = tuple(data.draw(st.lists(value, min_size=n, max_size=n)))
+        else:
+            spec = data.draw(st.sampled_from(list(family_grid(n))))
+            weights = representative_weights(spec).weights
+            if kind == "shuffled":
+                weights = tuple(data.draw(st.permutations(weights)))
+        w = WeightData(0, weights)
+        if w.violations:
+            with pytest.raises(InvalidWeightDataError):
+                classify_with_relabeling(w)
+            with pytest.raises(InvalidWeightDataError):
+                eager_classify(w)
+            return
+        assert classify_with_relabeling(w) == eager_classify(w)
 
 
 def oracle_signature(weights) -> frozenset[frozenset[int]]:
