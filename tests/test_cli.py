@@ -1070,6 +1070,35 @@ G3_DIV = ("--genus", "3", "--weights", "1/3,1/2,0,1/4,1,1/6")
 FACTORS_TRUE = ("--genus", "0", "--weights", "1/5,1/5,1/5,1/5,1/5,2/5,1")
 FACTORS_FALSE = ("--genus", "0", "--weights", "11/20,11/20,11/20,1/10,1/10,1/10,1/10")
 
+# the ops of the chamber-enum benchmark workload: long runs of equal
+# weights, named in test ids by their weights, as their verb and genus
+# repeat the ids of the data above
+CE_FINE = ("signature", "--genus", "0", "--weights", ",".join(["1/7"] * 20))
+CE_WALLS = ("validate", "--genus", "0", "--weights", ",".join(["1/6"] * 18))
+CE_DIV = ("divisors", "--genus", "0", "--weights", ",".join(["1/3"] * 16))
+CE_COARSE = (
+    "signature", "--mode", "coarse", "--genus", "1",
+    "--weights", ",".join(["1/5"] * 10 + ["0"] * 6),
+)
+CE_TREES = ("divisors", "--trees", "--genus", "0", "--weights", ",".join(["1/3"] * 10))
+CHAMBER_ENUM_NAMES = {
+    CE_FINE: "20 x 1/7",
+    CE_WALLS: "18 x 1/6",
+    CE_DIV: "16 x 1/3",
+    CE_COARSE: "10 x 1/5, 6 x 0",
+    CE_TREES: "10 x 1/3",
+}
+
+
+def _digest_id(argv: tuple[str, ...]) -> str:
+    """A pinned op's test id: its argv without the weights, which only
+    the chamber-enum data name."""
+    if "--weights" not in argv:
+        return " ".join(argv)
+    name = " ".join(argv[:-2])
+    return f"{name} {CHAMBER_ENUM_NAMES[argv]}" if argv in CHAMBER_ENUM_NAMES else name
+
+
 # sha256 of stdout as (JSON, text); the text of ``divisors`` ignores
 # ``--trees``, so each such pair shares its text digest
 STDOUT_SHA256 = {
@@ -1265,6 +1294,35 @@ STDOUT_SHA256 = {
         "33451fbac5d09180220cb63cf4e246148ca49b08b12a18b54a9c10b0019b17d3",
         "efb25f7a86327a211c4ec65db7134da5cebf402e041277b959a376748cdcb5e5",
     ),
+    # the six chamber-enum ops, and kblusym at the same n
+    CE_FINE: (
+        "4dc29fe1450fe2361f869f45594cc195bb3c0e2c41a1cd1c07e8b79833b15582",
+        "8808a9b0de1fdb6409a4d6168f1a2c83b00b55fc67db5a699c951f68d1229b68",
+    ),
+    CE_WALLS: (
+        "91c9aca0aea44a208177c0d2854312b4c1b1ff1ae357d301e05d4c3056b89fbb",
+        "13b42c8e066b1a1457629c3b3bdb8926ef1330fedd7e5e2483c1c1b491f63ecd",
+    ),
+    CE_DIV: (
+        "aa1adeb30d3d0a6ac3821b130d62aa52470272676437476caef1301cb34825be",
+        "53047c44efbd3187d35d2dd6c09607af5d259062dda0bd8306fa11e54c1131b0",
+    ),
+    CE_COARSE: (
+        "c87d556ec356f0af2718a667dcfd09bf048ddacacfd1f622edef2edc32d2f0b4",
+        "a7afeae20ba0d8328ba76db7b3b40b1abb845ab6425e27998a0380ba24ba2085",
+    ),
+    CE_TREES: (
+        "05b9e873a8b724fce8d48ad64568fd8f186a1ad0c90af5c7d37e50f864ca154e",
+        "912dc78dae8aae2a4ba303a3117a841592c1b339a3d2efa50677d810791bb645",
+    ),
+    ("schedule", "kblu", "16"): (
+        "c4883cd953416d074c1c1a205f359e6c2801c09f0109c88e4949d70b6cc705f7",
+        "fb4178d5aa40afadb4a6f6c18a247cb64cbd42d008d347d1ae91fcda89b82fa9",
+    ),
+    ("schedule", "kblusym", "16"): (
+        "b1ec838bf8f27e8d2fec3c797f7b34887d87aafb940add9f2501e8a077a75549",
+        "befef7f93f8d93723735c65f628d9292c0054cafaa10c5ca1abba7d9f6f1ccd1",
+    ),
 }
 
 
@@ -1329,7 +1387,7 @@ class TestStdoutPinned:
     @pytest.mark.parametrize(
         "argv",
         list(STDOUT_SHA256),
-        ids=lambda argv: " ".join(argv[:-2] if "--weights" in argv else argv),
+        ids=_digest_id,
     )
     @pytest.mark.parametrize("form", ["json", "text"])
     def test_stdout_digest(self, argv, form):
