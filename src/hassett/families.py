@@ -242,11 +242,15 @@ def _block_rows(spec: FamilySpec) -> list[Constraint]:
     """
     n = spec.n
     if spec.family == FAMILY_KAPRANOV:
-        rep = kapranov_weights(spec.r, spec.s, n).weights
+        # the blocks' weights 1/(n-r-1), s/(n-r-1) and 1, read off the
+        # spec; its range is checked again for a spec built past the check
+        r, s = spec.params
+        kapranov_spec(r, s, n)
+        light = Fraction(1, n - r - 1)
         units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         return [
-            Constraint(unit, "=", rep[block[0] - 1])
-            for unit, block in zip(units, _slot_blocks(spec))
+            Constraint(unit, "=", weight)
+            for unit, weight in zip(units, (light, s * light, ONE))
         ]
     if spec.family == FAMILY_SYM:
         k = spec.k

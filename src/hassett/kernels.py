@@ -30,9 +30,14 @@ listing the indices that fit. Three expansions read it:
   nodes, and a state reached once costs what its blocks cost. A whole
   block's rows are joined from the whole states one level down, and a
   block of few long rows joins its rows directly instead, so the memo
-  holds fewer labels than three times the text returned. The verbs that
-  print sets hand it each marking's output token (``"1"``...``"n"``) and
-  their separators.
+  holds fewer labels than three times the text returned. The rows are
+  joined by ``rowsep`` itself from the start when its last character,
+  the mark, is a sure row break: nowhere else in ``rowsep``, not in
+  ``sep`` and in no label (``"["`` of ``"],["``). A head then goes in at
+  each mark, and the text needs no last pass; otherwise line breaks join
+  the rows inside and one last ``str.replace`` puts ``rowsep`` in their
+  place. The verbs that print sets hand it each marking's output token
+  (``"1"``...``"n"``) and their separators.
 * ``first_small_subset`` returns the first set alone, as a tuple of
   labels, or None: the admissibility witness.
 
@@ -270,29 +275,39 @@ def render_small_subsets(
     """The sets of :func:`enumerate_small_subsets` as text, and how many
     there are: each set's labels joined by ``sep``, the sets joined by
     ``rowsep``, in the same order. No label and not ``sep`` may hold a
-    line break (``ValueError``): line breaks join the rows inside.
+    line break (``ValueError``): line breaks may join the rows inside.
+
+    The rows are joined inside by one separator whose last character, the
+    mark, stands for a row break. That is ``rowsep`` itself when its mark
+    occurs once in it, not in ``sep`` and in no label: every mark of the
+    text is then the end of a row separator, and the text is final once
+    the heads are in. Otherwise (a mark repeated, as ``[0,0]`` in the
+    divisor templates, or the space of a text form's ``sep``) it is a
+    line break, and the text returned takes one more ``str.replace`` of
+    each line break with ``rowsep``. The prefix is put in front of rows
+    that are final, so it may hold the mark.
 
     The search of :func:`_window_blocks`, over the sizes of
     :func:`_window_sizes`, that renders each search state once. A state is
     a node's (next position, labels still needed, sum so far); the rows
     that complete a node depend on its state alone, not on its head (the
-    labels chosen before it). A node's rows, joined by line breaks, go out
-    as one piece, made final by one ``str.replace`` of the line break with
-    ``rowsep`` followed by the head. No tuple is built per set. The memo
-    holds:
+    labels chosen before it). A node's rows go out as one piece, the head
+    put in front of each by one ``str.replace`` of the mark with the mark
+    and the head (and on the line-break path, with ``rowsep`` and the
+    head). No tuple is built per set. The memo holds:
 
     * the whole states (every completion lands), level by level, of which
       a whole block's rows are one join (:func:`_every_subset`). A block
       whose m passes ``2 * (n - pos - m) + 4`` has few rows, each long,
       and lists them directly instead;
-    * the other states that need at least three labels: a mark on the
+    * the other states that need at least three labels: a flag on the
       first visit, and on the second the state's rows, walked once more
       with heads that start after the state. From the third visit on the
       state is one piece, and its subtree is not walked again.
 
-    So a state reached once costs what its blocks cost, plus its mark. A
+    So a state reached once costs what its blocks cost, plus its flag. A
     node that needs two labels is walked again on every visit: its
-    children are leaves and whole blocks, one piece each, and a mark on
+    children are leaves and whole blocks, one piece each, and a flag on
     every such node would cost windows without repeats more than its
     rows save the others. States repeat where equal sums meet: equal
     values, or zeros after heavy values, bring different heads to one
@@ -301,8 +316,17 @@ def render_small_subsets(
     any other's rendering, so the rendered rows lie in disjoint stretches
     of the text returned and hold fewer labels than it does.
     """
-    if "\n" in sep or "\n" in "".join(labels):
+    spelled = "".join(labels)
+    if "\n" in sep or "\n" in spelled:
         raise ValueError("render_small_subsets: no label and not sep may hold a line break")
+    # rows are joined by `inner` inside, and its last character, the mark,
+    # stands for a row break; `swap` replaces the mark in the text returned
+    mark = rowsep[-1:]
+    if mark and rowsep.count(mark) == 1 and mark not in sep and mark not in spelled:
+        inner, swap = rowsep, mark
+    else:
+        inner = mark = "\n"
+        swap = rowsep
     n = len(values)
     leads: list[str] = []  # each label with sep, once a node has children
     # memo[j]: level j of the whole states (see _every_subset);
@@ -326,7 +350,7 @@ def render_small_subsets(
             pos, m, total, head = stack.pop()
             if pos < 0:
                 start, before = memo[-pos, m, total]
-                text = "\n".join([_headed(*piece, "\n") for piece in pieces[start:]])
+                text = inner.join([_headed(*piece, mark, mark) for piece in pieces[start:]])
                 del pieces[start:]
                 rows, count = count - before, before
                 memo[-pos, m, total] = text, rows
@@ -341,7 +365,7 @@ def render_small_subsets(
                     # below would outgrow the block's own text
                     text = list(map(sep.join, combinations(labels[pos:], m)))
                 else:
-                    text = _every_subset(memo, labels, sep, pos, m)
+                    text = _every_subset(memo, labels, sep, inner, pos, m)
             elif m == 1:
                 a, b = lo - total, hi - total
                 text = [labels[k] for k in range(pos, n) if a < values[k] <= b]
@@ -373,38 +397,45 @@ def render_small_subsets(
                         ]
                     )
                     continue
-            # the rows, listed or joined by line breaks, go out as a piece
+            # the rows, listed or joined by `inner`, go out as a piece
             if not rows:
                 continue
             count += rows
             if isinstance(text, list):
-                text = "\n".join(text) if rendering else head + (rowsep + head).join(text)
+                text = inner.join(text) if rendering else head + (rowsep + head).join(text)
             elif not rendering:
-                text = _headed(head, text, rowsep)
+                text = _headed(head, text, mark, swap)
             pieces.append((head, text) if rendering else text)
     return rowsep.join(pieces), count
 
 
-def _headed(head: str, rows: str, rowsep: str) -> str:
-    """``rows`` (joined by line breaks) with ``head`` in front of each, and
-    joined by ``rowsep`` instead."""
-    if head or rowsep != "\n":
-        return head + rows.replace("\n", rowsep + head)
+def _headed(head: str, rows: str, mark: str, swap: str) -> str:
+    """``rows``, which break at each ``mark``, with ``head`` in front of
+    each and each mark replaced by ``swap``."""
+    if head or swap != mark:
+        return head + rows.replace(mark, swap + head)
     return rows
 
 
-def _every_subset(memo: dict, labels: Sequence[str], sep: str, pos: int, m: int) -> str:
+def _every_subset(
+    memo: dict, labels: Sequence[str], sep: str, inner: str, pos: int, m: int
+) -> str:
     """Every m-subset of ``labels[pos:]`` as text, lexicographically, rows
-    joined by line breaks: the rows of the whole state (pos, m), m >= 1.
+    joined by ``inner``: the rows of the whole state (pos, m), m >= 1.
+    ``inner`` is the row separator of :func:`render_small_subsets`, or a
+    line break where that separator's mark does not qualify; either way
+    its last character, the mark, is in no label, not in ``sep`` and
+    nowhere else in ``inner``, so each mark is a row break.
 
     ``memo[j]`` is level j of the whole states: from position n - j
     leftwards, the j-subsets of ``labels[p:]`` each led by
     ``labels[p - 1] + sep`` (level 0 is the labels, reversed). The state
     (p, j) is the states (k, j - 1), k = p + 1..n - j + 1, of level j - 1
     joined, each led by its own first label; put ``labels[p - 1] + sep``
-    in front of every row by one ``str.replace``, it is level j at p. Each
-    level is built from the previous one alone and extended only as far
-    left as this call needs, one level after another, so nothing recurses.
+    in front of every row by one ``str.replace`` of the mark, it is level
+    j at p. Each level is built from the previous one alone and extended
+    only as far left as this call needs, one level after another, so
+    nothing recurses.
 
     The state (pos, m) extends level j to position pos + m - j, where it
     holds C(n - pos - m + j + 1, j + 1) rows of j + 1 labels; from pos + 1
@@ -413,16 +444,16 @@ def _every_subset(memo: dict, labels: Sequence[str], sep: str, pos: int, m: int)
     levels 1..m - 1 together hold fewer than three times the labels the
     state's rows hold.
     """
-    n = len(labels)
+    n, mark = len(labels), inner[-1]
     if len(memo.get(m - 1, ())) <= n - m - pos:
         # level m - 1 stops short of pos + 1: extend the levels up to it
         for j in range(1, m):
             level, below = memo.setdefault(j, []), memo[j - 1]
             for p in range(n - j - len(level), pos + m - j - 1, -1):
                 lead = labels[p - 1] + sep
-                tail = "\n".join(below[n - j - p :: -1])
-                level.append(lead + tail.replace("\n", "\n" + lead))
-    return "\n".join(memo[m - 1][n - m - pos :: -1])
+                tail = inner.join(below[n - j - p :: -1])
+                level.append(lead + tail.replace(mark, mark + lead))
+    return inner.join(memo[m - 1][n - m - pos :: -1])
 
 
 def find_subset_in_interval(

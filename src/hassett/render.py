@@ -11,8 +11,12 @@ integer encoded one by one: the sets of ``signature``, ``validate`` and
 ``divisors`` with each marking's output token (``"1"``...``"n"``), the
 centers of a ``kblu`` or ``kblusym`` step with the point labels of its
 spec (:data:`hassett.families.SpanStep`: every subset of a label pool,
-the all-zero window, then a fixed chain). JSON text is passed on as a
-:class:`~hassett.jsonio.Rendered` value.
+the all-zero window, then a fixed chain). In JSON those labels arrive
+already encoded (``'"p1"'``), so a center is its labels joined by ``,``
+between ``[`` and ``]``, like a set of markings: the row separator then
+ends in a ``[`` that no label holds, and the kernel joins the rows with
+it directly (see :func:`~hassett.kernels.render_small_subsets`). JSON
+text is passed on as a :class:`~hassett.jsonio.Rendered` value.
 
 A boundary divisor, a contraction, a dual graph or a blow-up schedule is
 printed as the canonical text of its own ``to_json_dict``, made once per
@@ -23,7 +27,7 @@ each element fills the holes with its sides, pairs or centers.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import replace
 
 from hassett import kernels
@@ -206,15 +210,21 @@ def contractions(found: Sequence[Contraction], fmt: str) -> object:
 
 
 def _span_centers(
-    step: SpanStep, sep: str, before: str, after: str, between: str
+    step: SpanStep,
+    encode: Callable[[str], str],
+    sep: str,
+    before: str,
+    after: str,
+    between: str,
 ) -> list[str]:
     """A point-span step's centers as text fragments to concatenate: each
-    center's labels joined by ``sep`` and set between ``before`` and
-    ``after``, the centers joined by ``between``. The subsets of the pool
-    are the all-zero window (-1, 0] (:func:`_rows`), by size and then
-    lexicographically, with the chain in their row separator; the bare
-    chain, the empty subset's center, comes first."""
+    center's labels, each written by ``encode``, joined by ``sep`` and set
+    between ``before`` and ``after``, the centers joined by ``between``.
+    The subsets of the pool are the all-zero window (-1, 0] (:func:`_rows`),
+    by size and then lexicographically, with the chain in their row
+    separator; the bare chain, the empty subset's center, comes first."""
     _, pool, min_size, max_size, chain = step
+    pool, chain = tuple(map(encode, pool)), tuple(map(encode, chain))
     fragments = []
     if min_size == 0:
         fragments += (between, before + sep.join(chain) + after)
@@ -232,14 +242,14 @@ def schedule(construction: str, n: int, fmt: str) -> object:
     specs = _span_specs(construction, n)
     ambient = AMBIENTS[construction]
     if fmt == "json":
-        encode, between, span = canonical_dumps, ",", ('","', '["', '"]')
+        encode, between, span = canonical_dumps, ",", (",", "[", "]")
     else:
         encode, between, span = str, "; ", (" ", "{", "}")
     if specs is None:
         named = blowup_schedule(construction, n).steps
         steps = [(s.index, [between.join(map(encode, s.centers))]) for s in named]
     else:
-        steps = [(spec[0], _span_centers(spec, *span, between)) for spec in specs]
+        steps = [(spec[0], _span_centers(spec, encode, *span, between)) for spec in specs]
     if fmt == "json":
         holes = tuple(BlowupStep(index, (_HOLE,)) for index, _ in steps)
         pieces = _cut(BlowupSchedule(construction, n, ambient, holes).to_json_dict())

@@ -304,6 +304,29 @@ class TestRepresentatives:
         for spec in family_grid(n):
             assert not representative_weights(spec).violations, spec.notation()
 
+    @pytest.mark.parametrize("n", range(5, 11))
+    def test_kapranov_representative_is_built_once(self, monkeypatch, n):
+        # the block rows pin 1/(n-r-1), s/(n-r-1) and 1 from the spec, so
+        # the self-check compares the closed form with the spec, and the
+        # closed form is the only datum built
+        calls = []
+        build = families.kapranov_weights
+
+        def counting(r, s, m):
+            calls.append((r, s, m))
+            return build(r, s, m)
+
+        monkeypatch.setattr(families, "kapranov_weights", counting)
+        representative_weights.cache_clear()
+        specs = [spec for spec in family_grid(n) if spec.family == "kapranov"]
+        for spec in specs:
+            rep = representative_weights(spec)
+            pins = [row.bound for row in families._block_rows(spec)]
+            blocks = families._slot_blocks(spec)
+            assert pins == [rep.weights[block[0] - 1] for block in blocks]
+        assert calls == [(spec.r, spec.s, n) for spec in specs]
+        representative_weights.cache_clear()
+
     def test_sym_representative_form(self):
         assert representative_weights(sym_spec(1, 6)).weights == (
             (F(1, 3),) * 5 + (F(1),)

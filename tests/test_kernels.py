@@ -250,7 +250,16 @@ class TestFirstSmallSubset:
         assert peak < 1_000_000
 
 
-SEPARATORS = [(",", "],["), (" ", "\n")]
+# (sep, rowsep): the rows are joined by rowsep inside when its last
+# character, the mark, is nowhere else in it, not in sep and in no label,
+# and by line breaks otherwise; the last three fail one condition each
+SEPARATORS = [
+    (",", "],["),
+    (" ", "\n"),
+    (",", ']},{"genus_split":[0,0],"kind":"nodal","side":['),  # mark repeats
+    (" ", "\nwall: "),  # mark in sep
+    (",", "]x"),  # mark in the label "x"
+]
 
 
 def joined(rows, sep, rowsep):
@@ -277,7 +286,10 @@ class TestRenderSmallSubsets:
         # labels of several lengths, some of them equal
         label = st.sampled_from(["1", "2", "10", "x", "abc", ""])
         labels = data.draw(st.lists(label, min_size=len(values), max_size=len(values)))
-        prefix = tuple(data.draw(st.lists(label, max_size=2)))
+        # the prefix may hold the mark: it goes in front of rows only once
+        # they are final
+        lead = st.sampled_from(["1", "x", "", rowsep[-1], "0" + rowsep[-1]])
+        prefix = tuple(data.draw(st.lists(lead, max_size=2)))
         args = (values, lo, hi, min_size, max_size, labels, prefix)
         rows = kernels.enumerate_small_subsets(*args)
         assert kernels.render_small_subsets(*args, sep=sep, rowsep=rowsep) == (
@@ -286,7 +298,6 @@ class TestRenderSmallSubsets:
 
     @pytest.mark.parametrize("sep, rowsep", SEPARATORS)
     def test_edge_windows(self, sep, rowsep):
-        tokens = ("1", "2", "3", "4")
         cases = [
             ([0, 2, 0, 0], 1, 2, 1, 4),  # zero values pad every set
             ([0, 0, 0, 0], -1, 0, 0, 4),  # the empty set first, then all
@@ -298,13 +309,16 @@ class TestRenderSmallSubsets:
             ([1, 2, 3, 4], -1, 10, -3, -1),  # negative sizes
             ([1, 2, 3, 4], -1, 10, 3, 2),  # min_size > max_size
         ]
+        # the label "x" holds the last mark of SEPARATORS, and a prefix the
+        # mark of each
         for values, lo, hi, min_size, max_size in cases:
-            for prefix in ((), ("9",), ("8", "9")):
-                args = (values, lo, hi, min_size, max_size, tokens, prefix)
-                rows = kernels.enumerate_small_subsets(*args)
-                assert kernels.render_small_subsets(*args, sep=sep, rowsep=rowsep) == (
-                    joined(rows, sep, rowsep), len(rows)
-                ), args
+            for tokens in (("1", "2", "3", "4"), ("1", "x", "3", "4")):
+                for prefix in ((), ("9",), ("8", "9"), ("8", rowsep[-1])):
+                    args = (values, lo, hi, min_size, max_size, tokens, prefix)
+                    rows = kernels.enumerate_small_subsets(*args)
+                    assert kernels.render_small_subsets(*args, sep=sep, rowsep=rowsep) == (
+                        joined(rows, sep, rowsep), len(rows)
+                    ), args
 
     def test_empty_row_and_no_rows_differ_by_count(self):
         render = kernels.render_small_subsets
