@@ -288,7 +288,7 @@ class TestRenderSmallSubsets:
         labels = data.draw(st.lists(label, min_size=len(values), max_size=len(values)))
         # the prefix may hold the mark: it goes in front of rows only once
         # they are final
-        lead = st.sampled_from(["1", "x", "", rowsep[-1], "0" + rowsep[-1]])
+        lead = st.sampled_from(["1", "2", "10", "x", "abc", "", rowsep[-1], "0" + rowsep[-1]])
         prefix = tuple(data.draw(st.lists(lead, max_size=2)))
         args = (values, lo, hi, min_size, max_size, labels, prefix)
         rows = kernels.enumerate_small_subsets(*args)
