@@ -1294,6 +1294,72 @@ STDOUT_SHA256 = {
         "33451fbac5d09180220cb63cf4e246148ca49b08b12a18b54a9c10b0019b17d3",
         "efb25f7a86327a211c4ec65db7134da5cebf402e041277b959a376748cdcb5e5",
     ),
+    # the family-dispatch classify and aut ops at seeds 1 and 7:
+    # kapranov:r=2,s=3,n=9 as itself and relabeled by each seed
+    ("classify", "--genus", "0", "--weights", "1/6,1/6,1/6,1/6,1/6,1/6,1/2,1,1"): (
+        "ba2e0dcc4a1ca434b96093ce7f37022120f4cff33ebbfa474ea764ec0642d852",
+        "4a085ebf060df732ab06a7d8778b5c2e54373fdb3bdc3e8ae72ad09d1ff29243",
+    ),
+    ("classify", "--genus", "0", "--weights", "1/6,1/6,1,1/6,1/6,1/6,1,1/2,1/6"): (
+        "c729d310f16926aefd05d3d9589f9549597851773b2d198de91d468086a02faa",
+        "cf716be338e38950d147716c133b473dfb10eab60088273cdbf53b5ed47a0c00",
+    ),
+    ("classify", "--genus", "0", "--weights", "1/6,1/6,1/6,1,1/6,1/6,1,1/2,1/6"): (
+        "58565eff2e5d07079147efcec1f8036f53d5609e4892014f2145f90aa0892c2e",
+        "3c40181c2403272a3f4cbf24c70d58eaee624fa517ca22852a628f50c669ba87",
+    ),
+    # kapranov:r=1,s=2,n=10 relabeled by each seed, and kapranov:r=1,s=2,n=11
+    ("aut", "--genus", "0", "--weights", "1/8,1/8,1/8,1/8,1/8,1/8,1/4,1/8,1,1/8"): (
+        "36a9aceb60cc7885343be42672b854984cd76e2b65978eb97e378d50deeb5451",
+        "db5429e6c7cb96a234fe17ee1bd4916cba5bf12dec41b238bd449781b6151cf2",
+    ),
+    ("aut", "--genus", "0", "--weights", "1,1/8,1/8,1/4,1/8,1/8,1/8,1/8,1/8,1/8"): (
+        "fabd9911c7daf098596f9d25b2a1ac3304ceca656249187c9b1a1fca3f6ca823",
+        "db5429e6c7cb96a234fe17ee1bd4916cba5bf12dec41b238bd449781b6151cf2",
+    ),
+    ("aut", "--genus", "0", "--weights", "1/9,1/9,1/9,1/9,1/9,1/9,1/9,1/9,1/9,2/9,1"): (
+        "3b7976e490864b9aba797651760e0741e8fa05702ad2760d479382eb1576b3c7",
+        "6bc2cdaf4849bc702e121dddf7225b129509a2252f86886a7b39071f1999c60f",
+    ),
+    # shuffled representatives of kapranov:r=1,s=2 and of keel:h=n-3 (which
+    # classifies as kapranov:r=2,s=2) at n = 12 and 16
+    ("classify", "--genus", "0", "--weights", "1/10,1/10,1/10,1/10,1/10,1/10,1,1/10,1/10,1/5,1/10,1/10"): (
+        "2721a3f38c8301be20d98bbb306f8934695a09ad41263aadbd22974adcfa3cd5",
+        "16613eb30ee4129d80b382c9e380dc4306f9ff32229dd894e3614ffe1db77c96",
+    ),
+    ("aut", "--genus", "0", "--weights", "1/10,1/10,1/10,1/10,1/10,1/10,1,1/10,1/10,1/5,1/10,1/10"): (
+        "f85dff8fafb3daa1b62769b9a888a8974f57d55972f0b015ca0d83c4b1b5825c",
+        "e90b8c0276d5c4767d66d8e41ed2fbe402f0c3da42488093f9bd69730d4d5fbd",
+    ),
+    ("classify", "--genus", "0", "--weights", "1/9,1,1/9,2/9,1/9,1/9,1/9,1/9,1/9,1/9,1/9,1"): (
+        "488c143bfaccabbf87dcb7d3270b6112e5bcd71d0f81188f0e5c0e039f03ccae",
+        "7f9f03a09d7940439530d4a38c74b9391be55db9f5e9c4353f6da34f2deb6761",
+    ),
+    ("aut", "--genus", "0", "--weights", "1/9,1,1/9,2/9,1/9,1/9,1/9,1/9,1/9,1/9,1/9,1"): (
+        "9535b527cc5536690e1a04a1aa55d9ac6f2653776f10ba70cdaef3b5a95ad280",
+        "2eb83a71a9aefd32e7da5b524ef1b795930cf29d8e236796ca1da7d139830364",
+    ),
+    ("classify", "--genus", "0", "--weights", "1/14,1/14,1/14,1/14,1/14,1/14,1/7,1/14,1/14,1/14,1/14,1/14,1/14,1/14,1,1/14"): (
+        "9f7a159e2f0e1e9a4cc1c0fb70988e32dd4a2ad29e36e964c93586af871bfed0",
+        "4b0c3ec553bf40d4a60d30b72685b8472cf534fea8aa4035a4256fd186e7b249",
+    ),
+    ("aut", "--genus", "0", "--weights", "1/14,1/14,1/14,1/14,1/14,1/14,1/7,1/14,1/14,1/14,1/14,1/14,1/14,1/14,1,1/14"): (
+        "056252b6f963792b51619eee8493b83c2852590d855da9e0782002e8786ccf2a",
+        "46adc1e63eab873eb4920b9b8859264a3489dbd8a469d36b1fb18b8ab2f97a4b",
+    ),
+    ("classify", "--genus", "0", "--weights", "1/13,2/13,1/13,1/13,1/13,1/13,1,1,1/13,1/13,1/13,1/13,1/13,1/13,1/13,1/13"): (
+        "80c2a33cccec12306bcf4dbc9beada64dc5bf7a7b01e10b215e343e29553c783",
+        "a1e338a4c255878bf0f90fec2c42e57ebb86ef003f294a4de72cd2bc9a092aa3",
+    ),
+    ("aut", "--genus", "0", "--weights", "1/13,2/13,1/13,1/13,1/13,1/13,1,1,1/13,1/13,1/13,1/13,1/13,1/13,1/13,1/13"): (
+        "3fc40138974a0985e1683d1b2be021903650cdbeea940e4f239ee30d6724e7e1",
+        "c099bf8538840f137a5ca9869b71548b7a3a813d5ae5d40e3fed09019ac73b19",
+    ),
+    # classes sized like Kapranov (2, s), types like no member: no family
+    ("classify", "--genus", "0", "--weights", "1/2,1/3,1,1/3,1/3,1,1/3"): (
+        "bf32e53b628133d9ec51b4ed78a4d71cd5596abb99a0161ac21bcb65ee10402c",
+        "f0952432f4fae9fae73a5c33e08005516f2ce9b10558d1b9669f880c3b1a83ee",
+    ),
     # the six chamber-enum ops, and kblusym at the same n
     CE_FINE: (
         "4dc29fe1450fe2361f869f45594cc195bb3c0e2c41a1cd1c07e8b79833b15582",
@@ -1363,6 +1429,13 @@ EDGE_SHAPES = {
         0,
         "755d1ed0ae2a6efc6fb4b6e03370861cdbe16076c510b8a19bb82516e2305cc9",
         "009d962905920ad0e3ff46c6987fad36418982deb81796fd1f58e326d167c268",
+    ),
+    # a genus-0 datum coarse-equivalent but not fine-equivalent to a
+    # member: not covered, exit 1
+    ("aut", "--genus", "0", "--weights", "7/24,1/3,3/8,2/3,3/4,23/24"): (
+        1,
+        "63093b6dee8219c7a27ca6fcb630d32231edc44de29da15ae80dc5f848cc4bfd",
+        "e9b1bb12a018bb5c078ce02ce1d2fa1549c64ee276c6102ea63e9d10eae8ff66",
     ),
     ("schedule", "kblu", "5"): (
         0,
