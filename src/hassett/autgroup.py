@@ -24,7 +24,10 @@ the signature on sets of size at least m exactly when no packet of at
 least m - 1 other markings lands there.  The window asks three things:
 
 * fine symmetry (m = 2): packets of at least one other marking, the
-  cuts of :func:`hassett.families.signature_relabeling`;
+  cuts of :func:`hassett.weights._desirability_classes` between
+  neighbours in weight order, which give the classes of
+  :func:`hassett.weights.chamber_key` and the runs that
+  :func:`hassett.families.signature_relabeling` maps;
 * admissibility under ``exclude_ij`` (``--strict-atrans``): packets of
   at least two other markings, which is coarse symmetry (m = 3);
 * admissibility under the default, literal reading: packets of at

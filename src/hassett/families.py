@@ -33,17 +33,20 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
-from . import kernels
 from .linear import Constraint, LinearSystem
 from .weights import (
     MINUS_ONE,
     ONE,
     ZERO,
     WeightData,
+    _by_weight,
     _check_pair,
+    _desirability_classes,
+    _key_types,
     _meets_class_rows,
     _same_chamber,
     _solve_over_classes,
+    chamber_key,
     chamber_reduction_exists,
     format_rational,
     require_valid,
@@ -345,6 +348,73 @@ def representative_weights(spec: FamilySpec) -> WeightData:
     return rep
 
 
+def _member_key(spec: FamilySpec) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The chamber key (:func:`hassett.weights.chamber_key`) of the member's
+    representative, read off the spec's integers: class sizes in weight
+    order, then the sorted maximal-small types.  No full weight lies in a
+    small pair, so every type takes none of the full slots."""
+    n = spec.n
+    if spec.family == FAMILY_KAPRANOV:
+        r, s = spec.params
+        light = n - r - 1
+        if s == 1:
+            # the middle weight is a light one: up to n - r - 1 lights
+            return (light + 1, r), ((light, 0),)
+        # the middle slot with n - r - 1 - s lights, or every light alone
+        return (light, 1, r), ((light - s, 1, 0), (light, 0, 0))
+    if spec.family == FAMILY_SYM:
+        return (n - 1, 1), ((n - spec.k - 2, 0),)
+    h = spec.h
+    if h <= n - 4:
+        # a heavy slot with k lights, or lights alone up to 2k + 2 of them
+        k = n - h - 3
+        lights = min(n - 3, 2 * k + 2)
+        return (n - 3, 3), ((k, 1),) + (((lights, 0),) if lights > k else ())
+    if h == n - 3:
+        # the exchange point carries the Kapranov (2, 2) weights
+        return _member_key(kapranov_spec(2, 2, n))
+    return (n - 2, 2), ((2 * n - h - 7, 0),)
+
+
+def _key_members(
+    n: int, key: tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
+) -> list[FamilySpec]:
+    """The members of :func:`family_grid` at n whose closed-form key
+    (:func:`_member_key`) is ``key``, in grid order: at most two.  The
+    key has two or three classes, as every member's has.
+
+    Each closed form names its parameters, so the members are read off
+    the key instead of walking the grid: one guess per family shape, each
+    kept only if it is a member and its closed form gives the key back.
+    With three classes, Kapranov (r, s) with s > 1, and the Keel exchange
+    member after Kapranov (2, 2); with two, Kapranov (r, 1), the symmetric
+    member, and a Keel member in each phase.
+    """
+    sizes, types = key
+    if not types:
+        return []
+    first = types[0][0]
+    if len(sizes) == 3:
+        r, s = sizes[2], sizes[0] - first
+        guesses = [(FAMILY_KAPRANOV, (r, s))] + [(FAMILY_KEEL, (n - 3,))] * ((r, s) == (2, 2))
+    else:
+        guesses = [
+            (FAMILY_KAPRANOV, (sizes[1], 1)),
+            (FAMILY_SYM, (n - 2 - first,)),
+            (FAMILY_KEEL, (n - 3 - first,)),
+            (FAMILY_KEEL, (2 * n - 7 - first,)),
+        ]
+    found = []
+    for family, params in guesses:
+        try:
+            spec = FamilySpec(family, n, params)
+        except ValueError:
+            continue
+        if _member_key(spec) == key:
+            found.append(spec)
+    return found
+
+
 def _box_and_validity_rows(blocks) -> list[Constraint]:
     """0 < x_b <= 1 per column and total weight above two, over columns
     standing for the given slot blocks."""
@@ -391,15 +461,6 @@ def feasible_representative(spec: FamilySpec) -> WeightData:
 # ---------------------------------------------------------------------------
 
 
-def _by_weight(w: WeightData) -> tuple[list[int], WeightData]:
-    """w's slots in (weight, slot) order, and w rearranged in that order.
-    Equal weights have equal integers in w's integer form, so a stable
-    sort on the integers keeps equal weights in slot order."""
-    scaled = w.integer_form[0]
-    order = sorted(range(1, w.n + 1), key=lambda j: scaled[j - 1])
-    return order, WeightData(w.genus, tuple(w.weights[j - 1] for j in order))
-
-
 def signature_relabeling(
     target: WeightData, source: WeightData
 ) -> tuple[int, ...] | None:
@@ -414,17 +475,15 @@ def signature_relabeling(
     replace a heavier one in any small set.  So sorting both data by
     (weight, slot) lines up any relabeling that exists, and one exists
     exactly when the sorted data are fine-equivalent.  The source's
-    classes of interchangeable slots are then runs of that order, cut
-    between neighbours whose swap leaves the source's chamber: some
-    packet of at least one other marking sums into the window of
-    :mod:`hassett.autgroup` (equal weights give an empty one).  Each run's
-    slots go, in index order, to the target slots at the same positions,
-    in index order.  The map is checked before it is returned, by one
-    chamber comparison of the target with the source relabeled through
-    it (each source weight placed at its image slot), so no signature is
-    listed.  Both data are checked comparable and valid once, up front;
-    the chamber comparisons are between permutations of them and check
-    nothing again.
+    classes of interchangeable slots are then runs of that order, the
+    :func:`hassett.weights._desirability_classes` of the sorted source.
+    Each run's slots go, in index order, to the target slots at the same
+    positions, in index order.  The map is checked before it is returned,
+    by one chamber comparison of the target with the source relabeled
+    through it (each source weight placed at its image slot), so no
+    signature is listed.  Both data are checked comparable and valid
+    once, up front; the chamber comparisons are between permutations of
+    them and check nothing again.
     """
     _check_pair(target, source)
     return _relabeling(target, _by_weight(target), source)
@@ -437,16 +496,13 @@ def _relabeling(
     (``by_weight`` is :func:`_by_weight` of it), so a caller matching one
     target against many sources sorts it once. Unchecked: the caller has
     made sure the data are comparable and valid (:func:`_check_pair`)."""
-    n = source.n
     order_t, sorted_t = by_weight
     order_s, sorted_s = _by_weight(source)
     if not _same_chamber(sorted_t, sorted_s, 2):
         return None
-    scaled, d = sorted_s.integer_form
-    cuts = [p for p in range(1, n) if kernels.find_subset_in_interval(
-        scaled[: p - 1] + scaled[p + 1 :], d - scaled[p], d - scaled[p - 1], 1) != -1]
-    sigma = [0] * n
-    for lo, hi in zip([0] + cuts, cuts + [n]):
+    sigma = [0] * source.n
+    for run in _desirability_classes(sorted_s):
+        lo, hi = run[0] - 1, run[-1]
         for slot, image in zip(sorted(order_s[lo:hi]), sorted(order_t[lo:hi])):
             sigma[slot - 1] = image
     # slot j's weight moved to slot sigma[j-1]: its signature is the
@@ -460,39 +516,54 @@ def classify_with_relabeling(
 ) -> tuple[FamilySpec, tuple[int, ...]] | None:
     """The family member chamber-equivalent to w, with the slot map.
 
-    Two passes in grid order.  The positional pass compares w with each
-    member's representative slot by slot (slot j against slot j, on class
-    rows), building each representative only when the pass reaches it,
-    and returns at the first match with the identity map.  Only if none
-    matches does the relabel pass run: it reuses the representatives the
-    first pass built, without walking the grid or the cache again, sorts
-    w by (weight, slot) once for all of them, and returns the first
-    member :func:`signature_relabeling` would match, with its map.  So a
-    datum matching one member positionally and an earlier one only up to
-    relabeling is reported under the positional match, and canonical
-    representatives always classify as themselves.  Stopping at the first
-    positional match gives the member the eager two passes give: the
-    positional pass alone decides any datum it matches, in grid order.
-    Every representative the answer depends on is built and re-checked by
-    :func:`representative_weights`; a None answer checks them all.  w is
-    validated once here.  The returned permutation maps representative
-    slots to slots of w (identity for positional matches).
+    The member is found by its chamber key (:func:`hassett.weights.chamber_key`):
+    equal keys mean a relabeling exists, different keys that none does.
+    w is sorted by (weight, slot) and cut into its classes once.  Every
+    member has two or three classes, so only then are w's types walked,
+    and the members with w's key are read off it (:func:`_key_members`,
+    from the closed forms of :func:`_member_key`).  The keys of the grid
+    are distinct but for the Keel exchange member h = n - 3, which shares
+    its key with Kapranov (2, 2), so at most two members match.  Only
+    those are built, by :func:`representative_weights`, which re-checks
+    each.
+    They are compared with w slot by slot first, in grid order, and the
+    first match is returned with the identity map; then each gets the
+    map :func:`signature_relabeling` would build, checked by one more
+    chamber comparison.  So a datum matching one member positionally and
+    an earlier one only up to relabeling is reported under the positional
+    match, and canonical representatives always classify as themselves,
+    as two passes over the whole grid would give.  Every answer but None
+    is verified that way; a None answer builds every representative of
+    the grid and raises ``RuntimeError`` if any one's key differs from its
+    closed form.  w is validated once here.
+    The returned permutation maps representative slots to slots of w
+    (identity for positional matches).
     """
     require_valid(w)
     if w.genus != 0:
         raise ValueError("classification is defined for genus zero")
     n = w.n
+    by_weight = _by_weight(w)
+    classes = _desirability_classes(by_weight[1])
+    # every member has two or three classes: other data walk no type
+    if len(classes) in (2, 3):
+        key = tuple(map(len, classes)), _key_types(by_weight[1], classes)
+        matches = _key_members(n, key)
+    else:
+        matches = []
     reps = []
-    for spec in family_grid(n):
+    for spec in matches:
         rep = representative_weights(spec)
         if _same_chamber(rep, w, 2):
             return spec, tuple(range(1, n + 1))
         reps.append((spec, rep))
-    by_weight = _by_weight(w)
     for spec, rep in reps:
         sigma = _relabeling(w, by_weight, rep)
         if sigma is not None:
             return spec, sigma
+    for spec in family_grid(n):
+        if chamber_key(representative_weights(spec)) != _member_key(spec):
+            raise RuntimeError(f"closed-form chamber key of {spec.notation()} is wrong")
     return None
 
 

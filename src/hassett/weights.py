@@ -23,7 +23,9 @@ class, never one per subset or per slot. Reductions up to equivalence
 solve such rows by exact linear feasibility. Equivalence checks the types
 of one datum's chamber against the other datum, each at the largest or
 smallest sum its supports reach, stops at the first type that fails, and
-enumerates no subset (:func:`_same_chamber`).
+enumerates no subset (:func:`_same_chamber`). Up to relabeling the slots,
+a chamber is named by :func:`chamber_key`: the sizes of its classes of
+interchangeable slots and its maximal-small types over them.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ __all__ = [
     "validate",
     "require_valid",
     "chamber_signature",
+    "chamber_key",
     "fine_equivalent",
     "coarse_equivalent_genus0",
     "reduction_exists",
@@ -329,6 +332,77 @@ def _slot_classes(*data: WeightData) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, groups.values()))
 
 
+def _by_weight(w: WeightData) -> tuple[list[int], WeightData]:
+    """w's slots in (weight, slot) order, and w rearranged in that order.
+    Equal weights have equal integers in w's integer form, so a stable
+    sort on the integers keeps equal weights in slot order. The rearranged
+    datum takes w's integers, rearranged, as its integer form: the common
+    denominator does not depend on the order."""
+    scaled, d = w.integer_form
+    order = [j + 1 for j in sorted(range(w.n), key=scaled.__getitem__)]
+    ranked = WeightData(w.genus, tuple(w.weights[j - 1] for j in order))
+    # a frozen dataclass: the cached property's slot is set directly
+    object.__setattr__(ranked, "integer_form", (tuple(scaled[j - 1] for j in order), d))
+    return order, ranked
+
+
+def _desirability_classes(w: WeightData) -> tuple[tuple[int, ...], ...]:
+    """The classes of slots that w's fine chamber cannot tell apart, for w
+    sorted by weight (:func:`_by_weight`): runs of its 1-based slots.
+
+    A chamber is a weighted, hence complete, simple game (Isbell 1958): a
+    lighter slot can replace a heavier one in any small set. So slots the
+    chamber cannot tell apart form runs of the weight order, cut exactly
+    between the neighbours whose swap leaves the chamber. Neighbours
+    p < p + 1 are cut when some packet of at least one other marking sums
+    into the window (D - s_{p+1}, D - s_p] of :mod:`hassett.autgroup`,
+    empty between equal weights, which are never cut: one kernel window
+    per pair of unequal neighbours, no set listed.
+    """
+    scaled, d = w.integer_form
+    n = w.n
+    cuts = [
+        p for p in range(1, n) if scaled[p] != scaled[p - 1] and kernels.find_subset_in_interval(
+            scaled[: p - 1] + scaled[p + 1 :], d - scaled[p], d - scaled[p - 1], 1) != -1
+    ]
+    return tuple(tuple(range(lo + 1, hi + 1)) for lo, hi in zip([0] + cuts, cuts + [n]) if hi)
+
+
+def _key_types(w: WeightData, classes: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """The sorted maximal-small types of the fine chamber of w, sorted by
+    weight, over its :func:`_desirability_classes`.
+
+    :func:`_chamber_type_stream` reads one weight per class, so a class of
+    unequal weights is first replaced by its mean. That keeps the chamber:
+    the data in it form a convex set, and permuting a class's slots keeps
+    it, so the average of w over those permutations lies in it too.
+    """
+    scaled = w.integer_form[0]
+    if any(scaled[block[0] - 1] != scaled[block[-1] - 1] for block in classes):
+        means = (sum(w.weights[block[0] - 1 : block[-1]], ZERO) / len(block) for block in classes)
+        w = WeightData(w.genus, tuple(a for block, a in zip(classes, means) for _ in block))
+    return tuple(sorted(t for t, big in _chamber_type_stream(w, classes, 2) if not big))
+
+
+def chamber_key(w: WeightData) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The fine chamber of w up to relabeling slots: the sizes of its
+    :func:`_desirability_classes` in weight order, and its sorted
+    maximal-small types over those classes.
+
+    Two data have equal keys exactly when a slot permutation carries one
+    chamber signature onto the other: complete simple games are isomorphic
+    exactly when their class sizes and their extremal types agree
+    (Carreras and Freixas, *Math. Social Sciences* 32, 1996). A set of at
+    least two slots is small exactly when its type lies below a
+    maximal-small type, so the types pin the signature once the classes'
+    slots are named.
+    """
+    require_valid(w)
+    ranked = _by_weight(w)[1]
+    classes = _desirability_classes(ranked)
+    return tuple(map(len, classes)), _key_types(ranked, classes)
+
+
 def _chamber_type_stream(
     w: WeightData, classes: tuple[tuple[int, ...], ...], min_size: int
 ) -> Iterator[tuple[tuple[int, ...], bool]]:
@@ -337,21 +411,23 @@ def _chamber_type_stream(
     at the first type it rejects.
 
     A type counts members per class of ``classes``, which must refine w's
-    classes of equal weight. A set is maximal small (minimal big) exactly
+    classes of equal weight (:func:`_key_types` passes desirability
+    classes of equal weights). A set is maximal small (minimal big) exactly
     when its type is: adding a slot of class c moves the type by one in
     column c. Together with nonnegativity these two antichains pin the
     signature: subsets of small sets stay small, supersets of big sets stay
     big.
 
     The largest class j is solved for, not enumerated. Fix the counts r of
-    the other classes, with total T, and let v be class j's integer weight.
-    A type with k < |class j| slots of class j is maximal small only if one
-    more is too many, so v > 0 and k = (D - T) // v; one with k > 0 is
-    minimal big only if one fewer is small, so v > 0 and k = (D - T) // v
-    + 1. Otherwise k is 0 or |class j|, or the count that brings the size
-    to min_size (where every big type is minimal). Each candidate is
-    checked in full, so a pass visits only the prod(|class| + 1) count
-    vectors of the other classes.
+    the other classes, with total T <= D, and let v be class j's integer
+    weight. Class j fits k = min(|class j|, (D - T) // v) times (all of it
+    when v = 0), and a maximal-small type takes exactly that many: fewer
+    leave room for one more, more do not fit. A minimal-big type takes
+    k + 1, the first count that does not fit, or brings the size to
+    min_size, where every big type is minimal; when T > D it takes none of
+    class j, or again the count that brings the size to min_size. Each
+    candidate is checked against the other classes, so a pass visits only
+    the prod(|class| + 1) count vectors of the other classes.
     """
     if not classes:
         return
@@ -360,29 +436,29 @@ def _chamber_type_stream(
     sizes = [len(block) for block in classes]
     j = sizes.index(max(sizes))
     m_j, v_j = sizes[j], values[j]
-    rest = values[:j] + values[j + 1:]
-    for r in product(*(range(m + 1) for m in sizes[:j] + sizes[j + 1:])):
+    rest, rest_sizes = values[:j] + values[j + 1:], sizes[:j] + sizes[j + 1:]
+    for r in product(*(range(m + 1) for m in rest_sizes)):
         size_r, total_r = sum(r), sum(map(mul, r, rest))
-        candidates = {0, m_j, min_size - size_r}
-        if v_j and total_r <= cap:
-            q = (cap - total_r) // v_j
-            candidates.update((q, q + 1))
-        for k in candidates:
+        if total_r <= cap:
+            k = min(m_j, (cap - total_r) // v_j) if v_j else m_j
+            # maximal: one more slot of any other class not full is too many
+            room = cap - total_r - k * v_j
+            if size_r + k >= min_size and all(
+                v > room for c, m, v in zip(r, rest_sizes, rest) if c < m
+            ):
+                yield r[:j] + (k,) + r[j:], False
+            bigs = {k + 1, min_size - size_r} if k < m_j else ()
+        else:
+            bigs = {0, min_size - size_r}
+        for k in bigs:
             size = size_r + k
-            if not (0 <= k <= m_j and size >= min_size):
+            if not (0 <= k <= m_j and size >= min_size) or total_r + k * v_j <= cap:
                 continue
-            t = r[:j] + (k,) + r[j:]
-            total = total_r + k * v_j
-            if total <= cap:
-                # maximal: one more slot of any class not full is too many
-                room = cap - total
-                if all(v > room for c, m, v in zip(t, sizes, values) if c < m):
-                    yield t, False
-            else:
-                # minimal: one slot fewer of any class present is small again
-                excess = total - cap
-                if size == min_size or all(v >= excess for c, v in zip(t, values) if c):
-                    yield t, True
+            # minimal: one slot fewer of any other class present is small
+            # again (one fewer of class j is, by the choice of k)
+            excess = total_r + k * v_j - cap
+            if size == min_size or all(v >= excess for c, v in zip(r, rest) if c):
+                yield r[:j] + (k,) + r[j:], True
 
 
 def _solve_over_classes(

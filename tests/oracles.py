@@ -29,6 +29,10 @@ asks one subset-sum window instead.
 ``signature_antichains`` lists the maximal small and minimal big sets
 that pin a signature; the package lists their types over weight classes.
 
+``brute_chamber_key`` is a signature up to relabeling: the least of its
+images under every slot permutation, for n <= 6. The package computes a
+key from the weights instead, as class sizes and extremal types.
+
 ``backtrack_relabeling`` searches the fingerprint-respecting slot
 bijections for one that carries a signature onto another, and
 ``fingerprint_relabeling`` builds one greedily from the per-slot
@@ -44,7 +48,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import lcm
 from operator import itemgetter
 
@@ -427,6 +431,21 @@ def stabilizer_chain_order(gens: list[tuple[int, ...]], degree: int) -> int:
     for tr in transv:
         order *= len(tr)
     return order
+
+
+def brute_chamber_key(weights: list[Fraction]) -> tuple[tuple[int, ...], ...]:
+    """The signature of ``weights`` up to relabeling: the lexicographically
+    least of its images under the n! slot permutations, each as sorted
+    tuples in canonical order. Two data get equal keys exactly when some
+    permutation carries one signature onto the other. Meant for n <= 6."""
+    n = len(weights)
+    if n > 6:
+        raise ValueError(f"{n}! relabelings are too many; n <= 6")
+    sig = brute_signature(weights)
+    return min(
+        tuple(canonical_sets({frozenset(p[x - 1] for x in s) for s in sig}))
+        for p in permutations(range(1, n + 1))
+    )
 
 
 def _fingerprints(sig, n: int) -> list[tuple[int, ...]]:

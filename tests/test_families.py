@@ -37,6 +37,7 @@ from hassett.weights import (
     WeightData,
     _meets_class_rows,
     _slot_classes,
+    chamber_key,
     chamber_reduction_exists,
     chamber_signature,
     fine_equivalent,
@@ -46,6 +47,7 @@ from hassett.weights import (
 )
 from tests.oracles import (
     backtrack_relabeling,
+    brute_chamber_key,
     brute_signature,
     canonical_sets,
     fingerprint_relabeling,
@@ -588,9 +590,9 @@ def eager_classify(w: WeightData) -> tuple[FamilySpec, tuple[int, ...]] | None:
 
 
 class TestLazyScan:
-    """The positional pass builds each representative when it reaches it
-    and stops at the first match; the relabel pass reuses what it built.
-    Pinned by call counts and by the eager definition, not by time."""
+    """Classification builds only the members whose chamber key equals the
+    datum's, and a None answer builds the whole grid once. Pinned by call
+    counts and by the eager definition, not by time."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -606,36 +608,32 @@ class TestLazyScan:
         return calls
 
     @pytest.mark.parametrize("n", range(6, 11))
-    def test_a_representative_builds_the_grid_up_to_its_member(self, built, n):
+    def test_a_representative_builds_only_the_members_sharing_its_key(self, built, n):
+        # the keys of the grid are distinct but for the Keel exchange
+        # member, which shares its key with Kapranov (2, 2); a
+        # representative builds the members with its key up to itself
         grid = list(family_grid(n))
-        for i, spec in enumerate(grid):
+        for spec in grid:
             rep = representative_weights(spec)
+            keyed = [other for other in grid if families._member_key(other) == chamber_key(rep)]
+            assert spec in keyed and len(keyed) <= 2
             built.clear()
             assert classify_with_relabeling(rep) == (spec, tuple(range(1, n + 1)))
-            assert built == grid[: i + 1], spec.notation()
+            assert built == keyed[: keyed.index(spec) + 1], spec.notation()
 
     @pytest.mark.parametrize("n", range(6, 11))
-    def test_a_shuffled_representative_builds_the_grid_once(self, built, monkeypatch, n):
-        # reversed, no representative matches any member slot by slot; the
-        # relabel pass reads the representatives the first pass built and
-        # sorts the target once
-        sorts = []
-
-        def counting(w):
-            sorts.append(w)
-            return by_weight(w)
-
-        by_weight = families._by_weight
-        monkeypatch.setattr(families, "_by_weight", counting)
+    def test_a_shuffled_representative_builds_only_the_members_sharing_its_key(self, built, n):
+        # reversed, no representative matches any member slot by slot, so
+        # every member with its key is built once, and no other
         grid = list(family_grid(n))
         for spec in grid:
             w = WeightData(0, representative_weights(spec).weights[::-1])
+            keyed = [other for other in grid if families._member_key(other) == chamber_key(w)]
             built.clear()
-            sorts.clear()
             found = classify_with_relabeling(w)
             assert found is not None and found[1] != tuple(range(1, n + 1)), spec
-            assert built == grid, spec.notation()
-            assert sum(x is w for x in sorts) == 1, spec.notation()
+            assert found[0] == keyed[0] and len(keyed) <= 2, spec.notation()
+            assert built == keyed, spec.notation()
 
     @pytest.mark.parametrize("n", range(6, 11))
     def test_a_datum_matching_nothing_builds_the_grid_once(self, built, n):
@@ -677,6 +675,59 @@ def grid_signatures(n: int) -> tuple[frozenset[frozenset[int]], ...]:
         oracle_signature(representative_weights(spec).weights)
         for spec in family_grid(n)
     )
+
+
+def random_pair(data, n: int) -> tuple[WeightData, WeightData]:
+    """Two data on n markings, in one genus that makes both valid (0 when
+    both weigh more than two, else 2; signatures do not depend on it).
+    The second is independent, a relabeling of the first, or a relabeling
+    with every weight nudged by a millionth, which often stays in the
+    chamber with unequal weights in a class."""
+    value = st.fractions(min_value=0, max_value=1, max_denominator=12)
+    values = data.draw(st.lists(value, min_size=1, max_size=4))
+    first = data.draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+    kind = data.draw(st.sampled_from(["independent", "relabeled", "nudged"]))
+    if kind == "independent":
+        second = data.draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+    else:
+        second = data.draw(st.permutations(first))
+        if kind == "nudged":
+            nudge = st.integers(min_value=-1, max_value=1)
+            second = [min(F(1), max(F(0), a + F(data.draw(nudge), 10**6))) for a in second]
+    genus = 0 if min(sum(first), sum(second)) > 2 else 2
+    return WeightData(genus, tuple(first)), WeightData(genus, tuple(second))
+
+
+class TestChamberKey:
+    """The chamber key against the relabeling search, the brute-force key
+    over S_n, and the closed forms of the family members."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_equal_keys_exactly_when_a_relabeling_exists(self, data):
+        a, b = random_pair(data, data.draw(st.integers(min_value=4, max_value=9)))
+        same = chamber_key(a) == chamber_key(b)
+        assert same == (signature_relabeling(a, b) is not None), (a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_equal_keys_exactly_when_the_brute_keys_agree(self, data):
+        a, b = random_pair(data, data.draw(st.integers(min_value=4, max_value=6)))
+        same = chamber_key(a) == chamber_key(b)
+        assert same == (brute_chamber_key(list(a.weights)) == brute_chamber_key(list(b.weights)))
+
+    @pytest.mark.parametrize("n", range(4, 25))
+    def test_closed_forms_are_the_representatives_keys(self, n):
+        grid = list(family_grid(n))
+        keys = [families._member_key(spec) for spec in grid]
+        for spec, key in zip(grid, keys):
+            assert key == chamber_key(representative_weights(spec)), spec.notation()
+            # the members are read off the key in grid order
+            assert families._key_members(n, key) == [m for m, k in zip(grid, keys) if k == key]
+        # distinct, but for the Keel exchange member and Kapranov (2, 2)
+        shared = {key for key in keys if keys.count(key) > 1}
+        aliases = [kapranov_spec(2, 2, n), keel_spec(n - 3, n)] if n >= 6 else []
+        assert [m for m, k in zip(grid, keys) if k in shared] == aliases
 
 
 class TestSignatureRelabeling:
@@ -723,10 +774,10 @@ class TestSignatureRelabeling:
 
     @pytest.mark.parametrize("n", range(5, 9))
     def test_equal_weight_neighbours_are_not_swapped(self, monkeypatch, n):
-        # neighbours are cut by one interval window each, empty between
-        # equal weights, so no swapped datum is built or compared: the
-        # only chamber comparisons are the sorted check and the final
-        # check of the map
+        # unequal neighbours are cut by one interval window each, equal
+        # ones never, so no swapped datum is built or compared: the only
+        # chamber comparisons are the sorted check and the final check of
+        # the map
         calls, windows, built = [], [], []
 
         def counting(w1, w2, min_size):
@@ -745,6 +796,8 @@ class TestSignatureRelabeling:
         monkeypatch.setattr(families, "_same_chamber", counting)
         monkeypatch.setattr(kernels, "find_subset_in_interval", window)
         monkeypatch.setattr(families, "WeightData", weight_data)
+        # the sorted data are built where they are sorted
+        monkeypatch.setattr("hassett.weights.WeightData", weight_data)
         rng = Random(n)
         for spec in family_grid(n):
             rep = representative_weights(spec)
@@ -754,10 +807,11 @@ class TestSignatureRelabeling:
             assert signature_relabeling(shuffled, rep) is not None
             assert len(calls) == 2, spec
             assert calls[-1][0] is shuffled, spec
-            # one window per pair of neighbours, with packets of at least
-            # one marking; the sorted data and the relabeled source are
-            # the only data built
-            assert len(windows) == n - 1 and {m for *_, m in windows} == {1}, spec
+            # one window per pair of unequal neighbours, with packets of
+            # at least one marking; the sorted data and the relabeled
+            # source are the only data built
+            assert len(windows) == len(set(rep.weights)) - 1, spec
+            assert {m for *_, m in windows} <= {1}, spec
             assert len(built) == 3, spec
 
     @settings(max_examples=200, deadline=None)
