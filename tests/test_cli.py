@@ -1089,14 +1089,35 @@ CHAMBER_ENUM_NAMES = {
     CE_TREES: "10 x 1/3",
 }
 
+# positive-genus aut under both readings: the positive-genus workload's
+# three-class datum relabeled by seeds 1 and 7, twenty halves, forty
+# distinct weights, and a datum with zero weights whose readings differ
+PG_DATA = {
+    "three classes, seed 1": "1/10,1/7,1/4,1/10,1/10,1/4,1/7,1/7,1/10,1/7,1/7,1/4,1/10,1/4,1/4",
+    "three classes, seed 7": "1/7,1/10,1/7,1/4,1/10,1/10,1/7,1/7,1/4,1/10,1/4,1/7,1/4,1/4,1/10",
+    "20 x 1/2": ",".join(["1/2"] * 20),
+    "1/40..1/79": ",".join(f"1/{k}" for k in range(40, 80)),
+    "zeros": "2/5,0,1/5,1/2,1/2,1/8,1/5,0,1/2,1/2",
+}
+POSITIVE_GENUS_NAMES = {
+    ("aut", *strict, "--genus", "2", "--weights", weights): name
+    for name, weights in PG_DATA.items()
+    for strict in ((), ("--strict-atrans",))
+}
+DIGEST_NAMES = {**CHAMBER_ENUM_NAMES, **POSITIVE_GENUS_NAMES}
+
 
 def _digest_id(argv: tuple[str, ...]) -> str:
     """A pinned op's test id: its argv without the weights, which only
-    the chamber-enum data name."""
+    the chamber-enum and positive-genus data name."""
     if "--weights" not in argv:
         return " ".join(argv)
     name = " ".join(argv[:-2])
-    return f"{name} {CHAMBER_ENUM_NAMES[argv]}" if argv in CHAMBER_ENUM_NAMES else name
+    return f"{name} {DIGEST_NAMES[argv]}" if argv in DIGEST_NAMES else name
+
+
+def _pg_argv(name: str, *strict: str) -> tuple[str, ...]:
+    return ("aut", *strict, "--genus", "2", "--weights", PG_DATA[name])
 
 
 # sha256 of stdout as (JSON, text); the text of ``divisors`` ignores
@@ -1389,6 +1410,48 @@ STDOUT_SHA256 = {
         "b1ec838bf8f27e8d2fec3c797f7b34887d87aafb940add9f2501e8a077a75549",
         "befef7f93f8d93723735c65f628d9292c0054cafaa10c5ca1abba7d9f6f1ccd1",
     ),
+    # positive-genus aut (PG_DATA), the literal reading then --strict-atrans
+    _pg_argv("three classes, seed 1"): (
+        "02bb492375a975a97dbc8ff9f5ad41618aeba6c2e826457cc5ec44ac98699d03",
+        "aeaad00a892b6ff5604d706eefbe3630f417e5a9416fd74959699d5fdd80a33e",
+    ),
+    _pg_argv("three classes, seed 1", "--strict-atrans"): (
+        "02bb492375a975a97dbc8ff9f5ad41618aeba6c2e826457cc5ec44ac98699d03",
+        "aeaad00a892b6ff5604d706eefbe3630f417e5a9416fd74959699d5fdd80a33e",
+    ),
+    _pg_argv("three classes, seed 7"): (
+        "789d336abad4ae391d76008b128e0e6eede82428f85c4e60d7cd3533f0769e8b",
+        "aeaad00a892b6ff5604d706eefbe3630f417e5a9416fd74959699d5fdd80a33e",
+    ),
+    _pg_argv("three classes, seed 7", "--strict-atrans"): (
+        "789d336abad4ae391d76008b128e0e6eede82428f85c4e60d7cd3533f0769e8b",
+        "aeaad00a892b6ff5604d706eefbe3630f417e5a9416fd74959699d5fdd80a33e",
+    ),
+    _pg_argv("20 x 1/2"): (
+        "c7ff60263e1628ef9e19276625b89c882522fe57a078f4054914f05e1245c785",
+        "87df7a19e17a6128957b9d03659efdc96a41020ac31a05f777c489896f7282d4",
+    ),
+    _pg_argv("20 x 1/2", "--strict-atrans"): (
+        "c7ff60263e1628ef9e19276625b89c882522fe57a078f4054914f05e1245c785",
+        "87df7a19e17a6128957b9d03659efdc96a41020ac31a05f777c489896f7282d4",
+    ),
+    _pg_argv("1/40..1/79"): (
+        "99039f7353053927b7aefeacfd3fd25a20680eb7a109fb2610bf7615bcfc8230",
+        "d0de703e58542e84d84c7dd64ac95e453f3129a8ccbf5a143600e14de3c1c8ab",
+    ),
+    _pg_argv("1/40..1/79", "--strict-atrans"): (
+        "99039f7353053927b7aefeacfd3fd25a20680eb7a109fb2610bf7615bcfc8230",
+        "d0de703e58542e84d84c7dd64ac95e453f3129a8ccbf5a143600e14de3c1c8ab",
+    ),
+    # S4 x S2 x S2 under the literal reading, S4 x S3 x S2 strictly away
+    _pg_argv("zeros"): (
+        "8eeb8a98fe81ebd8a4482258dbe245ee6eb4d3bc437be944bc52d82dcde9ec62",
+        "6e113ae229d216cb2a4e57d95bbf88dfd1d065d45e7f6da4cec40e86df4b34dc",
+    ),
+    _pg_argv("zeros", "--strict-atrans"): (
+        "1f71aeca8c90d31bb3bce0239e09f6e9a464680448f2d16b165b28231c932ce1",
+        "afc6f7effe0022b619b5b50719a65c1ec27c17a996ef65d6b1028f3a04d1caad",
+    ),
 }
 
 
@@ -1453,9 +1516,9 @@ EDGE_SHAPES = {
 class TestStdoutPinned:
     """Stdout digests of the set-listing verbs, of the Fourier-Motzkin
     verbs (``feasible``, ``factors-kapranov``, ``verify-l1``) and of the
-    family-table verbs (``classify``, ``aut``) on relabeled inputs, in both
-    output forms: zero weights, splits of positive genus and divisor trees
-    included."""
+    family-table verbs (``classify``, ``aut``) on relabeled inputs, and of
+    positive-genus ``aut`` under both readings, in both output forms: zero
+    weights, splits of positive genus and divisor trees included."""
 
     @pytest.mark.parametrize(
         "argv",
