@@ -21,12 +21,12 @@ the packet S - i sums into (1 - a_j, 1 - a_i], empty when a_i = a_j;
 on the integer form, (D - s_j, D - s_i], which
 :func:`hassett.kernels.find_subset_in_interval` decides.  The swap keeps
 the signature on sets of size at least m exactly when no packet of at
-least m - 1 other markings lands there.  The window asks three things:
+least m - 1 other markings lands there.  The window asks three things,
+each cut between neighbours in weight order by :func:`hassett.weights._swap_runs`:
 
-* fine symmetry (m = 2): packets of at least one other marking, the
-  cuts of :func:`hassett.weights._desirability_classes` between
-  neighbours in weight order, which give the classes of
-  :func:`hassett.weights.chamber_key` and the runs that
+* fine symmetry (m = 2): packets of at least one other marking, which
+  cut the :func:`hassett.weights._desirability_classes` that give the
+  classes of :func:`hassett.weights.chamber_key` and the runs that
   :func:`hassett.families.signature_relabeling` maps;
 * admissibility under ``exclude_ij`` (``--strict-atrans``): packets of
   at least two other markings, which is coarse symmetry (m = 3);
@@ -42,36 +42,34 @@ the literal reading only, over all markings: when no away packet
 violates, every violating packet touches the pair, so that first set is
 the first touching packet, as canonical order (away packets first) asks.
 
-The decision depends only on the two swapped values and the multiset of
-the other weights, which is the same for every pair of markings carrying
-those two values.  :func:`admissible_generators` therefore decides each
-unordered pair of weight values once and lists every marking pair with
-that value pair.
-
-The admissibility relation on positive-weight markings is provably
-transitive under both readings.  Under the literal reading the packet
-sums do not depend on the pair, and the window of an outer pair is the
-union of its inner windows: for a_i < a_k < a_j, (1 - a_j, 1 - a_i] is
-the union of (1 - a_j, 1 - a_k] and (1 - a_k, 1 - a_i]; when a_k lies
-outside [a_i, a_j], one of the two windows of the pairs through k
-already contains the outer one.  For the strictly-away reading a
-violating packet for the outer pair either already violates an inner
-pair, or exchanging the middle marking for an endpoint shifts its sum
-into an inner violation window, whose union is the outer window.  The
-test suite probes transitivity under both readings; the implementation
-never relies on it and always generates the group from the pairwise
-swaps.
+Admissibility of positive-weight markings is an equivalence whose
+classes are runs of the weight order, so :func:`admissible_generators`
+cuts them between neighbours.  Let a_i <= a_k <= a_j.  It is transitive
+under both readings: under the literal reading the packet sums do not
+depend on the pair and the outer window (1 - a_j, 1 - a_i] is the union
+of the inner ones (1 - a_j, 1 - a_k] and (1 - a_k, 1 - a_i] (when a_k
+lies outside [a_i, a_j], a window through k contains the outer one);
+under the strict reading a violating packet for the outer pair either
+already violates an inner pair, or exchanging the middle marking for an
+endpoint shifts its sum into an inner window.  It is convex: under the
+literal reading the inner windows lie inside the outer one; under the
+strict reading a packet violating (i, k) either is away from j, and so
+violates (i, j), or holds j, and then exchanging j for k keeps its sum
+in (1 - a_j, 1 - a_i], away from {i, j}; likewise for (k, j), exchanging
+i for k.  So one window per pair of unequal neighbours decides every
+pair.  The test suite probes transitivity under both readings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations
 
 from . import kernels
 from .families import FAMILY_KAPRANOV, FAMILY_KEEL, classify_with_relabeling
 from .perms import PermGroup, generate_group
 from .weights import ONE, WeightData, coarse_equivalent_genus0, require_valid
+from .weights import _by_weight, _swap_runs
 
 __all__ = [
     "NOT_COVERED_MESSAGE",
@@ -196,24 +194,17 @@ def admissible_generators(
 
     All admissible swaps of positive-weight markings, then all swaps of
     zero-weight markings (which permute freely among themselves), as
-    sorted 1-based pairs.  Each unordered pair of positive weight values
-    is decided once, on its first pair of markings, and the answer holds
-    for every marking pair carrying those values: the decision reads only
-    the two values and the multiset of the remaining weights.
+    sorted 1-based pairs: every pair inside a run of
+    :func:`hassett.weights._swap_runs`, cut with packets of at least two
+    markings (away from the pair under ``exclude_ij``), one window per
+    pair of unequal positive neighbours (module docstring).
     """
     require_valid(w)
-    scaled = w.integer_form[0]
-    positive = [block for block in w.weight_classes if scaled[block[0] - 1]]
-    gens = []
-    for first, second in combinations_with_replacement(positive, 2):
-        if first is second:
-            pairs = list(combinations(first, 2))
-        else:
-            pairs = [tuple(sorted(p)) for p in product(first, second)]
-        if pairs and is_admissible(w, *pairs[0], exclude_ij)[0]:
-            gens.extend(pairs)
-    gens.extend(combinations(w.zero_indices(), 2))
-    return sorted(gens)
+    order, ranked = _by_weight(w)
+    zeros = w.integer_form[0].count(0)
+    runs = _swap_runs(ranked, 2, exclude_ij, zeros)
+    slots = [order[:zeros], *([order[p - 1] for p in run] for run in runs)]
+    return sorted(tuple(sorted(pair)) for run in slots for pair in combinations(run, 2))
 
 
 def _finite_label(group: PermGroup) -> str:

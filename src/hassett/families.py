@@ -217,10 +217,7 @@ def kapranov_weights(r: int, s: int, n: int) -> WeightData:
 
     n - r - 1 copies of 1/(n-r-1), then s/(n-r-1), then r copies of 1.
     """
-    kapranov_spec(r, s, n)
-    light = Fraction(1, n - r - 1)
-    weights = (light,) * (n - r - 1) + (s * light,) + (ONE,) * r
-    return WeightData(0, weights)
+    return _closed_form(kapranov_spec(r, s, n))
 
 
 def _slot_blocks(spec: FamilySpec) -> tuple[tuple[int, ...], ...]:
@@ -246,7 +243,7 @@ def _block_rows(spec: FamilySpec) -> list[Constraint]:
     n = spec.n
     if spec.family == FAMILY_KAPRANOV:
         # the blocks' weights 1/(n-r-1), s/(n-r-1) and 1, read off the
-        # spec; its range is checked again for a spec built past the check
+        # spec, whose range is checked here for a spec built past the check
         r, s = spec.params
         kapranov_spec(r, s, n)
         light = Fraction(1, n - r - 1)
@@ -306,7 +303,9 @@ def _closed_form(spec: FamilySpec) -> WeightData:
     """The closed-form representative of the family member, unchecked."""
     n = spec.n
     if spec.family == FAMILY_KAPRANOV:
-        return kapranov_weights(spec.r, spec.s, n)
+        r, s = spec.params
+        light = Fraction(1, n - r - 1)
+        return WeightData(0, (light,) * (n - r - 1) + (s * light,) + (ONE,) * r)
     if spec.family == FAMILY_SYM:
         light = Fraction(1, n - spec.k - 2)
         return WeightData(0, (light,) * (n - 1) + (ONE,))

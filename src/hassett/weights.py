@@ -64,7 +64,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 MINUS_ONE = Fraction(-1)
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
 
 class InvalidWeightDataError(ValueError):
@@ -76,6 +76,8 @@ def parse_rational(text: str) -> Fraction:
 
     Decimal notation is rejected on purpose: ``Fraction("0.55")`` would
     silently accept it and exactness is the whole point of the engine.
+    Digits are ASCII only, as in family notation: ``int`` reads any
+    Unicode digit, so ``"١/٣"`` is rejected rather than read as 1/3.
     """
     s = text.strip()
     if not _RATIONAL_RE.match(s):
@@ -346,26 +348,33 @@ def _by_weight(w: WeightData) -> tuple[list[int], WeightData]:
     return order, ranked
 
 
+def _swap_runs(
+    ranked: WeightData, min_size: int, away: bool, skip: int = 0
+) -> tuple[tuple[int, ...], ...]:
+    """Runs of ranked's 1-based slots past its first ``skip``, for ranked
+    sorted by weight (:func:`_by_weight`), cut between unequal neighbours
+    p < p + 1 when a packet of at least ``min_size`` markings, away from
+    the pair if ``away``, else drawn from all markings, sums into the
+    window (D - s_{p+1}, D - s_p] of :mod:`hassett.autgroup`: one kernel
+    window per pair of unequal neighbours, no set listed."""
+    scaled, d = ranked.integer_form
+    n = len(scaled)
+    cuts = [
+        p for p in range(skip + 1, n) if scaled[p] != scaled[p - 1] and kernels.find_subset_in_interval(
+            scaled[: p - 1] + scaled[p + 1 :] if away else scaled, d - scaled[p], d - scaled[p - 1], min_size
+        ) != -1
+    ]
+    return tuple(tuple(range(lo + 1, hi + 1)) for lo, hi in zip([skip] + cuts, cuts + [n]) if hi > lo)
+
+
 def _desirability_classes(w: WeightData) -> tuple[tuple[int, ...], ...]:
     """The classes of slots that w's fine chamber cannot tell apart, for w
-    sorted by weight (:func:`_by_weight`): runs of its 1-based slots.
-
-    A chamber is a weighted, hence complete, simple game (Isbell 1958): a
-    lighter slot can replace a heavier one in any small set. So slots the
-    chamber cannot tell apart form runs of the weight order, cut exactly
-    between the neighbours whose swap leaves the chamber. Neighbours
-    p < p + 1 are cut when some packet of at least one other marking sums
-    into the window (D - s_{p+1}, D - s_p] of :mod:`hassett.autgroup`,
-    empty between equal weights, which are never cut: one kernel window
-    per pair of unequal neighbours, no set listed.
-    """
-    scaled, d = w.integer_form
-    n = w.n
-    cuts = [
-        p for p in range(1, n) if scaled[p] != scaled[p - 1] and kernels.find_subset_in_interval(
-            scaled[: p - 1] + scaled[p + 1 :], d - scaled[p], d - scaled[p - 1], 1) != -1
-    ]
-    return tuple(tuple(range(lo + 1, hi + 1)) for lo, hi in zip([0] + cuts, cuts + [n]) if hi)
+    sorted by weight (:func:`_by_weight`): the :func:`_swap_runs` of
+    packets of at least one other marking. A chamber is a weighted, hence
+    complete, simple game (Isbell 1958): a lighter slot can replace a
+    heavier one in any small set, so those slots form runs of the weight
+    order, cut exactly between the neighbours whose swap leaves it."""
+    return _swap_runs(w, 1, True)
 
 
 def _key_types(w: WeightData, classes: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:

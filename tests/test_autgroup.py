@@ -232,9 +232,10 @@ class TestOracleAgreement:
 
     def test_transitivity_probe(self):
         # Swapping is provably an equivalence under both readings (see the
-        # autgroup module docstring); the implementation never assumes this
-        # and always works from pairwise generators, so a failure here
-        # flags the engine's decisions.
+        # autgroup module docstring), and admissible_generators relies on
+        # it to cut runs between neighbours; this probe decides every pair
+        # with is_admissible, apart from the runs, so a failure here flags
+        # the proof or the engine's decisions.
         rng = random.Random(99)
         for _ in range(120):
             n = rng.randint(4, 7)
@@ -280,13 +281,13 @@ class TestAdmissibleGenerators:
 
 @st.composite
 def _repeated_values(draw) -> WeightData:
-    """Genus 1-3, n <= 9: one to three positive values, each possibly
+    """Genus 1-3, n <= 9: one to six positive values, each possibly
     repeated, plus optional zeros, in a random slot order."""
     values = draw(
         st.lists(
             st.fractions(min_value=F(1, 12), max_value=1, max_denominator=12),
             min_size=1,
-            max_size=3,
+            max_size=6,
             unique=True,
         )
     )
@@ -298,7 +299,7 @@ def _repeated_values(draw) -> WeightData:
     return WeightData(draw(st.integers(min_value=1, max_value=3)), tuple(weights))
 
 
-class TestOneDecisionPerValuePair:
+class TestNeighbourRuns:
     @given(_repeated_values(), st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_generators_match_pairwise_oracle(self, w, flag):
@@ -323,23 +324,33 @@ class TestOneDecisionPerValuePair:
             (F(0), F(1, 3), F(0), F(1, 3), F(2, 3), F(1, 3)),
             (F(1, 2),) * 8,
             (F(1, 5), F(2, 5), F(3, 5), F(4, 5), F(1, 5)),
+            (F(2, 5), F(0), F(1, 5), F(1, 2), F(1, 2), F(1, 8), F(1, 5), F(0)),
+            tuple(F(1, k) for k in range(40, 80)),
         ],
     )
     @pytest.mark.parametrize("flag", [False, True])
-    def test_one_call_per_unordered_value_pair(self, monkeypatch, weights, flag):
-        calls = []
+    def test_one_window_per_pair_of_unequal_neighbours(self, monkeypatch, weights, flag):
+        # k distinct positive values take k - 1 windows, one per pair of
+        # neighbouring values, (D - s', D - s] with packets of at least two;
+        # no pair is decided on its own and no witness is searched for
+        windows = []
+        search = kernels.find_subset_in_interval
 
-        def counting(w, i, j, exclude_ij=False):
-            calls.append(frozenset((w.weights[i - 1], w.weights[j - 1])))
-            return is_admissible(w, i, j, exclude_ij)
+        def counting(values, lo, hi, min_size):
+            windows.append((lo, hi, min_size))
+            return search(values, lo, hi, min_size)
 
-        monkeypatch.setattr(autgroup, "is_admissible", counting)
-        admissible_generators(WeightData(2, weights), flag)
-        positive = sorted({a for a in weights if a > 0})
-        expected = {frozenset(pair) for pair in combinations(positive, 2)}
-        expected |= {frozenset((a,)) for a in positive if weights.count(a) >= 2}
-        assert len(calls) == len(expected)
-        assert set(calls) == expected
+        def refused(*args, **kwargs):
+            raise AssertionError("admissible_generators decides no single pair")
+
+        monkeypatch.setattr(kernels, "find_subset_in_interval", counting)
+        monkeypatch.setattr(kernels, "first_small_subset", refused)
+        monkeypatch.setattr(autgroup, "is_admissible", refused)
+        w = WeightData(2, weights)
+        admissible_generators(w, flag)
+        scaled, d = w.integer_form
+        values = sorted(set(scaled) - {0})
+        assert windows == [(d - b, d - a, 2) for a, b in zip(values, values[1:])]
 
 
 class TestOneKernelWindow:

@@ -950,6 +950,11 @@ class TestInputHandling:
         rc, _, err = run_cli("aut", "--genus", "0", "--weights", "0.5,1,1,1,1")
         assert rc == 2 and "exact rational" in err
 
+    @pytest.mark.parametrize("verb", ["validate", "aut"])
+    def test_non_ascii_digits_rejected(self, verb):
+        rc, out, err = run_cli(verb, "--genus", "0", "--weights", "١/٣,1,1")
+        assert rc == 2 and out == "" and "exact rational" in err
+
     def test_input_conflicts_with_inline(self, tmp_path):
         path = tmp_path / "w.json"
         path.write_text(json.dumps({"genus": 0, "weights": ["1"]}), encoding="utf-8")

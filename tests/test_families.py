@@ -308,25 +308,28 @@ class TestRepresentatives:
 
     @pytest.mark.parametrize("n", range(5, 11))
     def test_kapranov_representative_is_built_once(self, monkeypatch, n):
-        # the block rows pin 1/(n-r-1), s/(n-r-1) and 1 from the spec, so
-        # the self-check compares the closed form with the spec, and the
-        # closed form is the only datum built
+        # the closed form reads 1/(n-r-1), s/(n-r-1) and 1 off the spec and
+        # the block rows pin the same weights, so the self-check compares
+        # the closed form with the spec, the closed form is the only datum
+        # built, and the range is checked once past the spec, by the rows
+        specs = [spec for spec in family_grid(n) if spec.family == "kapranov"]
         calls = []
-        build = families.kapranov_weights
+        check = families.kapranov_spec
 
         def counting(r, s, m):
             calls.append((r, s, m))
-            return build(r, s, m)
+            return check(r, s, m)
 
-        monkeypatch.setattr(families, "kapranov_weights", counting)
+        monkeypatch.setattr(families, "kapranov_spec", counting)
+        monkeypatch.setattr(families, "kapranov_weights", None)
         representative_weights.cache_clear()
-        specs = [spec for spec in family_grid(n) if spec.family == "kapranov"]
         for spec in specs:
+            calls.clear()
             rep = representative_weights(spec)
+            assert calls == [(spec.r, spec.s, n)]
             pins = [row.bound for row in families._block_rows(spec)]
             blocks = families._slot_blocks(spec)
             assert pins == [rep.weights[block[0] - 1] for block in blocks]
-        assert calls == [(spec.r, spec.s, n) for spec in specs]
         representative_weights.cache_clear()
 
     def test_sym_representative_form(self):

@@ -49,6 +49,13 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_rational(bad)
 
+    @pytest.mark.parametrize("bad", ["١/٣", "１/３", "1/٣", "৩", "-٢/3"])
+    def test_rejects_non_ascii_digits(self, bad):
+        # int() reads any Unicode digit; weights take ASCII digits only,
+        # as family notation does
+        with pytest.raises(ValueError, match="exact rational"):
+            parse_rational(bad)
+
     def test_format_round_trip(self):
         for s in ["1/3", "0", "1", "7/12"]:
             assert format_rational(parse_rational(s)) == s
