@@ -281,8 +281,8 @@ class TestAdmissibleGenerators:
 
 @st.composite
 def _repeated_values(draw) -> WeightData:
-    """Genus 1-3, n <= 9: one to six positive values, each possibly
-    repeated, plus optional zeros, in a random slot order."""
+    """Genus 1-3, n <= 9: one to six positive values, each present and
+    possibly repeated, plus optional zeros, in a random slot order."""
     values = draw(
         st.lists(
             st.fractions(min_value=F(1, 12), max_value=1, max_denominator=12),
@@ -292,8 +292,13 @@ def _repeated_values(draw) -> WeightData:
         )
     )
     zeros = draw(st.integers(min_value=0, max_value=2))
-    positive = draw(
-        st.lists(st.sampled_from(values), min_size=2, max_size=9 - zeros)
+    # every value at least once, so the data hold as many distinct values
+    positive = values + draw(
+        st.lists(
+            st.sampled_from(values),
+            min_size=max(0, 2 - len(values)),
+            max_size=9 - zeros - len(values),
+        )
     )
     weights = draw(st.permutations(positive + [F(0)] * zeros))
     return WeightData(draw(st.integers(min_value=1, max_value=3)), tuple(weights))

@@ -1104,12 +1104,16 @@ PG_DATA = {
     "1/40..1/79": ",".join(f"1/{k}" for k in range(40, 80)),
     "zeros": "2/5,0,1/5,1/2,1/2,1/8,1/5,0,1/2,1/2",
 }
-POSITIVE_GENUS_NAMES = {
-    ("aut", *strict, "--genus", "2", "--weights", weights): name
-    for name, weights in PG_DATA.items()
-    for strict in ((), ("--strict-atrans",))
+
+
+def _pg_argv(name: str, *strict: str) -> tuple[str, ...]:
+    return ("aut", *strict, "--genus", "2", "--weights", PG_DATA[name])
+
+
+DIGEST_NAMES = {
+    **CHAMBER_ENUM_NAMES,
+    **{_pg_argv(name, *strict): name for name in PG_DATA for strict in ((), ("--strict-atrans",))},
 }
-DIGEST_NAMES = {**CHAMBER_ENUM_NAMES, **POSITIVE_GENUS_NAMES}
 
 
 def _digest_id(argv: tuple[str, ...]) -> str:
@@ -1119,10 +1123,6 @@ def _digest_id(argv: tuple[str, ...]) -> str:
         return " ".join(argv)
     name = " ".join(argv[:-2])
     return f"{name} {DIGEST_NAMES[argv]}" if argv in DIGEST_NAMES else name
-
-
-def _pg_argv(name: str, *strict: str) -> tuple[str, ...]:
-    return ("aut", *strict, "--genus", "2", "--weights", PG_DATA[name])
 
 
 # sha256 of stdout as (JSON, text); the text of ``divisors`` ignores
