@@ -6,9 +6,16 @@ single-shot. Results go to standard output; JSON output is canonical
 inputs produce byte-identical bytes. This module parses, dispatches, maps
 errors to exit codes and writes; :mod:`hassett.render` prints the answers.
 
-A leading verb builds one parser, the verb's own, with the help width
-read once; anything else, or an argument the verb does not take, goes to
-the full parser (:func:`build_parser`), which prints the usage error.
+Each verb's arguments are declared once, as rows of :data:`VERBS`: name,
+dest, converter, choices, default, required, help and metavar, in
+``add_argument`` keywords. A valid run builds no parser: :func:`_read_argv`
+reads the namespace off the rows when every token is an exact option of
+the verb followed by its value, an exact flag or a positional, and every
+conversion, choice and required option holds. Anything else (help,
+abbreviated options, ``--opt=value``, ``--``, values starting with "-", a
+missing or extra argument, every usage error) goes to the full parser,
+:func:`build_parser`, built from the same rows, which answers as argparse
+does.
 
 Exit status: 0 on success, 1 on domain errors (invalid weight data, weight
 data no covering theorem applies to, infeasible family systems) with a
@@ -21,10 +28,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import shutil
 import sys
 from collections.abc import Sequence
-from functools import partial
 
 from hassett import render
 from hassett.autgroup import (
@@ -44,31 +49,7 @@ from hassett.families import (
 )
 from hassett.jsonio import canonical_line
 from hassett.strata import contracted_divisors
-from hassett.weights import InvalidWeightDataError, WeightData, require_valid
-
-
-def _add_weight_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--genus", type=int, default=None, help="genus of the datum")
-    sub.add_argument(
-        "--weights",
-        default=None,
-        help="comma-separated rational weights, p/q or integer form",
-    )
-    sub.add_argument(
-        "--input",
-        default=None,
-        metavar="FILE",
-        help='weight-datum JSON file {"genus": g, "weights": ["1/3", ...]}',
-    )
-
-
-def _add_format_argument(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--format",
-        choices=("json", "text"),
-        default="json",
-        help="output form (default json)",
-    )
+from hassett.weights import _INTEGER_RE, InvalidWeightDataError, WeightData, require_valid
 
 
 class _UsageError(Exception):
@@ -193,149 +174,144 @@ def _cmd_feasible(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parser assembly and entry point
+# Argument table, parsing and entry point
 # ---------------------------------------------------------------------------
 
 
-def _add_signature_arguments(sub: argparse.ArgumentParser) -> None:
-    _add_weight_arguments(sub)
-    sub.add_argument(
-        "--mode",
-        choices=("fine", "coarse"),
-        default="fine",
-        help="fine keeps all small sets; coarse drops pairs (default fine)",
-    )
+def _integer(text: str) -> int:
+    """An integer argument: ASCII digits after an optional sign, as in
+    :func:`hassett.weights.parse_rational`."""
+    if _INTEGER_RE.fullmatch(text.strip()) is None:
+        # argparse's own wording for a value ``type=int`` refuses
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
-def _add_divisors_arguments(sub: argparse.ArgumentParser) -> None:
-    _add_weight_arguments(sub)
-    sub.add_argument(
-        "--trees",
+# Each argument is one ``(name, add_argument keywords)`` row: an option
+# (``--name``, with its ``dest``), a flag (``action="store_true"``) or a
+# positional (its name is its dest). build_parser() hands every row to
+# argparse; _read_argv() reads the same rows.
+_FORMAT = (
+    "--format",
+    dict(
+        dest="format", choices=("json", "text"), default="json", help="output form (default json)"
+    ),
+)
+_WEIGHT_ARGUMENTS = (
+    ("--genus", dict(dest="genus", type=_integer, help="genus of the datum")),
+    (
+        "--weights",
+        dict(dest="weights", help="comma-separated rational weights, p/q or integer form"),
+    ),
+    (
+        "--input",
+        dict(
+            dest="input",
+            metavar="FILE",
+            help='weight-datum JSON file {"genus": g, "weights": ["1/3", ...]}',
+        ),
+    ),
+)
+_STRICT = (
+    "--strict-atrans",
+    dict(
+        dest="strict_atrans",
         action="store_true",
-        help="attach the dual graph of each divisor (JSON output only)",
-    )
-
-
-def _add_contract_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--from",
-        dest="from_path",
-        required=True,
-        metavar="FILE",
-        help="source weight-datum JSON file",
-    )
-    sub.add_argument(
-        "--to",
-        dest="to_path",
-        required=True,
-        metavar="FILE",
-        help="target weight-datum JSON file",
-    )
-
-
-def _add_strict_argument(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--strict-atrans",
-        action="store_true",
+        default=False,
         help="draw witness packets strictly away from the swapped pair",
-    )
+    ),
+)
+_MARKING_COUNT = ("n", dict(type=_integer, help="number of markings"))
 
-
-def _add_admissible_arguments(sub: argparse.ArgumentParser) -> None:
-    _add_weight_arguments(sub)
-    sub.add_argument("i", type=int, help="first marking, 1-based")
-    sub.add_argument("j", type=int, help="second marking, 1-based")
-    _add_strict_argument(sub)
-
-
-def _add_aut_arguments(sub: argparse.ArgumentParser) -> None:
-    _add_weight_arguments(sub)
-    _add_strict_argument(sub)
-
-
-def _add_marking_count_argument(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("n", type=int, help="number of markings")
-
-
-def _add_schedule_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("construction", choices=CONSTRUCTIONS)
-    _add_marking_count_argument(sub)
-
-
-def _add_feasible_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "family",
-        help='family notation, e.g. "kapranov:r=1,s=2,n=5" or "sym:k=1,n=6"',
-    )
-
-
-# verb -> (handler, help text, adder of the verb's own arguments), in the
+# verb -> (handler, help text, the verb's arguments after --format), in the
 # order ``hassett --help`` lists them
 VERBS = {
-    "validate": (
-        _cmd_validate,
-        "check a weight datum, report walls",
-        _add_weight_arguments,
-    ),
+    "validate": (_cmd_validate, "check a weight datum, report walls", _WEIGHT_ARGUMENTS),
     "signature": (
         _cmd_signature,
         "chamber signature of a datum",
-        _add_signature_arguments,
+        (
+            *_WEIGHT_ARGUMENTS,
+            (
+                "--mode",
+                dict(
+                    dest="mode",
+                    choices=("fine", "coarse"),
+                    default="fine",
+                    help="fine keeps all small sets; coarse drops pairs (default fine)",
+                ),
+            ),
+        ),
     ),
     "divisors": (
         _cmd_divisors,
         "enumerate boundary divisors",
-        _add_divisors_arguments,
+        (
+            *_WEIGHT_ARGUMENTS,
+            (
+                "--trees",
+                dict(
+                    dest="trees",
+                    action="store_true",
+                    default=False,
+                    help="attach the dual graph of each divisor (JSON output only)",
+                ),
+            ),
+        ),
     ),
     "contract": (
         _cmd_contract,
         "divisors a reduction contracts",
-        _add_contract_arguments,
+        (
+            (
+                "--from",
+                dict(
+                    dest="from_path",
+                    required=True,
+                    metavar="FILE",
+                    help="source weight-datum JSON file",
+                ),
+            ),
+            (
+                "--to",
+                dict(
+                    dest="to_path",
+                    required=True,
+                    metavar="FILE",
+                    help="target weight-datum JSON file",
+                ),
+            ),
+        ),
     ),
     "admissible": (
         _cmd_admissible,
         "test a marking transposition",
-        _add_admissible_arguments,
+        (
+            *_WEIGHT_ARGUMENTS,
+            ("i", dict(type=_integer, help="first marking, 1-based")),
+            ("j", dict(type=_integer, help="second marking, 1-based")),
+            _STRICT,
+        ),
     ),
-    "aut": (
-        _cmd_aut,
-        "describe the automorphism group",
-        _add_aut_arguments,
-    ),
-    "classify": (
-        _cmd_classify,
-        "recognize a named family member",
-        _add_weight_arguments,
-    ),
+    "aut": (_cmd_aut, "describe the automorphism group", (*_WEIGHT_ARGUMENTS, _STRICT)),
+    "classify": (_cmd_classify, "recognize a named family member", _WEIGHT_ARGUMENTS),
     "factors-kapranov": (
         _cmd_factors_kapranov,
         "does the datum factor through the one-heavy tower",
-        _add_weight_arguments,
+        _WEIGHT_ARGUMENTS,
     ),
     "schedule": (
         _cmd_schedule,
         "blow-up schedule of a construction",
-        _add_schedule_arguments,
+        (("construction", dict(choices=CONSTRUCTIONS)), _MARKING_COUNT),
     ),
-    "verify-l1": (
-        _cmd_verify_l1,
-        "verify the contraction-to-tower chain",
-        _add_marking_count_argument,
-    ),
+    "verify-l1": (_cmd_verify_l1, "verify the contraction-to-tower chain", (_MARKING_COUNT,)),
     "feasible": (
         _cmd_feasible,
         "solve a family's condition system",
-        _add_feasible_arguments,
+        (("family", dict(help='family notation, e.g. "kapranov:r=1,s=2,n=5" or "sym:k=1,n=6"')),),
     ),
 }
-
-
-def _add_verb_arguments(parser: argparse.ArgumentParser, name: str) -> None:
-    """The verb's handler, ``--format`` and the verb's own arguments."""
-    handler, _, add_arguments = VERBS[name]
-    parser.set_defaults(handler=handler)
-    _add_format_argument(parser)
-    add_arguments(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,25 +324,70 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     verbs = parser.add_subparsers(dest="verb", required=True, metavar="verb")
-    for name in VERBS:
-        _add_verb_arguments(verbs.add_parser(name, help=VERBS[name][1]), name)
+    for name, (handler, help_text, arguments) in VERBS.items():
+        sub = verbs.add_parser(name, help=help_text)
+        sub.set_defaults(handler=handler)
+        for flag_or_name, keywords in (_FORMAT, *arguments):
+            sub.add_argument(flag_or_name, **keywords)
     return parser
+
+
+def _read_argv(verb: str, tokens: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace ``build_parser().parse_args([verb, *tokens])`` gives,
+    without ``verb``, read off the verb's rows; None unless every token is
+    an exact option of the verb followed by a value not starting with
+    "-", an exact flag, or a positional not starting with "-", with every
+    positional, conversion, choice and required option met. Help,
+    abbreviations, ``--opt=value``, ``--``, values starting with "-" and
+    every usage error are the full parser's to answer."""
+    handler, _, arguments = VERBS[verb]
+    arguments = (_FORMAT, *arguments)
+    options = {name: keywords for name, keywords in arguments if name[0] == "-"}
+    positionals = [(name, keywords) for name, keywords in arguments if name[0] != "-"]
+    read = {}
+    given = iter(tokens)
+    for token in given:
+        if token[:1] != "-":
+            if not positionals:
+                return None
+            dest, keywords = positionals.pop(0)
+            value = token
+        else:
+            keywords = options.get(token)
+            if keywords is None or keywords["dest"] in read:
+                return None
+            dest = keywords["dest"]
+            if keywords.get("action") == "store_true":
+                read[dest] = True
+                continue
+            value = next(given, "-")
+            if value[:1] == "-":
+                return None
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except argparse.ArgumentTypeError:
+                return None
+        choices = keywords.get("choices")
+        if choices is not None and value not in choices:
+            return None
+        read[dest] = value
+    if positionals:
+        return None
+    for name, keywords in arguments:
+        dest = keywords.get("dest", name)
+        if dest not in read:
+            if keywords.get("required"):
+                return None
+            read[dest] = keywords.get("default")
+    return argparse.Namespace(handler=handler, **read)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args, extra = None, ()
-    if argv and argv[0] in VERBS:
-        # argparse reads the width for the formatter of every add_argument
-        width = shutil.get_terminal_size().columns - 2
-        parser = argparse.ArgumentParser(
-            prog=f"hassett {argv[0]}",
-            formatter_class=partial(argparse.HelpFormatter, width=width),
-        )
-        _add_verb_arguments(parser, argv[0])
-        args, extra = parser.parse_known_args(argv[1:])
-    if args is None or extra:  # the full parser prints the usage error
+    args = _read_argv(argv[0], argv[1:]) if argv and argv[0] in VERBS else None
+    if args is None:  # the full parser prints help and usage errors
         args = build_parser().parse_args(argv)
     return _run(args)
 

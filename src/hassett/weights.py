@@ -64,7 +64,9 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 MINUS_ONE = Fraction(-1)
 
-_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
+# ASCII digits only: ``int`` alone also reads other Unicode digits and "_"
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+_RATIONAL_RE = re.compile(rf"^{_INTEGER_RE.pattern}(/[0-9]+)?$")
 
 
 class InvalidWeightDataError(ValueError):

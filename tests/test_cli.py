@@ -955,6 +955,34 @@ class TestInputHandling:
         rc, out, err = run_cli(verb, "--genus", "0", "--weights", "١/٣,1,1")
         assert rc == 2 and out == "" and "exact rational" in err
 
+    @pytest.mark.parametrize(
+        "argv, argument, bad",
+        [
+            (("verify-l1", "٥"), "n", "٥"),
+            (("schedule", "kblu", "1_0"), "n", "1_0"),
+            (("admissible", "١", "2", "--genus", "1", "--weights", "1/2,1/2"), "i", "١"),
+            (("admissible", "--genus", "1_0", "--weights", "1/2,1/2", "1", "2"), "--genus", "1_0"),
+            (("aut", "--genus", "０", "--weights", "1,1,1"), "--genus", "０"),
+        ],
+    )
+    def test_integers_take_ascii_digits_only(self, argv, argument, bad):
+        # int() reads any Unicode digit and "_"; integer arguments take
+        # ASCII digits only, as weights do
+        rc, out, err = run_cli(*argv)
+        assert (rc, out) == (2, "")
+        assert err.endswith(f"hassett {argv[0]}: error: argument {argument}: invalid int value: {bad!r}\n")
+
+    def test_non_number_integer_error_is_argparse_own(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        rc, out, err = run_cli("admissible", "--genus", "3", "--weights", "1/4,1/4,1/2,3/4,1,1", "1", "x")
+        assert (rc, out) == (2, "")
+        assert err == (
+            "usage: hassett admissible [-h] [--format {json,text}] [--genus GENUS]\n"
+            "                          [--weights WEIGHTS] [--input FILE] [--strict-atrans]\n"
+            "                          i j\n"
+            "hassett admissible: error: argument j: invalid int value: 'x'\n"
+        )
+
     def test_input_conflicts_with_inline(self, tmp_path):
         path = tmp_path / "w.json"
         path.write_text(json.dumps({"genus": 0, "weights": ["1"]}), encoding="utf-8")
@@ -1117,12 +1145,13 @@ DIGEST_NAMES = {
 
 
 def _digest_id(argv: tuple[str, ...]) -> str:
-    """A pinned op's test id: its argv without the weights, which only
-    the chamber-enum and positive-genus data name."""
+    """A pinned op's test id: its argv with the weights replaced by their
+    name in ``DIGEST_NAMES`` or else by the first eight hex digits of
+    their sha256, so no id depends on the op's place in the table."""
     if "--weights" not in argv:
         return " ".join(argv)
-    name = " ".join(argv[:-2])
-    return f"{name} {DIGEST_NAMES[argv]}" if argv in DIGEST_NAMES else name
+    weights = DIGEST_NAMES.get(argv) or hashlib.sha256(argv[-1].encode()).hexdigest()[:8]
+    return f"{' '.join(argv[:-2])} {weights}"
 
 
 # sha256 of stdout as (JSON, text); the text of ``divisors`` ignores
@@ -1548,6 +1577,17 @@ class TestStdoutPinned:
 
 HIGHER_GENUS = TestAdmissibleVerb.HIGHER_GENUS
 
+# requests the reader leaves to the full parser: a value starting with
+# "-", an option with its value after "=", a flag given a value, an
+# option name as a value, and a repeated option
+READER_REFUSES = [
+    ["aut", "--genus", "-1", "--weights", "1,1,1"],
+    ["aut", "--genus", "0", "--weights=1,1,1,1,1"],
+    ["divisors", *DEL_PEZZO, "--trees=1"],
+    ["aut", "--genus", "--weights", "1,1,1"],
+    ["aut", *DEL_PEZZO, "--format", "text", "--format", "json"],
+]
+
 PARSER_CASES = [
     *([verb, "--help"] for verb in cli.VERBS),
     # every verb with its required arguments missing
@@ -1577,7 +1617,63 @@ PARSER_CASES = [
     [],
     ["frobnicate"],
     ["--format", "json", "aut", *DEL_PEZZO],
+    *READER_REFUSES,
 ]
+
+
+# every option name of a verb, with its abbreviations and "=" forms
+OPTION_NAMES = sorted(
+    {
+        name
+        for _, _, arguments in cli.VERBS.values()
+        for name, _ in (cli._FORMAT, *arguments)
+        if name[0] == "-"
+    }
+)
+ARGV_VALUES = [
+    # integers argparse's int and the verbs' rule read apart, or alike
+    "-1", "+3", " 3", "٣", "1_0", "0", "1", "2", "5",
+    # choices, valid and not, and the empty string
+    "json", "text", "xml", "fine", "coarse", "kblu", "con2", "nosuch", "",
+    "1,1,1,1,1", "1/2,1/3,1/4", "sym:k=1,n=6",
+    # option names as values
+    "--genus", "--format", "-h",
+]
+ARGV_TOKENS = [
+    *OPTION_NAMES,
+    *(name[:size] for name in OPTION_NAMES for size in range(3, len(name))),
+    *(f"{name}={value}" for name in OPTION_NAMES for value in ("1", "text", "")),
+    "--", "-h", "--help", *ARGV_VALUES,
+]
+
+
+def _argv_value(keywords: dict) -> st.SearchStrategy[str]:
+    """A value the row takes three times in four, else any value."""
+    takes = keywords.get("choices") or (
+        ["+3", " 3", "0", "2", "5"] if "type" in keywords else ["", "1,1,1,1,1", "sym:k=1,n=6"]
+    )
+    return st.one_of(*[st.sampled_from(takes)] * 3, st.sampled_from(ARGV_VALUES))
+
+
+@st.composite
+def verb_argv(draw):
+    """A verb and its tokens: its rows in any order, half the time all
+    of them, each option with a value, with up to two tokens of the
+    vocabulary put in anywhere, so that many requests parse and options
+    may repeat."""
+    verb = draw(st.sampled_from(list(cli.VERBS)))
+    rows = draw(st.permutations((cli._FORMAT, *cli.VERBS[verb][2])))
+    tokens = []
+    for name, keywords in rows[: draw(st.one_of(st.just(len(rows)), st.integers(0, len(rows))))]:
+        if name[0] != "-":
+            tokens.append(draw(_argv_value(keywords)))
+        elif keywords.get("action") == "store_true":
+            tokens.append(name)
+        else:
+            tokens += [name, draw(_argv_value(keywords))]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(ARGV_TOKENS)))
+    return verb, tokens
 
 
 def run_full_parser(*argv: str) -> tuple[int, str, str]:
@@ -1587,8 +1683,9 @@ def run_full_parser(*argv: str) -> tuple[int, str, str]:
 
 
 class TestParserFloor:
-    """``main`` builds one parser for a leading verb, the verb's own;
-    every answer, help and usage error included, is the full parser's."""
+    """``main`` reads a valid request off the verb's rows and builds no
+    parser; every answer, help and usage error included, is the full
+    parser's."""
 
     @pytest.mark.parametrize(
         "argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "(none)"
@@ -1598,12 +1695,34 @@ class TestParserFloor:
         assert run_cli(*argv) == run_full_parser(*argv)
 
     @pytest.mark.parametrize(
+        "argv", READER_REFUSES, ids=lambda argv: " ".join(argv)
+    )
+    def test_reader_refuses(self, argv):
+        assert cli._read_argv(argv[0], argv[1:]) is None
+
+    @settings(max_examples=400, deadline=None)
+    @given(verb_argv())
+    def test_reader_reads_as_argparse(self, request):
+        verb, tokens = request
+        read = cli._read_argv(verb, tokens)
+        if read is None:
+            return
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                parsed = vars(cli.build_parser().parse_args([verb, *tokens]))
+            except SystemExit as exc:
+                pytest.fail(f"the reader answered, argparse exited {exc.code}: {err.getvalue()}")
+        del parsed["verb"]
+        assert vars(read) == parsed
+
+    @pytest.mark.parametrize(
         "argv, parsers, subparsers",
         [
-            (("admissible", *HIGHER_GENUS, "3", "4"), 1, 0),
+            (("admissible", *HIGHER_GENUS, "3", "4"), 0, 0),
             (("--help",), 12, 11),
             # arguments the verb does not take: the full parser's error
-            (("aut", *DEL_PEZZO, "--bogus"), 13, 11),
+            (("aut", *DEL_PEZZO, "--bogus"), 12, 11),
         ],
     )
     def test_parsers_built_per_run(self, monkeypatch, argv, parsers, subparsers):
@@ -1625,7 +1744,8 @@ class TestParserFloor:
         assert (len(built), len(added)) == (parsers, subparsers)
 
     def test_terminal_width_read_once(self, monkeypatch):
-        # argparse reads it for every formatter, one per add_argument
+        # argparse reads it for every formatter, one per add_argument; a
+        # valid run builds no parser, so it reads the width not at all
         calls = []
         size = shutil.get_terminal_size
 
@@ -1635,7 +1755,7 @@ class TestParserFloor:
 
         monkeypatch.setattr(shutil, "get_terminal_size", counting)
         rc, _, _ = run_cli("admissible", *HIGHER_GENUS, "3", "4")
-        assert rc == 0 and len(calls) == 1
+        assert rc == 0 and calls == []
 
     def test_module_help_reads_sys_argv(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
