@@ -1621,7 +1621,8 @@ PARSER_CASES = [
 ]
 
 
-# every option name of a verb, with its abbreviations and "=" forms
+# the vocabulary of the reader's property test: every verb's option
+# names, with their abbreviations and "=" forms, and values
 OPTION_NAMES = sorted(
     {
         name
